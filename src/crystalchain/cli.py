@@ -4,7 +4,8 @@ profiles, rank-size fits, figure presets, and coupling sweeps.
 Every profile-producing command writes a manifest that fully determines
 the run; feeding that manifest back through ``--config`` reproduces the
 CSV artifacts byte for byte.  Exit codes: 0 success, 2 argument error,
-3 dynamics failure (no stable horizon), 4 fit failure.
+3 dynamics failure (no stable horizon, or a failed numeric check), 4 fit
+failure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .analysis import (
 )
 from .crystal import SpinWord, enumerate_basis
 from .dynamics import (
-    StableHorizonError,
     eigendecompose,
     find_stable_T,
     infinite_time_average,
@@ -114,6 +114,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             base = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {config_path}: {exc}") from exc
+        if not isinstance(base, dict):
+            raise UsageError(f"config {config_path} must hold a JSON object")
 
     def pick(name, default=None):
         flag = getattr(args, name, None)
@@ -128,7 +130,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     model = pick("model", "crystal")
     if model not in ("crystal", "hamming"):
         raise UsageError(f"model must be 'crystal' or 'hamming', got {model!r}")
-    coupling_data = dict(base.get("couplings", {}))
+    coupling_data = base.get("couplings", {})
+    if not isinstance(coupling_data, dict):
+        raise UsageError("config 'couplings' must be a JSON object")
+    coupling_data = dict(coupling_data)
     for name in COUPLING_NAMES:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -136,8 +141,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     coupling_data.setdefault("mu0", 1.0)
     couplings = CouplingValues.from_dict(coupling_data)
     horizon = _parse_horizon(pick("horizon", "auto"))
-    include_self = pick("include_self")
-    include_self = bool(include_self) if include_self is not None else False
+    include_self = pick("include_self", False)
+    if not isinstance(include_self, bool):
+        raise UsageError(f"include_self must be true or false, got {include_self!r}")
     word = SpinWord.parse(str(initial))
     if len(word) != int(n):
         raise UsageError(f"initial word length {len(word)} does not match n = {n}")
@@ -166,8 +172,8 @@ def _run_dynamics(config: RunConfig, sym: SymbolicHamiltonian | None = None):
     initial_index = sym.basis.index_of_word(config.initial)
     spec = eigendecompose(sym.evaluate(config.couplings))
     if config.horizon == "auto":
-        resolved = find_stable_T(spec, initial_index)
-        profile = time_averaged_profile(spec, initial_index, resolved)
+        profile = find_stable_T(spec, initial_index)
+        resolved = profile.horizon
     elif config.horizon == "infinite":
         resolved = None
         profile = infinite_time_average(spec, initial_index)
@@ -404,7 +410,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 zipf_a=zipf.a, zipf_k=zipf.k, zipf_r2=zipf.r2,
                 sse_ratio=payload["sse_ratio_zipf_over_yule"],
             )
-        except StableHorizonError:
+        except RuntimeError:  # StableHorizonError or a failed numeric check
             row["status"] = "dynamics_error"
         except UnderdeterminedFitError:
             row["status"] = "fit_error"
@@ -522,7 +528,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except UnderdeterminedFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except StableHorizonError as exc:
+    except RuntimeError as exc:  # StableHorizonError or a failed numeric check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DYNAMICS
     except (UsageError, ValueError) as exc:

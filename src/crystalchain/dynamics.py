@@ -15,6 +15,9 @@ import numpy as np
 
 DEFAULT_DECOMP_TOL = 1e-10
 PROFILE_SUM_TOL = 1e-8
+# Rows of the horizon-average kernel built at a time: peak memory of
+# time_averaged_profile is O(_KERNEL_BLOCK * dim) instead of O(dim^2).
+_KERNEL_BLOCK = 256
 
 
 class StableHorizonError(RuntimeError):
@@ -37,11 +40,15 @@ def eigendecompose(h: np.ndarray, tol: float = DEFAULT_DECOMP_TOL) -> SpectralDe
     """Diagonalize a dense symmetric matrix with checked residuals.
 
     Deterministic up to the sign convention: the largest-magnitude
-    component of every eigenvector is made nonnegative.
+    component of every eigenvector is made nonnegative.  Non-finite
+    entries (e.g. couplings large enough to overflow) raise RuntimeError,
+    as do failed residual or orthonormality checks.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise RuntimeError("matrix has non-finite entries")
     scale = float(np.abs(h).max()) if h.size else 0.0
     scale = max(scale, 1.0)
     if float(np.abs(h - h.T).max()) > tol * scale:
@@ -50,13 +57,15 @@ def eigendecompose(h: np.ndarray, tol: float = DEFAULT_DECOMP_TOL) -> SpectralDe
         eigenvalues, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    if not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all()):
+        raise RuntimeError("eigensolver returned non-finite values")
     anchor = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[anchor, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     vectors = vectors * signs
     residual = float(np.abs(h @ vectors - vectors * eigenvalues).max())
     ortho = float(np.abs(vectors.T @ vectors - np.eye(len(eigenvalues))).max())
-    if residual > tol * scale or ortho > tol:
+    if not (residual <= tol * scale and ortho <= tol):
         raise RuntimeError(
             f"decomposition failed checks: residual {residual:.3e}, orthonormality {ortho:.3e}"
         )
@@ -73,6 +82,8 @@ class TransitionProfile:
 
 
 def _as_profile(initial: int, horizon: float, values: np.ndarray) -> TransitionProfile:
+    if not np.isfinite(values).all():
+        raise RuntimeError("averaged profile has non-finite entries")
     low = float(values.min())
     if low < -1e-10:
         raise RuntimeError(f"negative probability {low:.3e} in averaged profile")
@@ -81,14 +92,6 @@ def _as_profile(initial: int, horizon: float, values: np.ndarray) -> TransitionP
     if abs(total - 1.0) > PROFILE_SUM_TOL:
         raise RuntimeError(f"averaged profile sums to {total!r}, not 1")
     return TransitionProfile(initial, horizon, values)
-
-
-def _sinc(x: np.ndarray) -> np.ndarray:
-    """sin(x)/x with a series branch for |x| < 1e-4 (sinc(0) = 1)."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x * x / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
 
 
 def transition_probability(
@@ -109,15 +112,33 @@ def time_averaged_profile(
 ) -> TransitionProfile:
     """Average of the transition probabilities over [0, horizon].
 
-    Closed form: sum over eigenpair products weighted by sinc of the gap
-    times the horizon; no time discretization enters.
+    Closed form: p_f = sum_ab V_fa c_a K_ab c_b V_fb with c = V[initial]
+    and K_ab = sin(x)/x at x = (e_a - e_b) * horizon; no time
+    discretization enters.  K is built in place over blocks of rows a,
+    with the series 1 - x^2/6 + x^4/120 for |x| < 1e-4.  K is symmetric,
+    so each block takes only the columns b from its own first row on and
+    counts the columns past the block twice.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    gaps = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    kernel = _sinc(gaps * horizon)
-    weights = spec.eigenvectors * spec.eigenvectors[initial]
-    p_avg = ((weights @ kernel) * weights).sum(axis=1)
+    e = spec.eigenvalues
+    v = spec.eigenvectors
+    c = v[initial]
+    p_avg = np.zeros(spec.dim)
+    for start in range(0, spec.dim, _KERNEL_BLOCK):
+        blk = slice(start, start + _KERNEL_BLOCK)
+        x = np.subtract.outer(e[blk], e[start:])
+        x *= horizon
+        small = np.abs(x) < 1e-4
+        with np.errstate(invalid="ignore"):  # 0/0 on the series entries
+            k = np.sin(x)
+            k /= x
+        xs = x[small]
+        k[small] = 1.0 - xs * xs / 6.0 + xs**4 / 120.0
+        k *= c[blk, None]
+        k *= c[start:]
+        k[:, _KERNEL_BLOCK:] *= 2.0
+        p_avg += np.einsum("af,fa->f", k @ v[:, start:].T, v[:, blk])
     return _as_profile(initial, horizon, p_avg)
 
 
@@ -153,13 +174,14 @@ def find_stable_T(
     growth: float = 2.0,
     t_start: float = 10.0,
     t_cap: float = 1e9,
-) -> float:
-    """Smallest tested horizon whose profile agrees with the next longer one.
+) -> TransitionProfile:
+    """Profile at the smallest tested horizon that agrees with the next longer one.
 
-    Horizons grow geometrically from `t_start`; the first T whose profile
-    differs from the profile at growth*T by at most `rel_tol` in max norm
-    is returned.  Exceeding `t_cap` raises StableHorizonError; callers
-    should fall back to the infinite-horizon average.
+    Horizons grow geometrically from `t_start`; the profile at the first T
+    that differs from the profile at growth*T by at most `rel_tol` in max
+    norm is returned, with T as its `horizon`.  Exceeding `t_cap` raises
+    StableHorizonError; callers should fall back to the infinite-horizon
+    average.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -172,7 +194,7 @@ def find_stable_T(
     while horizon <= t_cap:
         longer = time_averaged_profile(spec, initial, horizon * growth)
         if float(np.abs(current.p_avg - longer.p_avg).max()) <= rel_tol:
-            return horizon
+            return current
         horizon *= growth
         current = longer
     raise StableHorizonError(

@@ -38,6 +38,14 @@ def trapezoid_profile(eigenvalues, eigenvectors, initial, horizon, samples=100_0
     return acc / (samples - 1)
 
 
+def unblocked_profile(eigenvalues, eigenvectors, initial, horizon):
+    """Closed-form horizon average over the whole gap matrix at once, with
+    sin(x)/x from np.sinc rather than a series branch."""
+    kernel = np.sinc(np.subtract.outer(eigenvalues, eigenvalues) * horizon / np.pi)
+    weights = eigenvectors * eigenvectors[initial]
+    return ((weights @ kernel) * weights).sum(axis=1)
+
+
 def site_product_average(n_sites, distance, mu0, beta, horizon, samples=2_000_001):
     """Average transition probability between words `distance` flips apart
     under the per-site field (mu0, beta): the evolution factorizes, so the

@@ -45,8 +45,8 @@ def report(index, description):
 def stable_profile(sym, couplings, initial_word):
     spec = eigendecompose(sym.evaluate(couplings))
     initial = sym.basis.index_of_word(initial_word)
-    horizon = find_stable_T(spec, initial)
-    return spec, initial, horizon, time_averaged_profile(spec, initial, horizon)
+    profile = find_stable_T(spec, initial)
+    return spec, initial, profile.horizon, profile
 
 
 def test_1_three_site_matrix_is_exact(capsys):

@@ -158,6 +158,45 @@ class TestProfileCommand:
         assert main(["profile", "--n", "3", "--initial", "RRY", "--horizon", "auto",
                      "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_couplings_write_no_profile(self, tmp_path, capsys):
+        # mu0 * 2J3 overflows to inf; the run must fail instead of writing NaN
+        out = tmp_path / "x"
+        assert main(["profile", "--n", "3", "--initial", "RRY", "--mu0", "1e308",
+                     "--delta", "1e308", "--horizon", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "profile.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["eigendecompose", "time_averaged_profile"])
+    def test_numeric_check_failure_maps_to_exit_3(self, tmp_path, capsys, monkeypatch, stage):
+        import crystalchain.cli as cli_module
+
+        def explode(*args, **kwargs):
+            raise RuntimeError(f"{stage} failed checks")
+
+        monkeypatch.setattr(cli_module, stage, explode)
+        out = tmp_path / "x"
+        assert main(["profile", "--n", "3", "--initial", "RRY", "--horizon", "10",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {stage} failed checks\n"
+        assert not (out / "profile.csv").exists()
+
+    def test_config_must_be_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]\n")
+        assert main(["profile", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_config_include_self_must_be_boolean(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"n": 3, "initial": "RRY", "horizon": 10.0, "include_self": value}
+        ))
+        assert main(["profile", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x" / "profile.csv").exists()
+
 
 class TestFitCommand:
     @staticmethod
@@ -295,3 +334,39 @@ class TestSweepCommand:
         ]) == 0
         lines = (out / "summary.csv").read_text().strip().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+    def test_dynamics_failure_marks_point_and_finishes_grid(self, tmp_path, capsys, monkeypatch):
+        import crystalchain.cli as cli_module
+
+        real = cli_module.eigendecompose
+        calls = []
+
+        def fail_second_point(h):
+            calls.append(h)
+            if len(calls) == 2:
+                raise RuntimeError("decomposition failed checks")
+            return real(h)
+
+        monkeypatch.setattr(cli_module, "eigendecompose", fail_second_point)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--n", "3", "--initial", "RRY", "--param", "eps=0.1,0.2,0.3",
+            "--delta", "0.3", "--horizon", "160", "--out", str(out),
+        ]) == 0
+        assert read_csv_column(out / "summary.csv", "status") == ["ok", "dynamics_error", "ok"]
+        assert not (out / "point_001").exists()
+        assert (out / "point_002" / "ranked.csv").exists()
+
+    def test_all_points_failing_dynamics_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        import crystalchain.cli as cli_module
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("averaged profile has non-finite entries")
+
+        monkeypatch.setattr(cli_module, "time_averaged_profile", explode)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--n", "3", "--initial", "RRY", "--param", "eps=0.1,0.2",
+            "--horizon", "160", "--out", str(out),
+        ]) == 3
+        assert read_csv_column(out / "summary.csv", "status") == ["dynamics_error"] * 2

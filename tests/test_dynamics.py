@@ -14,7 +14,8 @@ from crystalchain import (
     time_averaged_profile,
     transition_probability,
 )
-from oracles import expm_unitary, trapezoid_profile
+from crystalchain.dynamics import _KERNEL_BLOCK, SpectralDecomposition
+from oracles import expm_unitary, trapezoid_profile, unblocked_profile
 
 FIG2_COUPLINGS = CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3)
 
@@ -140,6 +141,28 @@ class TestTimeAveragedProfile:
         assert profile.p_avg.min() >= 0.0
         assert profile.p_avg.max() <= 1.0
 
+    def test_partial_last_block_matches_unblocked_reference(self):
+        rng = np.random.default_rng(29)
+        dim = 300
+        assert dim > _KERNEL_BLOCK and dim % _KERNEL_BLOCK != 0
+        a = rng.normal(size=(dim, dim))
+        spec = eigendecompose((a + a.T) / 2)
+        for initial, horizon in ((0, 3.0), (123, 40.0), (dim - 1, 1e4)):
+            blocked = time_averaged_profile(spec, initial, horizon).p_avg
+            reference = unblocked_profile(spec.eigenvalues, spec.eigenvectors, initial, horizon)
+            assert np.abs(blocked - reference).max() <= 1e-12
+
+    def test_gaps_on_both_sides_of_series_branch(self):
+        # at T = 100 the 1e-7 gap gives |x| = 1e-5 (series branch); the
+        # others give |x| >= 50, all inside one block
+        eigenvalues = np.array([0.0, 1e-7, 0.5, 1.0])
+        q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(4, 4)))
+        spec = SpectralDecomposition(eigenvalues, q)
+        for initial in range(4):
+            closed = time_averaged_profile(spec, initial, 100.0).p_avg
+            quad = trapezoid_profile(eigenvalues, q, initial, 100.0)
+            assert np.abs(closed - quad).max() <= 1e-6
+
     def test_rejects_nonpositive_horizon(self):
         _, spec = fig2_spec()
         with pytest.raises(ValueError):
@@ -181,20 +204,26 @@ class TestInfiniteTimeAverage:
 class TestFindStableT:
     def test_diagonal_returns_start(self):
         spec = eigendecompose(np.diag([1.0, -1.0, 3.0]))
-        assert find_stable_T(spec, 1) == 10.0
+        assert find_stable_T(spec, 1).horizon == 10.0
 
     def test_profile_near_infinite_limit(self):
         _, spec = fig2_spec()
-        horizon = find_stable_T(spec, 3)
-        profile = time_averaged_profile(spec, 3, horizon)
+        profile = find_stable_T(spec, 3)
         limit = infinite_time_average(spec, 3)
         assert np.abs(profile.p_avg - limit.p_avg).max() <= 1e-2
+
+    def test_returns_profile_at_resolved_horizon(self):
+        _, spec = fig2_spec()
+        profile = find_stable_T(spec, 3)
+        again = time_averaged_profile(spec, 3, profile.horizon)
+        assert profile.initial == 3
+        assert (profile.p_avg == again.p_avg).all()
 
     def test_loosening_tolerance_never_lengthens(self):
         _, spec = fig2_spec()
         tight = find_stable_T(spec, 3, rel_tol=1e-3)
         loose = find_stable_T(spec, 3, rel_tol=2e-3)
-        assert loose <= tight
+        assert loose.horizon <= tight.horizon
 
     def test_cap_exceeded_raises(self):
         _, spec = fig2_spec()
