@@ -50,6 +50,7 @@ from .hamiltonian import (
     LadderResult,
     MutationContext,
     SymbolicHamiltonian,
+    Triplets,
     allowed_transitions,
     apply_a,
     apply_a_dagger,
@@ -59,7 +60,6 @@ from .hamiltonian import (
     apply_j_plus,
     build_hamming,
     build_model,
-    dump_symbolic,
     evaluate,
     mutation_context,
 )

@@ -3,9 +3,10 @@ profiles, rank-size fits, figure presets, and coupling sweeps.
 
 Every profile-producing command writes a manifest that fully determines
 the run; feeding that manifest back through ``--config`` reproduces the
-CSV artifacts byte for byte.  Exit codes: 0 success, 2 argument error,
-3 dynamics failure (no stable horizon, or a failed numeric check), 4 fit
-failure.
+CSV artifacts byte for byte.  Exit codes: 0 success, 2 argument error
+(a chain whose dense eigendecomposition would not fit in physical memory
+included), 3 dynamics failure (no stable horizon, or a failed numeric
+check), 4 fit failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ from .analysis import (
 )
 from .crystal import SpinWord, enumerate_basis
 from .dynamics import (
+    dense_peak_bytes,
     eigendecompose,
     find_stable_T,
     infinite_time_average,
@@ -160,7 +163,18 @@ def _couplings_from_args(args: argparse.Namespace) -> CouplingValues:
     return CouplingValues.from_dict(data)
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _build(config: RunConfig) -> SymbolicHamiltonian:
+    need = dense_peak_bytes(2**config.n)
+    have = _physical_memory_bytes()
+    if need > have:
+        raise UsageError(
+            f"n = {config.n} needs about {need / 2**20:,.0f} MiB for the dense "
+            f"eigendecomposition, more than the {have / 2**20:,.0f} MiB of physical memory"
+        )
     if config.model == "crystal":
         return build_model(config.n)
     return build_hamming(config.n)

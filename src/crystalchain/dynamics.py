@@ -36,6 +36,17 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
+def dense_peak_bytes(dim: int) -> int:
+    """Estimated peak memory of `eigendecompose` on a dim x dim matrix.
+
+    Five dim x dim float64 arrays are live at once at its peak: H, the
+    eigenvectors and the three temporaries of the residual (or the
+    orthonormality) check.  Inside eigh, H, LAPACK's copy of it, the
+    dsyevd workspace (2 dim^2) and the output vectors also make five.
+    """
+    return 5 * np.dtype(float).itemsize * dim * dim
+
+
 def eigendecompose(h: np.ndarray, tol: float = DEFAULT_DECOMP_TOL) -> SpectralDecomposition:
     """Diagonalize a dense symmetric matrix with checked residuals.
 

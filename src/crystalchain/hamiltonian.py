@@ -6,7 +6,10 @@ with their adjoints.  Chains act right to left, and an intermediate result
 outside the admissible label set annihilates the whole chain.  Every
 surviving chain adds exactly +1 to the integer coefficient matrix of one
 coupling constant, so the Hamiltonian structure stays exact and parameter
-free until `evaluate` substitutes numbers.
+free until `evaluate` substitutes numbers.  The builders apply each chain
+to every basis state at once with numpy and keep each matrix as sparse
+(row, col, count) triplets; the scalar `apply_*` operators define the
+same moves on one state.
 
 The baseline builder instead couples words at Hamming distance one with a
 single coupling.
@@ -15,10 +18,9 @@ single coupling.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -183,46 +185,75 @@ def mutation_context(word: "SpinWord | str", position: int) -> MutationContext:
     return MutationContext(position, initial, r_l, y_r, r_in, y_in, r_fi, y_fi)
 
 
+class Triplets(NamedTuple):
+    """Sparse integer matrix as unique (row, col) entries sorted row-major.
+
+    `counts[j]` is the multiplicity at (`rows[j]`, `cols[j]`); every count
+    is positive, so absent entries are exactly the zeros.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+
+    def dense(self, dim: int) -> np.ndarray:
+        matrix = np.zeros((dim, dim), dtype=np.int64)
+        matrix[self.rows, self.cols] = self.counts
+        return matrix
+
+
 @dataclass(frozen=True)
 class SymbolicHamiltonian:
-    """Exact Hamiltonian structure: one integer matrix per coupling.
+    """Exact Hamiltonian structure: one integer COO matrix per coupling.
 
     `diag` holds 2*J3 per state (the mu0 multiplier); `coeffs` maps each
-    interaction symbol to a symmetric nonnegative integer matrix with zero
-    diagonal.  `provenance` records, per (row, col), how many chains of
-    each term family produced the entry.
+    interaction symbol to the triplets of a symmetric positive integer
+    matrix with zero diagonal.  `provenance` maps each term family (H1,
+    H2, H3, H5, H6 or HAMMING) to the triplets of the chains it produced;
+    the families of one symbol sum to its coefficients.
     """
 
     n: int
     basis: BasisMap
     diag: np.ndarray
-    coeffs: Mapping[CouplingSymbol, np.ndarray]
-    provenance: Mapping[tuple[int, int], Counter]
+    coeffs: Mapping[CouplingSymbol, Triplets]
+    provenance: Mapping[str, Triplets]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coefficient(self, symbol: CouplingSymbol) -> np.ndarray:
-        matrix = self.coeffs.get(symbol)
-        if matrix is None:
+        """Dense integer matrix of one coupling (zeros if absent); small N only."""
+        entries = self.coeffs.get(symbol)
+        if entries is None:
             return np.zeros((self.dim, self.dim), dtype=np.int64)
-        return matrix
+        return entries.dense(self.dim)
 
     def evaluate(self, values: CouplingValues) -> np.ndarray:
-        h = np.diag(values.mu0 * self.diag.astype(float))
-        for symbol, matrix in self.coeffs.items():
-            v = values.value(symbol)
-            if v != 0.0:
-                h = h + v * matrix
+        applied = [
+            (values.value(symbol), entries)
+            for symbol, entries in self.coeffs.items()
+            if values.value(symbol) != 0.0
+        ]
+        diag = values.mu0 * self.diag.astype(float)
+        # H equals the dense sum mu0*diag(2J3) + sum_v v*C_v bit for bit.  In
+        # that sum each diagonal entry gains v*0.0 per coupling; a positive v
+        # turns a -0.0 entry (as mu0 < 0 gives at 2J3 = 0) into +0.0, and
+        # nothing else moves.
+        if any(v > 0 for v, _ in applied):
+            diag += 0.0
+        h = np.diag(diag)
+        for v, entries in applied:
+            h[entries.rows, entries.cols] += v * entries.counts
         return h
 
     def allowed_transitions(self, state: int) -> set[int]:
-        connected = np.zeros(self.dim, dtype=bool)
-        for matrix in self.coeffs.values():
-            connected |= matrix[:, state] != 0
-        connected[state] = False
-        return set(int(f) for f in np.nonzero(connected)[0])
+        connected: set[int] = set()
+        for entries in self.coeffs.values():
+            connected.update(entries.rows[entries.cols == state].tolist())
+        connected.discard(state)
+        return connected
 
     def dump(self) -> str:
         """One line per entry: `row col SYMBOL multiplicity`, 1-based.
@@ -230,37 +261,36 @@ class SymbolicHamiltonian:
         The diagonal is emitted as `row row MU0 <2J3>`; lines are sorted by
         (row, col, symbol).  This text is the exact comparison surface.
         """
-        entries: list[tuple[int, int, str, int]] = []
-        for r in range(self.dim):
-            entries.append((r + 1, r + 1, CouplingSymbol.MU0.name, int(self.diag[r])))
-        for symbol, matrix in self.coeffs.items():
-            rows, cols = np.nonzero(matrix)
-            for r, c in zip(rows, cols):
-                entries.append((int(r) + 1, int(c) + 1, symbol.name, int(matrix[r, c])))
+        entries = [
+            (r + 1, r + 1, CouplingSymbol.MU0.name, d)
+            for r, d in enumerate(self.diag.tolist())
+        ]
+        for symbol, t in self.coeffs.items():
+            for r, c, m in zip(t.rows.tolist(), t.cols.tolist(), t.counts.tolist()):
+                entries.append((r + 1, c + 1, symbol.name, m))
         entries.sort()
         return "\n".join(f"{r} {c} {s} {m}" for r, c, s, m in entries)
 
 
-_Chain = tuple[Callable[[CrystalLabels], LadderResult], ...]
+# The builders hold all states at once as one small-int label array with
+# one column per state: row 0 is 2J3, row l-1 is 2J^l (l = 2..N).  Every
+# ladder operator adds `delta` to the rows lo:hi of that array.
+_Op = tuple[int, int, int]
+_J_PLUS: _Op = (0, 1, 2)
+_J_MINUS: _Op = (0, 1, -2)
 
 
-def _a(i: int) -> Callable[[CrystalLabels], LadderResult]:
-    return lambda labels: apply_a(i, labels)
+def _a(i: int, n: int, delta: int) -> _Op:
+    """A_i (delta -2) or A_i† (delta +2): shift 2J^l for i <= l <= N."""
+    return (i - 1, n, delta)
 
 
-def _a_dag(i: int) -> Callable[[CrystalLabels], LadderResult]:
-    return lambda labels: apply_a_dagger(i, labels)
+def _a_ik(i: int, k: int, delta: int) -> _Op:
+    """A_{i,k} (delta -2) or A_{i,k}† (delta +2): shift 2J^l for i <= l <= k-1."""
+    return (i - 1, k - 1, delta)
 
 
-def _a_ik(i: int, k: int) -> Callable[[CrystalLabels], LadderResult]:
-    return lambda labels: apply_a_ik(i, k, labels)
-
-
-def _a_ik_dag(i: int, k: int) -> Callable[[CrystalLabels], LadderResult]:
-    return lambda labels: apply_a_ik_dagger(i, k, labels)
-
-
-def _model_terms(n: int) -> list[tuple[str, CouplingSymbol, _Chain]]:
+def _model_terms(n: int) -> list[tuple[str, CouplingSymbol, tuple[_Op, ...]]]:
     """Interaction chains, each listed in application order (first op first).
 
     Term families and ranges:
@@ -273,43 +303,113 @@ def _model_terms(n: int) -> list[tuple[str, CouplingSymbol, _Chain]]:
     written order: lower J3 before shrinking the irrep, and enlarge the
     irrep before raising J3, otherwise admissible moves would annihilate.
     """
-    terms: list[tuple[str, CouplingSymbol, _Chain]] = [
-        ("H2", CouplingSymbol.DELTA, (apply_j_minus,)),
-        ("H2", CouplingSymbol.DELTA, (apply_j_plus,)),
+    terms: list[tuple[str, CouplingSymbol, tuple[_Op, ...]]] = [
+        ("H2", CouplingSymbol.DELTA, (_J_MINUS,)),
+        ("H2", CouplingSymbol.DELTA, (_J_PLUS,)),
     ]
     for i in range(2, n):
         for k in range(i + 1, n + 1):
-            terms.append(("H1", CouplingSymbol.GAMMA, (apply_j_minus, _a_ik(i, k))))
-            terms.append(("H1", CouplingSymbol.GAMMA, (_a_ik_dag(i, k), apply_j_plus)))
+            terms.append(("H1", CouplingSymbol.GAMMA, (_J_MINUS, _a_ik(i, k, -2))))
+            terms.append(("H1", CouplingSymbol.GAMMA, (_a_ik(i, k, 2), _J_PLUS)))
     for i in range(2, n + 1):
-        terms.append(("H3", CouplingSymbol.EPS, (apply_j_minus, _a(i))))
-        terms.append(("H3", CouplingSymbol.EPS, (_a_dag(i), apply_j_plus)))
+        terms.append(("H3", CouplingSymbol.EPS, (_J_MINUS, _a(i, n, -2))))
+        terms.append(("H3", CouplingSymbol.EPS, (_a(i, n, 2), _J_PLUS)))
     for m in range(2, n + 1):
-        terms.append(("H5", CouplingSymbol.EPS, (_a_dag(m), apply_j_minus)))
-        terms.append(("H5", CouplingSymbol.EPS, (apply_j_plus, _a(m))))
+        terms.append(("H5", CouplingSymbol.EPS, (_a(m, n, 2), _J_MINUS)))
+        terms.append(("H5", CouplingSymbol.EPS, (_J_PLUS, _a(m, n, -2))))
     for i in range(2, n - 1):
         for k in range(i + 1, n):
             terms.append(
-                ("H6", CouplingSymbol.ETA, (_a_dag(k + 1), apply_j_minus, _a_ik(i, k)))
+                ("H6", CouplingSymbol.ETA, (_a(k + 1, n, 2), _J_MINUS, _a_ik(i, k, -2)))
             )
             terms.append(
-                ("H6", CouplingSymbol.ETA, (apply_j_plus, _a(k + 1), _a_ik_dag(i, k)))
+                ("H6", CouplingSymbol.ETA, (_J_PLUS, _a(k + 1, n, -2), _a_ik(i, k, 2)))
             )
     return terms
 
 
-def _check_structure(
-    coeffs: Mapping[CouplingSymbol, np.ndarray], n: int
-) -> None:
-    for symbol, matrix in coeffs.items():
-        if not (matrix == matrix.T).all():
+def _label_array(basis: BasisMap) -> np.ndarray:
+    rows = [(l.two_j3, *l.two_j) for l in basis.labels]
+    return np.array(rows, dtype=np.int16).T.copy()
+
+
+def _admissible(labels: np.ndarray) -> np.ndarray:
+    """`validate_labels` for every column of a label array at once."""
+    two_j3, two_j = labels[0], labels[1:]
+    top = two_j[-1]
+    return (
+        ((two_j[0] == 0) | (two_j[0] == 2))
+        & (np.abs(two_j[1:] - two_j[:-1]) == 1).all(axis=0)
+        & (two_j >= 0).all(axis=0)
+        & (np.abs(two_j3) <= top)
+        & ((top - two_j3) % 2 == 0)
+    )
+
+
+def _walk_keys(labels: np.ndarray) -> np.ndarray:
+    """Distinct key of each admissible column, below 2^(N-1) * (N+1).
+
+    The prefix spins 1, 2J^2, ..., 2J^N form a +-1 walk; its N-1 step bits
+    and (2J3 + N) / 2 in 0..N fix the state.
+    """
+    n = labels.shape[0]
+    up = np.diff(labels[1:], axis=0, prepend=1) > 0
+    bits = (up << np.arange(n - 1)[:, None]).sum(axis=0)
+    return bits * (n + 1) + (labels[0] + n) // 2
+
+
+def _row_table(labels: np.ndarray) -> np.ndarray:
+    """Basis index of every walk key; -1 marks keys of no basis state."""
+    n, dim = labels.shape
+    table = np.full((1 << (n - 1)) * (n + 1), -1, dtype=np.int64)
+    table[_walk_keys(labels)] = np.arange(dim)
+    return table
+
+
+def _apply_chain(
+    labels: np.ndarray, row_table: np.ndarray, ops: tuple[_Op, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(final row, initial col) of every state the chain does not annihilate.
+
+    Ops act in order on all states at once; after each one the states
+    whose labels turned inadmissible are dropped, as the scalar operators
+    return None for them.
+    """
+    state, cols = labels, np.arange(labels.shape[1])
+    for lo, hi, delta in ops:
+        state = state.copy()
+        state[lo:hi] += delta
+        keep = _admissible(state)
+        state, cols = state[:, keep], cols[keep]
+    rows = row_table[_walk_keys(state)]
+    if (rows < 0).any():
+        raise ValueError(f"labels not in basis: {state[:, np.argmax(rows < 0)].tolist()}")
+    return rows, cols
+
+
+def _triplets(pairs: list[tuple[np.ndarray, np.ndarray]], dim: int) -> Triplets:
+    """Sum +1 per (row, col) over every pair of index arrays."""
+    keys = np.concatenate([rows * dim + cols for rows, cols in pairs] + [np.empty(0, np.int64)])
+    flat, counts = np.unique(keys, return_counts=True)
+    return Triplets(flat // dim, flat % dim, counts)
+
+
+def _check_structure(coeffs: Mapping[CouplingSymbol, Triplets], n: int) -> None:
+    for symbol, t in coeffs.items():
+        # (cols, rows) sorted row-major is the transpose's triplet list
+        order = np.lexsort((t.rows, t.cols))
+        if not (
+            np.array_equal(t.rows, t.cols[order])
+            and np.array_equal(t.cols, t.rows[order])
+            and np.array_equal(t.counts, t.counts[order])
+        ):
             raise AssertionError(f"{symbol.name} coefficient matrix not symmetric")
-        if np.diag(matrix).any():
+        if (t.rows == t.cols).any():
             raise AssertionError(f"{symbol.name} coefficient matrix has diagonal entries")
-        if (matrix < 0).any():
-            raise AssertionError(f"{symbol.name} coefficient matrix has negative entries")
+        if not (t.counts > 0).all():
+            raise AssertionError(f"{symbol.name} coefficient matrix has nonpositive entries")
     eta = coeffs.get(CouplingSymbol.ETA)
-    if n == 3 and eta is not None and eta.any():
+    if n == 3 and eta is not None and len(eta.rows):
         raise AssertionError("eta coefficients must vanish for three-site chains")
 
 
@@ -322,8 +422,10 @@ def build_model(n: int) -> SymbolicHamiltonian:
     """
     basis = enumerate_basis(n)
     dim = len(basis)
-    coeffs = {
-        symbol: np.zeros((dim, dim), dtype=np.int64)
+    labels = _label_array(basis)
+    row_table = _row_table(labels)
+    by_symbol: dict[CouplingSymbol, list] = {
+        symbol: []
         for symbol in (
             CouplingSymbol.EPS,
             CouplingSymbol.GAMMA,
@@ -331,23 +433,15 @@ def build_model(n: int) -> SymbolicHamiltonian:
             CouplingSymbol.ETA,
         )
     }
-    provenance: dict[tuple[int, int], Counter] = {}
-    terms = _model_terms(n)
-    for col in range(dim):
-        start = basis.labels[col]
-        for term_id, symbol, chain in terms:
-            labels: LadderResult = start
-            for op in chain:
-                labels = op(labels)
-                if labels is None:
-                    break
-            if labels is None:
-                continue
-            row = basis.index_of(labels)
-            coeffs[symbol][row, col] += 1
-            provenance.setdefault((row, col), Counter())[term_id] += 1
+    by_family: dict[str, list] = {}
+    for family, symbol, ops in _model_terms(n):
+        entries = _apply_chain(labels, row_table, ops)
+        by_symbol[symbol].append(entries)
+        by_family.setdefault(family, []).append(entries)
+    coeffs = {symbol: _triplets(pairs, dim) for symbol, pairs in by_symbol.items()}
+    provenance = {family: _triplets(pairs, dim) for family, pairs in by_family.items()}
     _check_structure(coeffs, n)
-    diag = np.array([labels.two_j3 for labels in basis.labels], dtype=np.int64)
+    diag = labels[0].astype(np.int64)
     return SymbolicHamiltonian(n, basis, diag, coeffs, provenance)
 
 
@@ -360,20 +454,20 @@ def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:
     """
     basis = enumerate_basis(n)
     dim = len(basis)
-    beta = np.zeros((dim, dim), dtype=np.int64)
-    provenance: dict[tuple[int, int], Counter] = {}
-    for col, word in enumerate(basis.words):
-        for position in range(1, n + 1):
-            row = basis.index_of_word(word.flip(position))
-            beta[row, col] = 1
-            provenance.setdefault((row, col), Counter())["HAMMING"] += 1
+    # word bits with site 1 most significant, R = 1
+    bits = np.array([int(w.spins.replace("R", "1").replace("Y", "0"), 2) for w in basis.words])
+    row_of = np.empty(1 << n, dtype=np.int64)
+    row_of[bits] = np.arange(dim)
+    cols = np.arange(dim)
+    flips = [(row_of[bits ^ (1 << (n - position))], cols) for position in range(1, n + 1)]
+    beta = _triplets(flips, dim)
     coeffs = {CouplingSymbol.BETA: beta}
     _check_structure(coeffs, n)
     if include_diagonal:
         diag = np.array([labels.two_j3 for labels in basis.labels], dtype=np.int64)
     else:
         diag = np.zeros(dim, dtype=np.int64)
-    return SymbolicHamiltonian(n, basis, diag, coeffs, provenance)
+    return SymbolicHamiltonian(n, basis, diag, coeffs, {"HAMMING": beta})
 
 
 def evaluate(sym: SymbolicHamiltonian, values: CouplingValues) -> np.ndarray:
@@ -384,7 +478,3 @@ def evaluate(sym: SymbolicHamiltonian, values: CouplingValues) -> np.ndarray:
 def allowed_transitions(sym: SymbolicHamiltonian, state: int) -> set[int]:
     """Basis indices reachable from `state` by any nonzero coefficient."""
     return sym.allowed_transitions(state)
-
-
-def dump_symbolic(sym: SymbolicHamiltonian) -> str:
-    return sym.dump()

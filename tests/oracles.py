@@ -1,7 +1,21 @@
-"""Independent numerical oracles: these deliberately avoid the closed-form
-paths they are used to check."""
+"""Independent oracles: numerical ones that deliberately avoid the
+closed-form paths they are used to check, and per-state scalar builders of
+the Hamiltonian structure that the vectorized builders are checked against."""
+
+from collections import Counter
 
 import numpy as np
+
+from crystalchain import (
+    CouplingSymbol,
+    apply_a,
+    apply_a_dagger,
+    apply_a_ik,
+    apply_a_ik_dagger,
+    apply_j_minus,
+    apply_j_plus,
+    enumerate_basis,
+)
 
 
 def expm_unitary(h, t, terms=30):
@@ -58,3 +72,106 @@ def site_product_average(n_sites, distance, mu0, beta, horizon, samples=2_000_00
     trap = np.ones(samples)
     trap[0] = trap[-1] = 0.5
     return float((trap @ values) / (samples - 1))
+
+
+def _scalar_a(i):
+    return lambda labels: apply_a(i, labels)
+
+
+def _scalar_a_dag(i):
+    return lambda labels: apply_a_dagger(i, labels)
+
+
+def _scalar_a_ik(i, k):
+    return lambda labels: apply_a_ik(i, k, labels)
+
+
+def _scalar_a_ik_dag(i, k):
+    return lambda labels: apply_a_ik_dagger(i, k, labels)
+
+
+def scalar_model_terms(n):
+    """The interaction chains of the mutation model as tuples of scalar
+    ladder operators, each in application order (first op first)."""
+    S = CouplingSymbol
+    terms = [
+        ("H2", S.DELTA, (apply_j_minus,)),
+        ("H2", S.DELTA, (apply_j_plus,)),
+    ]
+    for i in range(2, n):
+        for k in range(i + 1, n + 1):
+            terms.append(("H1", S.GAMMA, (apply_j_minus, _scalar_a_ik(i, k))))
+            terms.append(("H1", S.GAMMA, (_scalar_a_ik_dag(i, k), apply_j_plus)))
+    for i in range(2, n + 1):
+        terms.append(("H3", S.EPS, (apply_j_minus, _scalar_a(i))))
+        terms.append(("H3", S.EPS, (_scalar_a_dag(i), apply_j_plus)))
+    for m in range(2, n + 1):
+        terms.append(("H5", S.EPS, (_scalar_a_dag(m), apply_j_minus)))
+        terms.append(("H5", S.EPS, (apply_j_plus, _scalar_a(m))))
+    for i in range(2, n - 1):
+        for k in range(i + 1, n):
+            terms.append(
+                ("H6", S.ETA, (_scalar_a_dag(k + 1), apply_j_minus, _scalar_a_ik(i, k)))
+            )
+            terms.append(
+                ("H6", S.ETA, (apply_j_plus, _scalar_a(k + 1), _scalar_a_ik_dag(i, k)))
+            )
+    return terms
+
+
+def scalar_model_build(n):
+    """Reference mutation-model structure, one basis state at a time.
+
+    Applies every scalar chain to every state's CrystalLabels and finds the
+    result with basis.index_of.  Returns (dense int64 matrix per coupling,
+    {(row, col): Counter of term families}).
+    """
+    basis = enumerate_basis(n)
+    dim = len(basis)
+    coeffs = {
+        symbol: np.zeros((dim, dim), dtype=np.int64)
+        for symbol in (
+            CouplingSymbol.EPS,
+            CouplingSymbol.GAMMA,
+            CouplingSymbol.DELTA,
+            CouplingSymbol.ETA,
+        )
+    }
+    provenance = {}
+    terms = scalar_model_terms(n)
+    for col in range(dim):
+        start = basis.labels[col]
+        for term_id, symbol, chain in terms:
+            labels = start
+            for op in chain:
+                labels = op(labels)
+                if labels is None:
+                    break
+            if labels is None:
+                continue
+            row = basis.index_of(labels)
+            coeffs[symbol][row, col] += 1
+            provenance.setdefault((row, col), Counter())[term_id] += 1
+    return coeffs, provenance
+
+
+def scalar_hamming_build(n):
+    """Reference Hamming structure: unit entries between words one flip apart."""
+    basis = enumerate_basis(n)
+    dim = len(basis)
+    beta = np.zeros((dim, dim), dtype=np.int64)
+    for col, word in enumerate(basis.words):
+        for position in range(1, n + 1):
+            beta[basis.index_of_word(word.flip(position)), col] = 1
+    return beta
+
+
+def dense_evaluate(diag, coeffs, values):
+    """mu0*diag(2J3) plus v * matrix for every nonzero coupling, summed as
+    whole dense arrays in the order of `coeffs`."""
+    h = np.diag(values.mu0 * np.asarray(diag).astype(float))
+    for symbol, matrix in coeffs.items():
+        v = values.value(symbol)
+        if v != 0.0:
+            h = h + v * matrix
+    return h

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from crystalchain import StableHorizonError, build_model
+from crystalchain import CouplingValues, StableHorizonError, build_model, cli
 from crystalchain.cli import main
+from crystalchain.dynamics import dense_peak_bytes
 from golden import THREE_SITE_BASIS_LINES, THREE_SITE_DUMP
+from oracles import dense_evaluate, scalar_model_build
 
 
 def read_csv_column(path, column):
@@ -55,6 +57,20 @@ class TestHamiltonianCommand:
 
         expected = evaluate(build_model(3), CouplingValues(1.0, 0.1, 0.3, 0.3))
         assert np.allclose(np.array(rows), expected, atol=0)
+
+    @pytest.mark.parametrize("n, couplings", [
+        (5, {"mu0": -1.0, "eps": 0.2}),
+        (4, {"mu0": -1.0, "eps": 0.2}),
+        (4, {"mu0": -1.0, "eps": -0.2}),
+    ])
+    def test_numeric_text_equals_dense_sum(self, capsys, n, couplings):
+        flags = [arg for name, value in couplings.items() for arg in (f"--{name}", str(value))]
+        assert main(["hamiltonian", "--n", str(n), *flags]) == 0
+        matrix = dense_evaluate(
+            build_model(n).diag, scalar_model_build(n)[0], CouplingValues(**couplings)
+        )
+        expected = "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix) + "\n"
+        assert capsys.readouterr().out == expected
 
     def test_zero_diagonal_requires_hamming(self, capsys):
         assert main(["hamiltonian", "--n", "3", "--symbolic", "--zero-diagonal"]) == 2
@@ -196,6 +212,29 @@ class TestProfileCommand:
         assert main(["profile", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x" / "profile.csv").exists()
+
+
+class TestMemoryPreflight:
+    def test_profile_beyond_physical_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**20)
+        out = tmp_path / "run"
+        assert main(["profile", "--n", "8", "--initial", "RRRRYYYY", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{dense_peak_bytes(2**8) / 2**20:,.0f} MiB" in err
+        assert "1 MiB of physical memory" in err
+
+    def test_fourteen_sites_refused_before_any_build(self, tmp_path, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a structure the memory check should refuse")
+
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 7 * 2**30)
+        monkeypatch.setattr(cli, "build_model", no_build)
+        out = tmp_path / "run"
+        argv = ["profile", "--n", "14", "--initial", "RY" * 7, "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "physical memory" in capsys.readouterr().err
 
 
 class TestFitCommand:

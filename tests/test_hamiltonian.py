@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalchain import (
     CouplingSymbol,
@@ -20,7 +24,13 @@ from crystalchain import (
     hamming_distance,
     mutation_context,
 )
-from crystalchain.hamiltonian import _model_terms
+from crystalchain.hamiltonian import (
+    _J_MINUS,
+    _apply_chain,
+    _label_array,
+    _model_terms,
+    _row_table,
+)
 from golden import (
     THREE_SITE_DELTA_PAIRS,
     THREE_SITE_DIAG,
@@ -31,6 +41,7 @@ from golden import (
     TWO_SITE_EPS_PAIRS,
     pairs_matrix,
 )
+from oracles import dense_evaluate, scalar_hamming_build, scalar_model_build
 
 S = CouplingSymbol
 
@@ -127,7 +138,8 @@ class TestModelStructure:
     def test_symmetry_and_selection_rule(self, n):
         sym = build_model(n)
         two_j3 = sym.diag
-        for symbol, matrix in sym.coeffs.items():
+        for symbol in sym.coeffs:
+            matrix = sym.coefficient(symbol)
             assert (matrix == matrix.T).all()
             assert not np.diag(matrix).any()
             rows, cols = np.nonzero(matrix)
@@ -135,50 +147,93 @@ class TestModelStructure:
 
     def test_symmetry_at_ten_sites(self):
         sym = build_model(10)
-        for matrix in sym.coeffs.values():
+        for symbol in sym.coeffs:
+            matrix = sym.coefficient(symbol)
             assert (matrix == matrix.T).all()
 
     def test_three_site_coefficients_are_boolean(self):
         sym = build_model(3)
-        for matrix in sym.coeffs.values():
-            assert set(np.unique(matrix)) <= {0, 1}
+        for symbol in sym.coeffs:
+            assert set(np.unique(sym.coefficient(symbol))) <= {0, 1}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_forward_half_transposes_to_adjoint_half(self, n):
-        basis = enumerate_basis(n)
-        dim = len(basis)
+        labels = _label_array(enumerate_basis(n))
+        row_table = _row_table(labels)
+        dim = labels.shape[1]
         forward = np.zeros((dim, dim), dtype=np.int64)
         adjoint = np.zeros((dim, dim), dtype=np.int64)
-        for col in range(dim):
-            for _, _, chain in _model_terms(n):
-                lowering = apply_j_minus in chain
-                lab = basis.labels[col]
-                for op in chain:
-                    lab = op(lab)
-                    if lab is None:
-                        break
-                if lab is None:
-                    continue
-                target = forward if lowering else adjoint
-                target[basis.index_of(lab), col] += 1
+        for _, _, ops in _model_terms(n):
+            lowering = _J_MINUS in ops
+            rows, cols = _apply_chain(labels, row_table, ops)
+            target = forward if lowering else adjoint
+            np.add.at(target, (rows, cols), 1)
         assert (forward == adjoint.T).all()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_provenance_multiplicities_sum_to_coefficients(self, n):
         sym = build_model(n)
         term_symbol = {"H1": S.GAMMA, "H2": S.DELTA, "H3": S.EPS, "H5": S.EPS, "H6": S.ETA}
-        rebuilt = {symbol: np.zeros_like(matrix) for symbol, matrix in sym.coeffs.items()}
-        for (row, col), counts in sym.provenance.items():
-            for term, multiplicity in counts.items():
-                rebuilt[term_symbol[term]][row, col] += multiplicity
-        for symbol, matrix in sym.coeffs.items():
-            assert (rebuilt[symbol] == matrix).all(), symbol
+        rebuilt = {symbol: np.zeros((sym.dim, sym.dim), dtype=np.int64) for symbol in sym.coeffs}
+        for term, entries in sym.provenance.items():
+            rebuilt[term_symbol[term]] += entries.dense(sym.dim)
+        for symbol in sym.coeffs:
+            assert (rebuilt[symbol] == sym.coefficient(symbol)).all(), symbol
 
     def test_three_site_terms_are_disjoint(self):
         sym = build_model(3)
-        for counts in sym.provenance.values():
-            assert len(counts) == 1
-            assert set(counts.values()) == {1}
+        families_at = {}
+        for term, entries in sym.provenance.items():
+            for row, col in zip(entries.rows.tolist(), entries.cols.tolist()):
+                families_at.setdefault((row, col), []).append(term)
+            assert set(entries.counts.tolist()) == {1}
+        for families in families_at.values():
+            assert len(families) == 1
+
+    def test_triplets_are_unique_and_row_major(self):
+        sym = build_model(6)
+        for entries in list(sym.coeffs.values()) + list(sym.provenance.values()):
+            keys = entries.rows * sym.dim + entries.cols
+            assert (np.diff(keys) > 0).all()
+            assert (entries.counts > 0).all()
+
+    def test_build_allocates_no_dense_integer_matrix(self):
+        dim = 2**10
+        tracemalloc.start()
+        try:
+            build_model(10)
+            build_hamming(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * np.dtype(np.int64).itemsize
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_model_matches_per_state_chains(self, n):
+        sym = build_model(n)
+        coeffs, provenance = scalar_model_build(n)
+        assert list(sym.coeffs) == list(coeffs)
+        for symbol, matrix in coeffs.items():
+            assert (sym.coefficient(symbol) == matrix).all(), symbol
+        expected = {}
+        for (row, col), counts in provenance.items():
+            for term, multiplicity in counts.items():
+                matrix = expected.setdefault(term, np.zeros((sym.dim, sym.dim), dtype=np.int64))
+                matrix[row, col] = multiplicity
+        assert set(sym.provenance) >= set(expected)
+        for term, entries in sym.provenance.items():
+            got = entries.dense(sym.dim)
+            assert (got == expected.get(term, 0)).all(), term
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_hamming_matches_word_flips(self, n):
+        sym = build_hamming(n)
+        beta = scalar_hamming_build(n)
+        assert list(sym.coeffs) == [S.BETA]
+        assert (sym.coefficient(S.BETA) == beta).all()
+        assert (sym.provenance["HAMMING"].dense(sym.dim) == beta).all()
 
 
 class TestHammingStructure:
@@ -252,6 +307,44 @@ class TestEvaluate:
         assert CouplingValues.from_dict(values.as_dict()) == values
         with pytest.raises(ValueError):
             CouplingValues.from_dict({"mu1": 1.0})
+
+
+_COUPLING = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@pytest.fixture(scope="module")
+def structures():
+    """(builder, n) -> (symbolic structure, scalar diag and coefficient matrices)."""
+    built = {}
+    for n in range(2, 8):
+        model = build_model(n)
+        built["crystal", n] = (model, model.diag, scalar_model_build(n)[0])
+        hamming = build_hamming(n)
+        built["hamming", n] = (hamming, hamming.diag, {S.BETA: scalar_hamming_build(n)})
+    return built
+
+
+class TestEvaluateBitwise:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(["crystal", "hamming"]),
+        n=st.integers(min_value=2, max_value=7),
+        couplings=st.tuples(*[_COUPLING] * 6),
+    )
+    def test_scatter_equals_dense_sum(self, structures, model, n, couplings):
+        sym, diag, matrices = structures[model, n]
+        values = CouplingValues(*couplings)
+        expected = dense_evaluate(diag, matrices, values)
+        assert sym.evaluate(values).tobytes() == expected.tobytes()
+
+    def test_negative_zero_diagonal_follows_dense_sum(self, structures):
+        sym, diag, matrices = structures["crystal", 4]
+        zero_j3 = np.nonzero(diag == 0)[0]
+        for eps, sign in ((0.2, 1.0), (-0.2, -1.0)):
+            values = CouplingValues(mu0=-1.0, eps=eps)
+            h = sym.evaluate(values)
+            assert h.tobytes() == dense_evaluate(diag, matrices, values).tobytes()
+            assert (np.copysign(1.0, h[zero_j3, zero_j3]) == sign).all()
 
 
 class TestAllowedTransitions:
