@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .crystal import BasisMap, SpinWord, hamming_distance
+from .crystal import BasisMap, SpinWord
 from .dynamics import TransitionProfile
 
 _RATIO_FLOOR = 1e-18
@@ -309,19 +309,20 @@ def plateaux_report(
     that grouping alone explains the ranking (no interleaving between
     groups once ordered by group mean)."""
     word = initial_word if isinstance(initial_word, SpinWord) else SpinWord.parse(initial_word)
+    if len(word) != basis.n:
+        raise ValueError(f"length mismatch: {basis.n} vs {len(word)}")
     value_by_index = {e.index: e.value for e in ranked.entries}
+    indices = np.array(sorted(i for i in value_by_index if 0 <= i < basis.dim), dtype=np.int64)
+    values = np.array([value_by_index[i] for i in indices.tolist()], dtype=float)
+    bits = np.array([w.bits for w in basis.words], dtype=np.int64)
+    differing = bits[indices] ^ word.bits
+    distances = sum((differing >> site) & 1 for site in range(basis.n))
     groups = []
     for distance in range(basis.n + 1):
-        members = [
-            (idx, value_by_index[idx])
-            for idx, w in enumerate(basis.words)
-            if idx in value_by_index and hamming_distance(w, word) == distance
-        ]
+        members = np.flatnonzero(distances == distance)
         groups.append(
             PlateauxGroup(
-                distance,
-                tuple(idx for idx, _ in members),
-                tuple(v for _, v in members),
+                distance, tuple(indices[members].tolist()), tuple(values[members].tolist())
             )
         )
     ordered = sorted((g for g in groups if g.size), key=lambda g: -g.mean)

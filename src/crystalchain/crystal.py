@@ -75,6 +75,11 @@ class SpinWord:
     def __iter__(self) -> Iterator[Spin]:
         return (Spin(ch) for ch in self.spins)
 
+    @property
+    def bits(self) -> int:
+        """The word as an integer: site 1 is the most significant bit, R = 1."""
+        return int(self.spins.replace("R", "1").replace("Y", "0"), 2)
+
     def spin_at(self, position: int) -> Spin:
         """Site letter at 1-based `position`."""
         if not 1 <= position <= len(self.spins):

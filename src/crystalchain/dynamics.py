@@ -18,6 +18,8 @@ PROFILE_SUM_TOL = 1e-8
 # Rows of the horizon-average kernel built at a time: peak memory of
 # time_averaged_profile is O(_KERNEL_BLOCK * dim) instead of O(dim^2).
 _KERNEL_BLOCK = 256
+# Slack of find_stable_T's initial-row screen over rounding; see its docstring.
+_SCREEN_MARGIN = 1e-9
 
 
 class StableHorizonError(RuntimeError):
@@ -39,10 +41,10 @@ class SpectralDecomposition:
 def dense_peak_bytes(dim: int) -> int:
     """Estimated peak memory of `eigendecompose` on a dim x dim matrix.
 
-    Five dim x dim float64 arrays are live at once at its peak: H, the
-    eigenvectors and the three temporaries of the residual (or the
-    orthonormality) check.  Inside eigh, H, LAPACK's copy of it, the
-    dsyevd workspace (2 dim^2) and the output vectors also make five.
+    Five dim x dim float64 arrays, set by eigh itself: H, LAPACK's copy of
+    it, the dsyevd workspace (2 dim^2) and the output vectors.  The checks
+    that follow, done in place, hold at most four (H, the vectors, the
+    residual and one temporary).
     """
     return 5 * np.dtype(float).itemsize * dim * dim
 
@@ -73,9 +75,14 @@ def eigendecompose(h: np.ndarray, tol: float = DEFAULT_DECOMP_TOL) -> SpectralDe
     anchor = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[anchor, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    vectors = vectors * signs
-    residual = float(np.abs(h @ vectors - vectors * eigenvalues).max())
-    ortho = float(np.abs(vectors.T @ vectors - np.eye(len(eigenvalues))).max())
+    vectors *= signs
+    r = h @ vectors
+    r -= vectors * eigenvalues
+    residual = float(np.abs(r, out=r).max())
+    del r
+    g = vectors.T @ vectors
+    g[np.diag_indices_from(g)] -= 1.0
+    ortho = float(np.abs(g, out=g).max())
     if not (residual <= tol * scale and ortho <= tol):
         raise RuntimeError(
             f"decomposition failed checks: residual {residual:.3e}, orthonormality {ortho:.3e}"
@@ -118,27 +125,18 @@ def transition_probability(
     return re * re + im * im
 
 
-def time_averaged_profile(
-    spec: SpectralDecomposition, initial: int, horizon: float
-) -> TransitionProfile:
-    """Average of the transition probabilities over [0, horizon].
+def _kernel_blocks(eigenvalues: np.ndarray, horizon: float, weights: np.ndarray):
+    """Yield (start, block) over _KERNEL_BLOCK-row blocks of the weighted kernel.
 
-    Closed form: p_f = sum_ab V_fa c_a K_ab c_b V_fb with c = V[initial]
-    and K_ab = sin(x)/x at x = (e_a - e_b) * horizon; no time
-    discretization enters.  K is built in place over blocks of rows a,
-    with the series 1 - x^2/6 + x^4/120 for |x| < 1e-4.  K is symmetric,
-    so each block takes only the columns b from its own first row on and
-    counts the columns past the block twice.
+    Block rows are a in start:start+_KERNEL_BLOCK, columns b >= start, and
+    entries weights_a K_ab weights_b with K_ab = sin(x)/x at
+    x = (e_a - e_b) * horizon, from the series 1 - x^2/6 + x^4/120 for
+    |x| < 1e-4.  K is symmetric, so the columns past the block are doubled:
+    summing the blocks over rows and columns gives the whole weighted sum.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    e = spec.eigenvalues
-    v = spec.eigenvectors
-    c = v[initial]
-    p_avg = np.zeros(spec.dim)
-    for start in range(0, spec.dim, _KERNEL_BLOCK):
+    for start in range(0, len(eigenvalues), _KERNEL_BLOCK):
         blk = slice(start, start + _KERNEL_BLOCK)
-        x = np.subtract.outer(e[blk], e[start:])
+        x = np.subtract.outer(eigenvalues[blk], eigenvalues[start:])
         x *= horizon
         small = np.abs(x) < 1e-4
         with np.errstate(invalid="ignore"):  # 0/0 on the series entries
@@ -146,11 +144,43 @@ def time_averaged_profile(
             k /= x
         xs = x[small]
         k[small] = 1.0 - xs * xs / 6.0 + xs**4 / 120.0
-        k *= c[blk, None]
-        k *= c[start:]
+        k *= weights[blk, None]
+        k *= weights[start:]
         k[:, _KERNEL_BLOCK:] *= 2.0
-        p_avg += np.einsum("af,fa->f", k @ v[:, start:].T, v[:, blk])
+        yield start, k
+
+
+def time_averaged_profile(
+    spec: SpectralDecomposition, initial: int, horizon: float
+) -> TransitionProfile:
+    """Average of the transition probabilities over [0, horizon].
+
+    Closed form: p_f = sum_ab V_fa c_a K_ab c_b V_fb with c = V[initial]
+    and K_ab = sin(x)/x at x = (e_a - e_b) * horizon; no time
+    discretization enters.  K is built in place over blocks of rows a
+    (see `_kernel_blocks`), so memory is O(_KERNEL_BLOCK * dim), and each block
+    takes only the columns b from its own first row on.
+    """
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    v = spec.eigenvectors
+    p_avg = np.zeros(spec.dim)
+    for start, k in _kernel_blocks(spec.eigenvalues, horizon, v[initial]):
+        p_avg += np.einsum(
+            "af,fa->f", k @ v[:, start:].T, v[:, start : start + _KERNEL_BLOCK]
+        )
     return _as_profile(initial, horizon, p_avg)
+
+
+def _return_probability(spec: SpectralDecomposition, initial: int, horizon: float) -> float:
+    """Horizon-averaged return probability p_initial, clipped to [0, 1].
+
+    p_initial = w K w with w = V[initial]**2: the same kernel as
+    `time_averaged_profile`, but O(dim^2) with no GEMM.  NaN stays NaN.
+    """
+    w = spec.eigenvectors[initial] ** 2
+    total = sum(float(k.sum()) for _, k in _kernel_blocks(spec.eigenvalues, horizon, w))
+    return 0.0 if total < 0.0 else 1.0 if total > 1.0 else total
 
 
 def infinite_time_average(
@@ -168,13 +198,10 @@ def infinite_time_average(
     if degeneracy_tol < 0:
         raise ValueError("degeneracy tolerance must be nonnegative")
     weights = spec.eigenvectors * spec.eigenvectors[initial]
-    p_avg = np.zeros(spec.dim)
-    start = 0
-    for stop in range(1, spec.dim + 1):
-        if stop == spec.dim or eigenvalues[stop] - eigenvalues[stop - 1] > degeneracy_tol:
-            block = weights[:, start:stop].sum(axis=1)
-            p_avg += block * block
-            start = stop
+    starts = np.flatnonzero(np.diff(eigenvalues) > degeneracy_tol) + 1
+    clusters = np.add.reduceat(weights, np.concatenate(([0], starts)), axis=1)
+    clusters *= clusters
+    p_avg = clusters.sum(axis=1)
     return _as_profile(initial, math.inf, p_avg)
 
 
@@ -193,6 +220,16 @@ def find_stable_T(
     norm is returned, with T as its `horizon`.  Exceeding `t_cap` raises
     StableHorizonError; callers should fall back to the infinite-horizon
     average.
+
+    Each pair (T, growth*T) is screened first on the initial state alone:
+    the max norm is at least |p_i(T) - p_i(growth*T)|, and the return
+    probability p_i costs O(dim^2) without a GEMM.  A pair whose screened
+    difference exceeds rel_tol + _SCREEN_MARGIN cannot pass and gets no
+    full probe.  The margin covers rounding: sum_ab w_a w_b |K_ab| <= 1
+    for w = V[i]**2, so the screen and the full probe each carry an error
+    of about dim * eps (5e-13 at dim 2048), far below 1e-9.  A NaN screen
+    fails the comparison, so that pair gets the full, checked probes.  The
+    result is the exhaustive search's, bit for bit.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -201,13 +238,31 @@ def find_stable_T(
     if t_start <= 0:
         raise ValueError("t_start must be positive")
     horizon = t_start
-    current = time_averaged_profile(spec, initial, horizon)
+    current = None  # full profile at `horizon` once probed
+    screen = _return_probability(spec, initial, horizon)
+    last = ""  # the last pair tested and its difference, for the error
     while horizon <= t_cap:
-        longer = time_averaged_profile(spec, initial, horizon * growth)
-        if float(np.abs(current.p_avg - longer.p_avg).max()) <= rel_tol:
-            return current
-        horizon *= growth
-        current = longer
+        longer_horizon = horizon * growth
+        longer_screen = _return_probability(spec, initial, longer_horizon)
+        screen_diff = abs(screen - longer_screen)
+        if screen_diff > rel_tol + _SCREEN_MARGIN:
+            current = None
+            diff, kind = screen_diff, "initial-row screen, a lower bound"
+        else:
+            if current is None:
+                current = time_averaged_profile(spec, initial, horizon)
+            longer = time_averaged_profile(spec, initial, longer_horizon)
+            diff = float(np.abs(current.p_avg - longer.p_avg).max())
+            if diff <= rel_tol:
+                return current
+            current = longer
+            kind = "full max norm"
+        last = (
+            f"; last pair T={horizon:g} vs {longer_horizon:g} differs by {diff:.3e} ({kind})"
+        )
+        horizon = longer_horizon
+        screen = longer_screen
     raise StableHorizonError(
-        f"no stable horizon below {t_cap:g}; spectrum may be nearly degenerate"
+        f"no stable horizon below {t_cap:g} at rel_tol {rel_tol:g}{last}; "
+        "spectrum may be nearly degenerate"
     )

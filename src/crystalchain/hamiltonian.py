@@ -454,8 +454,7 @@ def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:
     """
     basis = enumerate_basis(n)
     dim = len(basis)
-    # word bits with site 1 most significant, R = 1
-    bits = np.array([int(w.spins.replace("R", "1").replace("Y", "0"), 2) for w in basis.words])
+    bits = np.array([w.bits for w in basis.words])
     row_of = np.empty(1 << n, dtype=np.int64)
     row_of[bits] = np.arange(dim)
     cols = np.arange(dim)

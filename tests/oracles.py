@@ -1,6 +1,8 @@
 """Independent oracles: numerical ones that deliberately avoid the
-closed-form paths they are used to check, and per-state scalar builders of
-the Hamiltonian structure that the vectorized builders are checked against."""
+closed-form paths they are used to check, per-state scalar builders of the
+Hamiltonian structure that the vectorized builders are checked against, and
+the plain loops that the screened horizon search and the vectorized
+plateaux grouping must reproduce exactly."""
 
 from collections import Counter
 
@@ -8,6 +10,10 @@ import numpy as np
 
 from crystalchain import (
     CouplingSymbol,
+    PlateauxGroup,
+    PlateauxReport,
+    SpinWord,
+    StableHorizonError,
     apply_a,
     apply_a_dagger,
     apply_a_ik,
@@ -15,6 +21,8 @@ from crystalchain import (
     apply_j_minus,
     apply_j_plus,
     enumerate_basis,
+    hamming_distance,
+    time_averaged_profile,
 )
 
 
@@ -175,3 +183,52 @@ def dense_evaluate(diag, coeffs, values):
         if v != 0.0:
             h = h + v * matrix
     return h
+
+
+def exhaustive_find_stable_T(
+    spec, initial, rel_tol=1e-3, growth=2.0, t_start=10.0, t_cap=1e9
+):
+    """Reference stable-horizon search: a full profile at every horizon."""
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be positive")
+    if growth <= 1:
+        raise ValueError("growth must exceed 1")
+    if t_start <= 0:
+        raise ValueError("t_start must be positive")
+    horizon = t_start
+    current = time_averaged_profile(spec, initial, horizon)
+    while horizon <= t_cap:
+        longer = time_averaged_profile(spec, initial, horizon * growth)
+        if float(np.abs(current.p_avg - longer.p_avg).max()) <= rel_tol:
+            return current
+        horizon *= growth
+        current = longer
+    raise StableHorizonError(
+        f"no stable horizon below {t_cap:g}; spectrum may be nearly degenerate"
+    )
+
+
+def loop_plateaux_report(ranked, basis, initial_word):
+    """Reference plateaux grouping: one hamming_distance call per word and
+    distance."""
+    word = initial_word if isinstance(initial_word, SpinWord) else SpinWord.parse(initial_word)
+    value_by_index = {e.index: e.value for e in ranked.entries}
+    groups = []
+    for distance in range(basis.n + 1):
+        members = [
+            (idx, value_by_index[idx])
+            for idx, w in enumerate(basis.words)
+            if idx in value_by_index and hamming_distance(w, word) == distance
+        ]
+        groups.append(
+            PlateauxGroup(
+                distance,
+                tuple(idx for idx, _ in members),
+                tuple(v for _, v in members),
+            )
+        )
+    ordered = sorted((g for g in groups if g.size), key=lambda g: -g.mean)
+    consistent = all(
+        min(hi.values) >= max(lo.values) for hi, lo in zip(ordered, ordered[1:])
+    )
+    return PlateauxReport(tuple(groups), consistent)

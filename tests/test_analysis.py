@@ -18,7 +18,7 @@ from crystalchain import (
     ranked_from_values,
     time_averaged_profile,
 )
-from oracles import site_product_average
+from oracles import loop_plateaux_report, site_product_average
 
 
 def yule_values(a, k, b, count):
@@ -198,6 +198,39 @@ class TestPlateauxReport:
         report = plateaux_report(ranked, sym.basis, sym.basis.words[0])
         assert sum(g.size for g in report.groups) == 7
         assert report.groups[0].size == 0
+
+    @pytest.mark.parametrize("model", ["crystal", "hamming"])
+    def test_matches_loop_oracle(self, model):
+        rng = np.random.default_rng(37)
+        for n in range(3, 9):
+            if model == "crystal":
+                sym = build_model(n)
+                values = CouplingValues(1.0, *rng.uniform(0.1, 1.0, 4))
+            else:
+                sym = build_hamming(n, include_diagonal=bool(n % 2))
+                values = CouplingValues(mu0=0.0 if n % 2 == 0 else 1.0, beta=0.5)
+            spec = eigendecompose(sym.evaluate(values))
+            initial = int(rng.integers(0, sym.basis.dim))
+            profile = time_averaged_profile(spec, initial, 17.0)
+            for include_self in (False, True):
+                ranked = rank_order(profile, include_self=include_self)
+                word = sym.basis.words[initial]
+                report = plateaux_report(ranked, sym.basis, word)
+                oracle = loop_plateaux_report(ranked, sym.basis, word)
+                assert report == oracle
+                assert report.is_exact() == oracle.is_exact()
+                # the initial word given as text, and one that is not the initial state
+                other = sym.basis.words[(initial + 1) % sym.basis.dim]
+                assert plateaux_report(ranked, sym.basis, str(other)) == loop_plateaux_report(
+                    ranked, sym.basis, str(other)
+                )
+
+    def test_length_mismatch_rejected(self):
+        sym = build_model(3)
+        spec = eigendecompose(sym.evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3)))
+        ranked = rank_order(time_averaged_profile(spec, 0, 10.0))
+        with pytest.raises(ValueError, match="length mismatch"):
+            plateaux_report(ranked, sym.basis, "RRYY")
 
 
 class TestCompareModels:

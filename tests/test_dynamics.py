@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalchain import (
     CouplingValues,
@@ -14,8 +16,10 @@ from crystalchain import (
     time_averaged_profile,
     transition_probability,
 )
+from crystalchain import dynamics
+from crystalchain.cli import FIGURE_PRESETS
 from crystalchain.dynamics import _KERNEL_BLOCK, SpectralDecomposition
-from oracles import expm_unitary, trapezoid_profile, unblocked_profile
+from oracles import exhaustive_find_stable_T, expm_unitary, trapezoid_profile, unblocked_profile
 
 FIG2_COUPLINGS = CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3)
 
@@ -23,6 +27,42 @@ FIG2_COUPLINGS = CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3)
 def fig2_spec():
     sym = build_model(3)
     return sym, eigendecompose(sym.evaluate(FIG2_COUPLINGS))
+
+
+def preset_spec(name):
+    """(spectrum, initial index) of a figure preset."""
+    preset = FIGURE_PRESETS[name]
+    sym = build_model(preset.n) if preset.model == "crystal" else build_hamming(preset.n)
+    spec = eigendecompose(sym.evaluate(preset.couplings))
+    return spec, sym.basis.index_of_word(preset.initial)
+
+
+def assert_search_matches_oracle(spec, initial, **kwargs):
+    """find_stable_T gives the exhaustive search's horizon and profile bytes,
+    or both raise StableHorizonError."""
+    try:
+        expected = exhaustive_find_stable_T(spec, initial, **kwargs)
+    except StableHorizonError:
+        with pytest.raises(StableHorizonError):
+            find_stable_T(spec, initial, **kwargs)
+        return
+    found = find_stable_T(spec, initial, **kwargs)
+    assert found.horizon == expected.horizon
+    assert found.p_avg.tobytes() == expected.p_avg.tobytes()
+
+
+def count_full_probes(monkeypatch):
+    """Record the horizon of every time_averaged_profile call made through
+    the module global, as find_stable_T makes them."""
+    horizons = []
+    probe = dynamics.time_averaged_profile
+
+    def counted(spec, initial, horizon):
+        horizons.append(horizon)
+        return probe(spec, initial, horizon)
+
+    monkeypatch.setattr(dynamics, "time_averaged_profile", counted)
+    return horizons
 
 
 class TestEigendecompose:
@@ -55,6 +95,16 @@ class TestEigendecompose:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_failed_checks_raise(self, monkeypatch):
+        h = np.diag([1.0, 2.0, 3.0])
+        eigh = np.linalg.eigh
+        for shift, scale in ((1e-6, 1.0), (0.0, 1.0 + 1e-6)):
+            monkeypatch.setattr(
+                np.linalg, "eigh", lambda m, s=shift, c=scale: (eigh(m)[0] + s, eigh(m)[1] * c)
+            )
+            with pytest.raises(RuntimeError, match="decomposition failed checks"):
+                eigendecompose(h)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -229,6 +279,79 @@ class TestFindStableT:
         _, spec = fig2_spec()
         with pytest.raises(StableHorizonError):
             find_stable_T(spec, 3, rel_tol=1e-15, t_cap=100.0)
+
+    def test_cap_error_names_last_pair(self):
+        _, spec = fig2_spec()
+        with pytest.raises(StableHorizonError) as info:
+            find_stable_T(spec, 3, t_cap=1000.0)
+        message = str(info.value)
+        assert message.startswith("no stable horizon below 1000")
+        assert "last pair T=640 vs 1280 differs by" in message
+        assert "(initial-row screen, a lower bound)" in message
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+    def test_figure_presets_match_exhaustive_search(self, name):
+        spec, initial = preset_spec(name)
+        assert_search_matches_oracle(spec, initial)
+
+    def test_cap_raises_like_exhaustive_search(self):
+        _, spec = fig2_spec()
+        with pytest.raises(StableHorizonError):
+            exhaustive_find_stable_T(spec, 3, t_cap=1000.0)
+        assert_search_matches_oracle(spec, 3, t_cap=1000.0)
+
+    @pytest.mark.parametrize(
+        "n, words", [(8, ("RYRYRYRY", "RRRYYRYY", "YYYYYYYY")), (10, ("RRYYRYRYYR",))]
+    )
+    def test_model_words_match_exhaustive_search(self, n, words):
+        sym = build_model(n)
+        spec = eigendecompose(
+            sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
+        )
+        for word in words:
+            assert_search_matches_oracle(spec, sym.basis.index_of_word(word))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        integer_entries=st.booleans(),
+        growth=st.sampled_from([1.5, 2.0, 3.0]),
+        rel_tol=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-5]),
+        t_cap=st.sampled_from([20.0, 1e3, 1e9]),
+    )
+    def test_random_matrices_match_exhaustive_search(
+        self, dim, seed, integer_entries, growth, rel_tol, t_cap
+    ):
+        # integer entries give (near-)degenerate spectra and long searches
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-2, 3, size=(dim, dim)) if integer_entries else rng.normal(size=(dim, dim))
+        spec = eigendecompose((a + a.T) / 2)
+        initial = int(rng.integers(0, dim))
+        assert_search_matches_oracle(spec, initial, rel_tol=rel_tol, growth=growth, t_cap=t_cap)
+
+    def test_only_the_passing_pair_gets_full_probes(self, monkeypatch):
+        # fig3's initial row alone rules out every pair before (5120, 10240)
+        spec, initial = preset_spec("fig3")
+        horizons = count_full_probes(monkeypatch)
+        profile = find_stable_T(spec, initial)
+        assert horizons == [5120.0, 10240.0]
+        assert profile.horizon == 5120.0
+
+    def test_nan_screen_falls_back_to_full_probes(self, monkeypatch):
+        _, spec = fig2_spec()
+        expected = exhaustive_find_stable_T(spec, 3)
+        monkeypatch.setattr(dynamics, "_return_probability", lambda *args: math.nan)
+        horizons = count_full_probes(monkeypatch)
+        profile = find_stable_T(spec, 3)
+        assert profile.horizon == expected.horizon
+        assert profile.p_avg.tobytes() == expected.p_avg.tobytes()
+        ladder = [10.0]
+        while ladder[-1] < 2 * expected.horizon:
+            ladder.append(ladder[-1] * 2.0)
+        assert horizons == ladder
+        with pytest.raises(StableHorizonError, match=r"differs by .* \(full max norm\)"):
+            find_stable_T(spec, 3, t_cap=1000.0)
 
     def test_parameter_validation(self):
         _, spec = fig2_spec()
