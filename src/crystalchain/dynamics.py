@@ -8,6 +8,7 @@ searches and the infinite-horizon limit cheap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,13 @@ PROFILE_SUM_TOL = 1e-8
 _KERNEL_BLOCK = 256
 # Slack of find_stable_T's initial-row screen over rounding; see its docstring.
 _SCREEN_MARGIN = 1e-9
+# Eigenvalue pairs whose gap is at most this fraction of the spectral radius
+# about the mean take the direct kernel in `_ladder_screens`; this caps the
+# T-independent part of the screens' rounding bound at 3 eps / _NEAR_GAP.
+_NEAR_GAP = 1e-4
+# Horizons per blocked pass of `_ladder_screens`, which bounds its memory
+# for any t_cap; the default ladder (10 to past 1e9, growth 2) has 28.
+_LADDER_CHUNK = 64
 
 
 class StableHorizonError(RuntimeError):
@@ -125,6 +133,17 @@ def transition_probability(
     return re * re + im * im
 
 
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """sin(x)/x, from the series 1 - x^2/6 + x^4/120 for |x| < 1e-4."""
+    small = np.abs(x) < 1e-4
+    with np.errstate(invalid="ignore"):  # 0/0 on the series entries
+        k = np.sin(x)
+        k /= x
+    xs = x[small]
+    k[small] = 1.0 - xs * xs / 6.0 + xs**4 / 120.0
+    return k
+
+
 def _kernel_blocks(eigenvalues: np.ndarray, horizon: float, weights: np.ndarray):
     """Yield (start, block) over _KERNEL_BLOCK-row blocks of the weighted kernel.
 
@@ -138,12 +157,7 @@ def _kernel_blocks(eigenvalues: np.ndarray, horizon: float, weights: np.ndarray)
         blk = slice(start, start + _KERNEL_BLOCK)
         x = np.subtract.outer(eigenvalues[blk], eigenvalues[start:])
         x *= horizon
-        small = np.abs(x) < 1e-4
-        with np.errstate(invalid="ignore"):  # 0/0 on the series entries
-            k = np.sin(x)
-            k /= x
-        xs = x[small]
-        k[small] = 1.0 - xs * xs / 6.0 + xs**4 / 120.0
+        k = _sinc(x)
         k *= weights[blk, None]
         k *= weights[start:]
         k[:, _KERNEL_BLOCK:] *= 2.0
@@ -172,15 +186,87 @@ def time_averaged_profile(
     return _as_profile(initial, horizon, p_avg)
 
 
-def _return_probability(spec: SpectralDecomposition, initial: int, horizon: float) -> float:
-    """Horizon-averaged return probability p_initial, clipped to [0, 1].
+def _ladder(t_start: float, growth: float, t_cap: float):
+    """Horizons t_start, t_start*growth, ... up to the first one past t_cap.
 
-    p_initial = w K w with w = V[initial]**2: the same kernel as
-    `time_averaged_profile`, but O(dim^2) with no GEMM.  NaN stays NaN.
+    Each is the previous one times growth, as the exhaustive search grows
+    them, so the probes see the same floats.
     """
+    horizon = t_start
+    while True:
+        yield horizon
+        if horizon > t_cap:
+            return
+        horizon *= growth
+
+
+def _ladder_screens(
+    spec: SpectralDecomposition, initial: int, t_start: float, growth: float, t_cap: float
+):
+    """Yield (T, p_initial(T), bound) at every horizon of the search's ladder.
+
+    p_initial = sum_ab w_a w_b K_ab(T), w = V[initial]**2, is the return
+    probability `time_averaged_profile` gives the initial state, clipped
+    to [0, 1]; `bound` caps its rounding error (derived in `find_stable_T`).
+    The sine addition formula splits it into a T-independent matrix and
+    two transcendentals per eigenvalue and horizon.  With e shifted by its
+    mean, s = sin(e T), c = cos(e T) and G_ab = 1/(e_a - e_b):
+
+        p_initial(T) = sum_a w_a^2 + 2 sum_{near a<b} w_a w_b K_ab(T)
+                       + (2/T) sum_{far a<b} G_ab [(ws)_a (wc)_b - (wc)_a (ws)_b]
+
+    A pair is near when its gap is at most _NEAR_GAP times the spectral
+    radius about the mean; near pairs take the direct sin(x)/x kernel.
+    G is built in _KERNEL_BLOCK-row blocks over the pairs b > a only, from
+    the unshifted eigenvalues, and each block multiplies the stacked [w*c | w*s] columns of a chunk of up to
+    _LADDER_CHUNK horizons in one GEMM, so memory is O(_KERNEL_BLOCK * dim)
+    plus O(_LADDER_CHUNK * dim) whatever t_cap is.  Chunks are computed
+    as the caller walks into them.
+    """
+    eigenvalues = spec.eigenvalues
+    dim = spec.dim
     w = spec.eigenvectors[initial] ** 2
-    total = sum(float(k.sum()) for _, k in _kernel_blocks(spec.eigenvalues, horizon, w))
-    return 0.0 if total < 0.0 else 1.0 if total > 1.0 else total
+    shifted = eigenvalues - eigenvalues.mean()
+    gap = _NEAR_GAP * float(np.abs(shifted).max())
+    diagonal = float(w @ w)
+    bound_weights = np.stack((w, w * np.abs(shifted)), axis=1)
+    eps = np.finfo(float).eps
+    ladder = _ladder(t_start, growth, t_cap)
+    while chunk := list(itertools.islice(ladder, _LADDER_CHUNK)):
+        t = np.array(chunk)
+        size = len(chunk)
+        phase = np.multiply.outer(shifted, t)
+        cols = np.concatenate((np.cos(phase), np.sin(phase)), axis=1)
+        cols *= w[:, None]
+        far = np.zeros(size)
+        near = np.zeros(size)
+        s1 = s2 = 0.0  # S1 and S2 of the bound derived in find_stable_T
+        n_near = 0
+        for start in range(0, dim, _KERNEL_BLOCK):
+            stop = min(start + _KERNEL_BLOCK, dim)
+            d = np.subtract.outer(eigenvalues[start:stop], eigenvalues[start:])
+            d[:, : stop - start][np.tri(stop - start, dtype=bool)] = np.inf  # keep b > a
+            rows, others = np.nonzero(np.abs(d) <= gap)
+            if len(rows):
+                pair_gaps = d[rows, others]
+                pair_weights = w[start + rows] * w[start + others]
+                for lo in range(0, len(rows), dim):  # dim x chunk entries at a time
+                    x = np.multiply.outer(pair_gaps[lo : lo + dim], t)
+                    near += pair_weights[lo : lo + dim] @ _sinc(x)
+                d[rows, others] = np.inf
+                n_near += len(rows)
+            g = np.reciprocal(d, out=d)  # G_ab on far pairs b > a, 0 elsewhere
+            y = g @ cols[start:]
+            y[:, :size] *= cols[start:stop, size:]
+            y[:, size:] *= cols[start:stop, :size]
+            far += y[:, :size].sum(axis=0)
+            far -= y[:, size:].sum(axis=0)
+            r = np.abs(g, out=g) @ bound_weights[start:]
+            s1 += float(w[start:stop] @ r[:, 0])
+            s2 += float(bound_weights[start:stop, 1] @ r[:, 0] + w[start:stop] @ r[:, 1])
+        screens = np.clip(diagonal + 2.0 * near + 2.0 * far / t, 0.0, 1.0)
+        bounds = eps * (3.0 * s2 + (5 * dim + 32) * s1 / t + dim + n_near + 16)
+        yield from zip(chunk, screens.tolist(), bounds.tolist())
 
 
 def infinite_time_average(
@@ -219,33 +305,71 @@ def find_stable_T(
     that differs from the profile at growth*T by at most `rel_tol` in max
     norm is returned, with T as its `horizon`.  Exceeding `t_cap` raises
     StableHorizonError; callers should fall back to the infinite-horizon
-    average.
+    average.  `t_cap` must be finite: past T of about 1e16 / max|eigenvalue|
+    the phase e T keeps no significant digit.
 
     Each pair (T, growth*T) is screened first on the initial state alone:
-    the max norm is at least |p_i(T) - p_i(growth*T)|, and the return
-    probability p_i costs O(dim^2) without a GEMM.  A pair whose screened
-    difference exceeds rel_tol + _SCREEN_MARGIN cannot pass and gets no
-    full probe.  The margin covers rounding: sum_ab w_a w_b |K_ab| <= 1
-    for w = V[i]**2, so the screen and the full probe each carry an error
-    of about dim * eps (5e-13 at dim 2048), far below 1e-9.  A NaN screen
-    fails the comparison, so that pair gets the full, checked probes.  The
-    result is the exhaustive search's, bit for bit.
+    the max norm is at least |p_i(T) - p_i(growth*T)|.  `_ladder_screens`
+    gives the return probability p_i at every horizon of the ladder in one
+    blocked pass, with a bound b(T) on its rounding error.  A pair whose
+    screened difference exceeds rel_tol + _SCREEN_MARGIN + b(T) +
+    b(growth*T) cannot pass and gets no full probe.  The margin covers the
+    full probes: sum_ab |V_fa c_a K_ab c_b V_fb| <= 1 for every f, so each
+    carries an error of about dim * eps (5e-13 at dim 2048), far below
+    1e-9.  A NaN screen or bound fails the comparison, so that pair gets
+    the full, checked probes.  The result is the exhaustive search's, bit
+    for bit.
+
+    The bound, with u = eps/2, e' = fl(e - mean(e)), G_ab = 1/(e_a - e_b),
+    sums over the far pairs a < b S1 = sum w_a w_b |G_ab| and
+    S2 = sum w_a w_b (|e'_a| + |e'_b|) |G_ab|, and sin and cos taken to be
+    within 4 ulp.  Each far pair contributes
+    (2/T) G_ab w_a w_b sin(theta_a - theta_b), theta = fl(e' T), against the
+    exact 2 w_a w_b sin(d T) / (d T), d = e_a - e_b:
+
+    - the phases: the shift and the product each round once, so
+      |theta_a - (e_a - mean) T| <= 2.01 u |e'_a| T; through the sine this
+      costs 2.01 eps w_a w_b (|e'_a| + |e'_b|) |G_ab|, T cancels, and the
+      sum is below 3 eps S2;
+    - G itself: fl(1/fl(e_a - e_b)) has relative error 2.01 u, so
+      2.01 eps w_a w_b |G_ab| / T;
+    - sin, cos and the products with w: (ws)_a (wc)_b - (wc)_a (ws)_b is
+      w_a w_b sin(theta_a - theta_b) within 4 (4 + 1) u w_a w_b, so
+      20 eps w_a w_b |G_ab| / T;
+    - the GEMM and the sums over rows and blocks: each of the two products
+      accumulates at most dim + block + blocks + 3 <= 2 dim + 4 terms of
+      absolute sum <= S1, so with the factor 2/T at most
+      2.02 (2 dim + 4) eps S1 / T.
+
+    Together the 1/T terms stay below (5 dim + 32) eps S1 / T.  A near pair
+    and the diagonal have |K| <= 1, and sum_{near a<b} 2 w_a w_b +
+    sum_a w_a^2 <= (sum_a w_a)^2 = 1.  Each kernel value is good to
+    (4 + 6) u, and its sums run over dim + n_near + blocks terms, where
+    n_near counts the near pairs a < b; with the three final additions this
+    stays below (dim + n_near + 16) eps.  So
+
+        b(T) = eps (3 S2 + (5 dim + 32) S1 / T + dim + n_near + 16),
+
+    and clipping to [0, 1] moves no screen further from the exact value.
+    At N = 11 and 12 b(T) stays below 3e-11.  Far pairs have
+    |e'_a| + |e'_b| <= 2 |e_a - e_b| / _NEAR_GAP, so 3 eps S2 <= 3 eps /
+    _NEAR_GAP whatever the spectrum.
     """
-    if rel_tol <= 0:
+    if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
-    if growth <= 1:
+    if not growth > 1:
         raise ValueError("growth must exceed 1")
-    if t_start <= 0:
+    if not t_start > 0:
         raise ValueError("t_start must be positive")
-    horizon = t_start
+    if not math.isfinite(t_cap):
+        raise ValueError("t_cap must be finite")
+    screens = _ladder_screens(spec, initial, t_start, growth, t_cap)
+    horizon, screen, bound = next(screens)
     current = None  # full profile at `horizon` once probed
-    screen = _return_probability(spec, initial, horizon)
     last = ""  # the last pair tested and its difference, for the error
-    while horizon <= t_cap:
-        longer_horizon = horizon * growth
-        longer_screen = _return_probability(spec, initial, longer_horizon)
+    for longer_horizon, longer_screen, longer_bound in screens:
         screen_diff = abs(screen - longer_screen)
-        if screen_diff > rel_tol + _SCREEN_MARGIN:
+        if screen_diff > rel_tol + _SCREEN_MARGIN + bound + longer_bound:
             current = None
             diff, kind = screen_diff, "initial-row screen, a lower bound"
         else:
@@ -260,8 +384,7 @@ def find_stable_T(
         last = (
             f"; last pair T={horizon:g} vs {longer_horizon:g} differs by {diff:.3e} ({kind})"
         )
-        horizon = longer_horizon
-        screen = longer_screen
+        horizon, screen, bound = longer_horizon, longer_screen, longer_bound
     raise StableHorizonError(
         f"no stable horizon below {t_cap:g} at rel_tol {rel_tol:g}{last}; "
         "spectrum may be nearly degenerate"

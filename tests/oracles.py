@@ -2,7 +2,8 @@
 closed-form paths they are used to check, per-state scalar builders of the
 Hamiltonian structure that the vectorized builders are checked against, and
 the plain loops that the screened horizon search and the vectorized
-plateaux grouping must reproduce exactly."""
+plateaux grouping must reproduce exactly, and the one-horizon-at-a-time
+return probability that bounds the batched ladder screens."""
 
 from collections import Counter
 
@@ -24,6 +25,7 @@ from crystalchain import (
     hamming_distance,
     time_averaged_profile,
 )
+from crystalchain.dynamics import _kernel_blocks
 
 
 def expm_unitary(h, t, terms=30):
@@ -183,6 +185,17 @@ def dense_evaluate(diag, coeffs, values):
         if v != 0.0:
             h = h + v * matrix
     return h
+
+
+def direct_return_probability(spec, initial, horizon):
+    """Horizon-averaged return probability p_initial, clipped to [0, 1].
+
+    p_initial = w K w with w = V[initial]**2: the same kernel as
+    `time_averaged_profile`, but O(dim^2) with no GEMM.  NaN stays NaN.
+    """
+    w = spec.eigenvectors[initial] ** 2
+    total = sum(float(k.sum()) for _, k in _kernel_blocks(spec.eigenvalues, horizon, w))
+    return 0.0 if total < 0.0 else 1.0 if total > 1.0 else total
 
 
 def exhaustive_find_stable_T(

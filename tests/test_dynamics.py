@@ -19,7 +19,13 @@ from crystalchain import (
 from crystalchain import dynamics
 from crystalchain.cli import FIGURE_PRESETS
 from crystalchain.dynamics import _KERNEL_BLOCK, SpectralDecomposition
-from oracles import exhaustive_find_stable_T, expm_unitary, trapezoid_profile, unblocked_profile
+from oracles import (
+    direct_return_probability,
+    exhaustive_find_stable_T,
+    expm_unitary,
+    trapezoid_profile,
+    unblocked_profile,
+)
 
 FIG2_COUPLINGS = CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3)
 
@@ -49,6 +55,27 @@ def assert_search_matches_oracle(spec, initial, **kwargs):
     found = find_stable_T(spec, initial, **kwargs)
     assert found.horizon == expected.horizon
     assert found.p_avg.tobytes() == expected.p_avg.tobytes()
+
+
+def assert_screens_within_bound(spec, initial, t_cap=1e9):
+    """Every batched ladder screen is within its own bound of the direct,
+    one-horizon-at-a-time return probability."""
+    ladder = list(dynamics._ladder_screens(spec, initial, 10.0, 2.0, t_cap))
+    assert ladder[-1][0] > t_cap >= ladder[-2][0]
+    for horizon, screen, bound in ladder:
+        assert abs(screen - direct_return_probability(spec, initial, horizon)) <= bound
+
+
+def nan_screens(monkeypatch, entries=None):
+    """Make the ladder screens NaN at the ladder indices in `entries`, or
+    everywhere when it is None."""
+    screens = dynamics._ladder_screens
+
+    def patched(*args):
+        for k, (horizon, screen, bound) in enumerate(screens(*args)):
+            yield horizon, math.nan if entries is None or k in entries else screen, bound
+
+    monkeypatch.setattr(dynamics, "_ladder_screens", patched)
 
 
 def count_full_probes(monkeypatch):
@@ -292,6 +319,7 @@ class TestFindStableT:
     @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
     def test_figure_presets_match_exhaustive_search(self, name):
         spec, initial = preset_spec(name)
+        assert_screens_within_bound(spec, initial)
         assert_search_matches_oracle(spec, initial)
 
     def test_cap_raises_like_exhaustive_search(self):
@@ -309,6 +337,7 @@ class TestFindStableT:
             sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
         )
         for word in words:
+            assert_screens_within_bound(spec, sym.basis.index_of_word(word))
             assert_search_matches_oracle(spec, sym.basis.index_of_word(word))
 
     @settings(max_examples=200, deadline=None)
@@ -341,7 +370,7 @@ class TestFindStableT:
     def test_nan_screen_falls_back_to_full_probes(self, monkeypatch):
         _, spec = fig2_spec()
         expected = exhaustive_find_stable_T(spec, 3)
-        monkeypatch.setattr(dynamics, "_return_probability", lambda *args: math.nan)
+        nan_screens(monkeypatch)
         horizons = count_full_probes(monkeypatch)
         profile = find_stable_T(spec, 3)
         assert profile.horizon == expected.horizon
@@ -353,6 +382,43 @@ class TestFindStableT:
         with pytest.raises(StableHorizonError, match=r"differs by .* \(full max norm\)"):
             find_stable_T(spec, 3, t_cap=1000.0)
 
+    def test_one_nan_screen_sends_its_two_pairs_to_full_probes(self, monkeypatch):
+        # fig3's screens rule out every pair before (5120, 10240); a NaN at
+        # ladder entry 3 (T = 80) leaves (40, 80) and (80, 160) unscreened
+        spec, initial = preset_spec("fig3")
+        expected = exhaustive_find_stable_T(spec, initial)
+        nan_screens(monkeypatch, entries={3})
+        horizons = count_full_probes(monkeypatch)
+        profile = find_stable_T(spec, initial)
+        assert profile.horizon == expected.horizon == 5120.0
+        assert profile.p_avg.tobytes() == expected.p_avg.tobytes()
+        assert horizons == [40.0, 80.0, 160.0, 5120.0, 10240.0]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        dim=st.integers(2, 64),
+        clusters=st.integers(1, 5),
+        split=st.sampled_from([1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12]),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+        t_cap=st.sampled_from([1e3, 1e9]),
+    )
+    def test_clustered_spectra_match_exhaustive_search(
+        self, dim, clusters, split, offset, seed, t_cap
+    ):
+        # clusters of eigenvalues a few `split`s apart (exact ties included)
+        # around centers O(1) apart, all moved by a common offset
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-2.0, 2.0, clusters)
+        eigenvalues = np.sort(
+            offset + centers[rng.integers(0, clusters, dim)] + split * rng.integers(-2, 3, dim)
+        )
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        spec = SpectralDecomposition(eigenvalues, q)
+        initial = int(rng.integers(0, dim))
+        assert_screens_within_bound(spec, initial, t_cap=t_cap)
+        assert_search_matches_oracle(spec, initial, t_cap=t_cap)
+
     def test_parameter_validation(self):
         _, spec = fig2_spec()
         with pytest.raises(ValueError):
@@ -361,3 +427,18 @@ class TestFindStableT:
             find_stable_T(spec, 0, growth=1.0)
         with pytest.raises(ValueError):
             find_stable_T(spec, 0, t_start=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rel_tol", math.nan),
+            ("growth", math.nan),
+            ("t_start", math.nan),
+            ("t_cap", math.nan),
+            ("t_cap", math.inf),
+        ],
+    )
+    def test_rejects_nan_parameters_and_infinite_cap(self, name, value):
+        _, spec = fig2_spec()
+        with pytest.raises(ValueError, match=name):
+            find_stable_T(spec, 0, **{name: value})
