@@ -36,6 +36,7 @@ from .analysis import (
 )
 from .crystal import SpinWord, enumerate_basis
 from .dynamics import (
+    TransitionProfile,
     dense_peak_bytes,
     eigendecompose,
     find_stable_T,
@@ -70,26 +71,41 @@ class RunConfig:
     initial: str
     model: str
     couplings: CouplingValues
-    horizon: "str | float"
-    include_self: bool
+    horizon: "str | float" = "auto"
+    include_self: bool = False
 
 
 @dataclass(frozen=True)
-class FigurePreset:
-    n: int
-    initial: str
-    model: str
-    couplings: CouplingValues
+class RunResult:
+    """What one run computed.  ``resolved_t`` is None for the infinite
+    average; ``fits`` is the fits.json payload, None when not fitted."""
+
+    config: RunConfig
+    sym: SymbolicHamiltonian
+    resolved_t: "float | None"
+    profile: TransitionProfile
+    ranked: RankedDistribution
+    fits: "dict | None"
 
 
 # mu0 is fixed to 1 and the horizon resolved by the stable-T search; both
 # are recorded in the manifest and overridable by flags.
 FIGURE_PRESETS = {
-    "fig1": FigurePreset(3, "RRY", "hamming", CouplingValues(mu0=1.0, beta=0.5)),
-    "fig2": FigurePreset(3, "RRY", "crystal", CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3)),
-    "fig3": FigurePreset(4, "YYRY", "crystal", CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)),
-    "fig4": FigurePreset(6, "RYRYRY", "crystal", CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)),
+    "fig1": RunConfig(3, "RRY", "hamming", CouplingValues(mu0=1.0, beta=0.5)),
+    "fig2": RunConfig(3, "RRY", "crystal", CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3)),
+    "fig3": RunConfig(4, "YYRY", "crystal", CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)),
+    "fig4": RunConfig(6, "RYRYRY", "crystal", CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)),
 }
+
+
+def _number(what: str, value) -> float:
+    """A config or flag number as a float; anything else exits 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(f"{what} is too large for a float") from None
 
 
 def _parse_horizon(value: "str | float") -> "str | float":
@@ -103,14 +119,28 @@ def _parse_horizon(value: "str | float") -> "str | float":
             raise UsageError(
                 f"horizon must be a positive number, 'auto' or 'infinite', got {value!r}"
             ) from None
+    value = _number("horizon", value)
     if not value > 0:
         raise UsageError(f"explicit horizon must be positive, got {value!r}")
-    return float(value)
+    return value
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge an optional JSON config/manifest with flags (flags win)."""
-    base: dict = {}
+def _couplings(args: argparse.Namespace, base: dict) -> CouplingValues:
+    """``base`` (a config's couplings object) with the coupling flags laid
+    over it; mu0 defaults to 1."""
+    data = dict(base)
+    for name in COUPLING_NAMES:
+        flag = getattr(args, name, None)
+        if flag is not None:
+            data[name] = flag
+    data.setdefault("mu0", 1.0)
+    return CouplingValues.from_dict({k: _number(f"coupling {k}", v) for k, v in data.items()})
+
+
+def _resolve_config(args: argparse.Namespace, base: "dict | None" = None) -> RunConfig:
+    """Merge flags over ``base`` (a preset's fields) or over the JSON
+    config/manifest named by ``--config``; flags win."""
+    base = base or {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -127,40 +157,28 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     n = pick("n")
     if n is None:
         raise UsageError("chain length is required (--n or config)")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise UsageError(f"chain length must be an integer, got {n!r}")
     initial = pick("initial")
     if initial is None:
         raise UsageError("initial word is required (--initial or config)")
+    if not isinstance(initial, str):
+        raise UsageError(f"initial word must be a string, got {initial!r}")
     model = pick("model", "crystal")
     if model not in ("crystal", "hamming"):
         raise UsageError(f"model must be 'crystal' or 'hamming', got {model!r}")
     coupling_data = base.get("couplings", {})
     if not isinstance(coupling_data, dict):
         raise UsageError("config 'couplings' must be a JSON object")
-    coupling_data = dict(coupling_data)
-    for name in COUPLING_NAMES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            coupling_data[name] = flag
-    coupling_data.setdefault("mu0", 1.0)
-    couplings = CouplingValues.from_dict(coupling_data)
+    couplings = _couplings(args, coupling_data)
     horizon = _parse_horizon(pick("horizon", "auto"))
     include_self = pick("include_self", False)
     if not isinstance(include_self, bool):
         raise UsageError(f"include_self must be true or false, got {include_self!r}")
-    word = SpinWord.parse(str(initial))
-    if len(word) != int(n):
+    word = SpinWord.parse(initial)
+    if len(word) != n:
         raise UsageError(f"initial word length {len(word)} does not match n = {n}")
-    return RunConfig(int(n), word.spins, model, couplings, horizon, include_self)
-
-
-def _couplings_from_args(args: argparse.Namespace) -> CouplingValues:
-    data = {}
-    for name in COUPLING_NAMES:
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = value
-    data.setdefault("mu0", 1.0)
-    return CouplingValues.from_dict(data)
+    return RunConfig(n, word.spins, model, couplings, horizon, include_self)
 
 
 def _physical_memory_bytes() -> int:
@@ -180,8 +198,27 @@ def _build(config: RunConfig) -> SymbolicHamiltonian:
     return build_hamming(config.n)
 
 
-def _run_dynamics(config: RunConfig, sym: SymbolicHamiltonian | None = None):
-    """Returns (sym, initial index, resolved T or None, profile)."""
+def _fit_bundle(sym: SymbolicHamiltonian, config: RunConfig, ranked: RankedDistribution) -> dict:
+    """fits.json: log-linear Yule, its linear refinement, Zipf, ratio and plateaux."""
+    comparison = compare_models(ranked)
+    refined = fit_refine(ranked, comparison.yule)
+    report = plateaux_report(ranked, sym.basis, config.initial)
+    return {
+        "fits": [fit.to_json_dict() for fit in (comparison.yule, refined, comparison.zipf)],
+        "sse_ratio_zipf_over_yule": comparison.sse_ratio,
+        "plateaux": {
+            "consistent": report.consistent,
+            "exact": report.is_exact(),
+            "group_spreads": {str(g.distance): g.spread for g in report.groups if g.size},
+        },
+    }
+
+
+def run(config: RunConfig, sym: SymbolicHamiltonian | None = None, fit: bool = False) -> RunResult:
+    """The pipeline behind profile, reproduce and sweep: evaluate, decompose,
+    average at the configured horizon, rank, and add the fit bundle when
+    ``fit``.  ``sym`` reuses a structure already built for ``config``'s n
+    and model."""
     sym = _build(config) if sym is None else sym
     initial_index = sym.basis.index_of_word(config.initial)
     spec = eigendecompose(sym.evaluate(config.couplings))
@@ -194,7 +231,9 @@ def _run_dynamics(config: RunConfig, sym: SymbolicHamiltonian | None = None):
     else:
         resolved = float(config.horizon)
         profile = time_averaged_profile(spec, initial_index, resolved)
-    return sym, initial_index, resolved, profile
+    ranked = rank_order(profile, include_self=config.include_self)
+    fits = _fit_bundle(sym, config, ranked) if fit else None
+    return RunResult(config, sym, resolved, profile, ranked, fits)
 
 
 def _profile_csv(sym: SymbolicHamiltonian, profile) -> str:
@@ -218,21 +257,6 @@ def _plot_text(ranked: RankedDistribution) -> str:
     return "".join(f"{e.rank} {float(e.value)!r}\n" for e in ranked.entries)
 
 
-def _manifest(config: RunConfig, resolved_t, fits: list[FitResult]) -> dict:
-    return {
-        "n": config.n,
-        "initial": config.initial,
-        "model": config.model,
-        "couplings": config.couplings.as_dict(),
-        "horizon": config.horizon,
-        "resolved_T": resolved_t,
-        "include_self": config.include_self,
-        "fits": [fit.to_json_dict() for fit in fits],
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-
-
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -240,6 +264,27 @@ def _write(path: Path, text: str) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _write_run(out: Path, result: RunResult) -> None:
+    """profile.csv, ranked.csv, fits.json (fitted runs only) and manifest.json."""
+    config, sym = result.config, result.sym
+    _write(out / "profile.csv", _profile_csv(sym, result.profile))
+    _write(out / "ranked.csv", _ranked_csv(sym, result.ranked))
+    if result.fits is not None:
+        _write_json(out / "fits.json", result.fits)
+    _write_json(out / "manifest.json", {
+        "n": config.n,
+        "initial": config.initial,
+        "model": config.model,
+        "couplings": config.couplings.as_dict(),
+        "horizon": config.horizon,
+        "resolved_T": result.resolved_t,
+        "include_self": config.include_self,
+        "fits": [] if result.fits is None else result.fits["fits"],
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    })
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
@@ -259,7 +304,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     if args.symbolic:
         text = sym.dump() + "\n"
     else:
-        matrix = sym.evaluate(_couplings_from_args(args))
+        matrix = sym.evaluate(_couplings(args, {}))
         text = "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -268,14 +313,10 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    sym, _, resolved, profile = _run_dynamics(config)
-    ranked = rank_order(profile, include_self=config.include_self)
+    result = run(_resolve_config(args))
     out = Path(args.out)
-    _write(out / "profile.csv", _profile_csv(sym, profile))
-    _write(out / "ranked.csv", _ranked_csv(sym, ranked))
-    _write_json(out / "manifest.json", _manifest(config, resolved, []))
-    shown = "inf" if resolved is None else repr(float(resolved))
+    _write_run(out, result)
+    shown = "inf" if result.resolved_t is None else repr(float(result.resolved_t))
     print(f"profile written to {out} (resolved T = {shown})")
     return EXIT_OK
 
@@ -315,42 +356,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fit_bundle(sym: SymbolicHamiltonian, config: RunConfig, ranked: RankedDistribution):
-    """Log-linear Yule, its linear refinement, Zipf, ratio and plateaux."""
-    comparison = compare_models(ranked)
-    refined = fit_refine(ranked, comparison.yule)
-    report = plateaux_report(ranked, sym.basis, config.initial)
-    fits = [comparison.yule, refined, comparison.zipf]
-    payload = {
-        "fits": [fit.to_json_dict() for fit in fits],
-        "sse_ratio_zipf_over_yule": comparison.sse_ratio,
-        "plateaux": {
-            "consistent": report.consistent,
-            "exact": report.is_exact(),
-            "group_spreads": {str(g.distance): g.spread for g in report.groups if g.size},
-        },
-    }
-    return fits, payload
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    preset = FIGURE_PRESETS[args.figure]
-    couplings = preset.couplings
-    if args.mu0 is not None:
-        couplings = dataclasses.replace(couplings, mu0=args.mu0)
-    horizon = _parse_horizon(args.horizon) if args.horizon is not None else "auto"
-    include_self = bool(args.include_self) if args.include_self is not None else False
-    config = RunConfig(preset.n, preset.initial, preset.model, couplings, horizon, include_self)
-    out = Path(args.out) if args.out else Path(args.figure)
-    sym, _, resolved, profile = _run_dynamics(config)
-    ranked = rank_order(profile, include_self=config.include_self)
-    fits, payload = _fit_bundle(sym, config, ranked)
-    _write(out / "profile.csv", _profile_csv(sym, profile))
-    _write(out / "ranked.csv", _ranked_csv(sym, ranked))
-    _write(out / "plot.dat", _plot_text(ranked))
-    _write_json(out / "fits.json", payload)
-    _write_json(out / "manifest.json", _manifest(config, resolved, fits))
-    shown = "inf" if resolved is None else repr(float(resolved))
+    preset = dataclasses.asdict(FIGURE_PRESETS[args.figure])
+    result = run(_resolve_config(args, base=preset), fit=True)
+    out = Path(args.out or args.figure)
+    _write_run(out, result)
+    _write(out / "plot.dat", _plot_text(result.ranked))
+    shown = "inf" if result.resolved_t is None else repr(float(result.resolved_t))
     print(f"{args.figure} written to {out} (resolved T = {shown})")
     return EXIT_OK
 
@@ -372,6 +384,8 @@ def _parse_grid(params: list[str]) -> list[tuple[str, list[float]]]:
             raise UsageError(f"bad values in sweep parameter {axis_text!r}") from None
         if not values:
             raise UsageError(f"sweep parameter {axis_text!r} lists no values")
+        if not all(-float("inf") < v < float("inf") for v in values):
+            raise UsageError(f"sweep parameter {axis_text!r} lists a non-finite value")
         axes.append((name, values))
     return axes
 
@@ -393,6 +407,8 @@ _SUMMARY_HEADER = (
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     config = _resolve_config(args)
     axes = _parse_grid(args.param)
     out = Path(args.out)
@@ -408,29 +424,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             config, couplings=_apply_point(config.couplings, point)
         )
         row: dict = {"point": idx, "status": "ok", **point_config.couplings.as_dict()}
-        point_dir = out / f"point_{idx:03d}"
         try:
-            _, _, resolved, profile = _run_dynamics(point_config, sym)
-            ranked = rank_order(profile, include_self=point_config.include_self)
-            fits, payload = _fit_bundle(sym, point_config, ranked)
-            _write(point_dir / "profile.csv", _profile_csv(sym, profile))
-            _write(point_dir / "ranked.csv", _ranked_csv(sym, ranked))
-            _write_json(point_dir / "fits.json", payload)
-            _write_json(point_dir / "manifest.json", _manifest(point_config, resolved, fits))
-            yule, _, zipf = fits
-            row.update(
-                resolved_T=resolved,
-                yule_a=yule.a, yule_k=yule.k, yule_b=yule.b, yule_r2=yule.r2,
-                zipf_a=zipf.a, zipf_k=zipf.k, zipf_r2=zipf.r2,
-                sse_ratio=payload["sse_ratio_zipf_over_yule"],
-            )
+            result = run(point_config, sym, fit=True)
         except RuntimeError:  # StableHorizonError or a failed numeric check
             row["status"] = "dynamics_error"
         except UnderdeterminedFitError:
             row["status"] = "fit_error"
+        else:
+            _write_run(out / f"point_{idx:03d}", result)
+            yule, _, zipf = result.fits["fits"]
+            row.update(
+                resolved_T=result.resolved_t,
+                yule_a=yule["a"], yule_k=yule["k"], yule_b=yule["b"], yule_r2=yule["r2"],
+                zipf_a=zipf["a"], zipf_k=zipf["k"], zipf_r2=zipf["r2"],
+                sse_ratio=result.fits["sse_ratio_zipf_over_yule"],
+            )
         return row
 
-    workers = max(1, min(args.workers, len(points))) if points else 1
+    workers = min(args.workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_point, enumerate(points)))
@@ -461,16 +472,20 @@ def _add_coupling_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{name}", type=float, default=None)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None, help="chain length")
-    parser.add_argument("--initial", default=None, help="initial word (R/Y, 1/0 or +/-)")
-    parser.add_argument("--model", choices=("crystal", "hamming"), default=None)
-    _add_coupling_flags(parser)
+def _add_horizon_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", default=None, help="positive number, 'auto' or 'infinite'")
     parser.add_argument(
         "--include-self", action=argparse.BooleanOptionalAction, default=None,
         dest="include_self", help="keep the self transition when ranking",
     )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, default=None, help="chain length")
+    parser.add_argument("--initial", default=None, help="initial word (R/Y, 1/0 or +/-)")
+    parser.add_argument("--model", choices=("crystal", "hamming"), default=None)
+    _add_coupling_flags(parser)
+    _add_horizon_flags(parser)
     parser.add_argument("--config", default=None, help="JSON config or manifest; flags override")
 
 
@@ -514,11 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="run a figure preset end to end")
     p_rep.add_argument("figure", choices=sorted(FIGURE_PRESETS))
     p_rep.add_argument("--mu0", type=float, default=None, help="override the preset mu0 = 1")
-    p_rep.add_argument("--horizon", default=None)
-    p_rep.add_argument(
-        "--include-self", action=argparse.BooleanOptionalAction, default=None,
-        dest="include_self",
-    )
+    _add_horizon_flags(p_rep)
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(func=cmd_reproduce)
 

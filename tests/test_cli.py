@@ -99,6 +99,7 @@ class TestProfileCommand:
             "profile", "--n", "3", "--initial", "RRY", "--model", "hamming",
             "--beta", "0.5", "--mu0", "1", "--horizon", "auto", "--out", str(out),
         ]) == 0
+        assert {p.name for p in out.iterdir()} == {"profile.csv", "ranked.csv", "manifest.json"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n"] == 3
         assert manifest["initial"] == "RRY"
@@ -213,6 +214,43 @@ class TestProfileCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x" / "profile.csv").exists()
 
+    @staticmethod
+    def run_config(tmp_path, **fields):
+        data = {"n": 3, "initial": "RRY", "horizon": 10.0, **fields}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        return main(["profile", "--config", str(config), "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("value", [3.7, 3.0, True, "3", [3]])
+    def test_config_n_must_be_integer(self, tmp_path, capsys, value):
+        assert self.run_config(tmp_path, n=value) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [True, [10.0], {"T": 10.0}, 10**400])
+    def test_config_horizon_must_be_number_or_string(self, tmp_path, capsys, value):
+        assert self.run_config(tmp_path, horizon=value) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [101, 110])
+    def test_config_initial_must_be_string(self, tmp_path, capsys, value):
+        assert self.run_config(tmp_path, initial=value) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [True, "0.1", None, [0.1], 10**400])
+    def test_config_couplings_must_be_numbers(self, tmp_path, capsys, value):
+        assert self.run_config(tmp_path, couplings={"mu0": 1.0, "eps": value}) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
+    def test_config_integers_stand_for_floats(self, tmp_path, capsys):
+        assert self.run_config(tmp_path, horizon=10, couplings={"mu0": 1, "eps": 0}) == 0
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["horizon"] == 10.0
+        assert manifest["couplings"]["mu0"] == 1.0
+
 
 class TestMemoryPreflight:
     def test_profile_beyond_physical_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -284,8 +322,9 @@ class TestReproduceCommand:
     def test_fig2_outputs(self, tmp_path, capsys):
         out = tmp_path / "fig2"
         assert main(["reproduce", "fig2", "--out", str(out)]) == 0
-        for name in ("profile.csv", "ranked.csv", "plot.dat", "fits.json", "manifest.json"):
-            assert (out / name).exists()
+        assert {p.name for p in out.iterdir()} == {
+            "profile.csv", "ranked.csv", "plot.dat", "fits.json", "manifest.json",
+        }
         payload = json.loads((out / "fits.json").read_text())
         assert [f["model"] for f in payload["fits"]] == ["yule", "yule", "zipf"]
         assert payload["sse_ratio_zipf_over_yule"] > 0
@@ -318,6 +357,16 @@ class TestReproduceCommand:
         m1.pop("timestamp"), m2.pop("timestamp")
         assert m1 == m2
 
+    @pytest.mark.parametrize("figure", sorted(cli.FIGURE_PRESETS))
+    def test_manifest_reruns_through_profile(self, tmp_path, capsys, figure):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["reproduce", figure, "--out", str(first)]) == 0
+        assert main([
+            "profile", "--config", str(first / "manifest.json"), "--out", str(second),
+        ]) == 0
+        for name in ("profile.csv", "ranked.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
 
 class TestSweepCommand:
     def test_two_point_grid(self, tmp_path, capsys):
@@ -329,8 +378,11 @@ class TestSweepCommand:
         ]) == 0
         lines = (out / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 3
-        assert (out / "point_000" / "ranked.csv").exists()
-        assert (out / "point_001" / "ranked.csv").exists()
+        assert {p.name for p in out.iterdir()} == {"summary.csv", "point_000", "point_001"}
+        for point in ("point_000", "point_001"):
+            assert {p.name for p in (out / point).iterdir()} == {
+                "profile.csv", "ranked.csv", "fits.json", "manifest.json",
+            }
 
     def test_point_rerun_matches(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -409,3 +461,68 @@ class TestSweepCommand:
             "--horizon", "160", "--out", str(out),
         ]) == 3
         assert read_csv_column(out / "summary.csv", "status") == ["dynamics_error"] * 2
+
+    def test_one_build_and_one_decomposition_per_point(self, tmp_path, capsys, monkeypatch):
+        calls = {"build": 0, "eigendecompose": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_model", counted("build", cli.build_model))
+        monkeypatch.setattr(cli, "eigendecompose", counted("eigendecompose", cli.eigendecompose))
+        assert main([
+            "sweep", "--n", "3", "--initial", "RRY", "--param", "eps=0.1,0.2,0.3",
+            "--delta", "0.3", "--horizon", "160", "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert calls == {"build": 1, "eigendecompose": 3}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_value_writes_nothing(self, tmp_path, capsys, value):
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--n", "3", "--initial", "RRY", "--eps", "0.1",
+            "--param", f"gamma=0.3,{value}", "--horizon", "160", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--n", "3", "--initial", "RRY", "--param", "eps=0.1,0.2",
+            "--horizon", "160", "--workers", workers, "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (8, 3)])
+    def test_pool_size_is_bounded(self, tmp_path, capsys, monkeypatch, cpus, expected):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and runs the points in this thread."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--n", "3", "--initial", "RRY", "--param", "eps=0.1,0.2,0.3",
+            "--delta", "0.3", "--horizon", "160", "--workers", "1000000", "--out", str(out),
+        ]) == 0
+        assert sizes == [expected]
+        assert read_csv_column(out / "summary.csv", "status") == ["ok"] * 3
