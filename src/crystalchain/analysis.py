@@ -201,7 +201,9 @@ def fit_refine(
 
     def sse_of(theta: np.ndarray) -> float:
         a, k, b = unpack(theta)
-        return float(((values - a * ranks**k * b**ranks) ** 2).sum())
+        # a trial step may overflow; its inf or NaN sse is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(((values - a * ranks**k * b**ranks) ** 2).sum())
 
     theta = np.array(
         [math.log(initial.a), initial.k] + ([math.log(initial.b)] if yule else [])

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -120,8 +121,8 @@ def _parse_horizon(value: "str | float") -> "str | float":
                 f"horizon must be a positive number, 'auto' or 'infinite', got {value!r}"
             ) from None
     value = _number("horizon", value)
-    if not value > 0:
-        raise UsageError(f"explicit horizon must be positive, got {value!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise UsageError(f"explicit horizon must be positive and finite, got {value!r}")
     return value
 
 

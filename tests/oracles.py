@@ -2,8 +2,11 @@
 closed-form paths they are used to check, per-state scalar builders of the
 Hamiltonian structure that the vectorized builders are checked against, and
 the plain loops that the screened horizon search and the vectorized
-plateaux grouping must reproduce exactly, and the one-horizon-at-a-time
-return probability that bounds the batched ladder screens."""
+plateaux grouping must reproduce exactly, the one-horizon-at-a-time
+return probability that bounds the batched ladder screens, the
+whole-matrix eigendecomposition checks that the blocked ones must match
+bit for bit, and the direct sin(x)/x kernel that the sine-addition probe
+is bounded against."""
 
 from collections import Counter
 
@@ -25,7 +28,13 @@ from crystalchain import (
     hamming_distance,
     time_averaged_profile,
 )
-from crystalchain.dynamics import _kernel_blocks
+from crystalchain.dynamics import (
+    _KERNEL_BLOCK,
+    DEFAULT_DECOMP_TOL,
+    SpectralDecomposition,
+    _as_profile,
+    _sinc,
+)
 
 
 def expm_unitary(h, t, terms=30):
@@ -185,6 +194,78 @@ def dense_evaluate(diag, coeffs, values):
         if v != 0.0:
             h = h + v * matrix
     return h
+
+
+def reference_eigendecompose(h, tol=DEFAULT_DECOMP_TOL):
+    """Checked eigendecomposition with whole-matrix checks: finiteness by
+    np.isfinite, symmetry by np.abs(h - h.T).max(), the sign anchor by a
+    column argmax, and the residual h V - V diag(e) and V.T V - I as dense
+    products.  `eigendecompose` must match it bit for bit and raise where
+    it raises."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise RuntimeError("matrix has non-finite entries")
+    scale = float(np.abs(h).max()) if h.size else 0.0
+    scale = max(scale, 1.0)
+    if float(np.abs(h - h.T).max()) > tol * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    try:
+        eigenvalues, vectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    if not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all()):
+        raise RuntimeError("eigensolver returned non-finite values")
+    anchor = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[anchor, np.arange(vectors.shape[1])])
+    signs[signs == 0] = 1.0
+    vectors *= signs
+    r = h @ vectors
+    r -= vectors * eigenvalues
+    residual = float(np.abs(r, out=r).max())
+    del r
+    g = vectors.T @ vectors
+    g[np.diag_indices_from(g)] -= 1.0
+    ortho = float(np.abs(g, out=g).max())
+    if not (residual <= tol * scale and ortho <= tol):
+        raise RuntimeError(
+            f"decomposition failed checks: residual {residual:.3e}, orthonormality {ortho:.3e}"
+        )
+    return SpectralDecomposition(eigenvalues, vectors)
+
+
+def _kernel_blocks(eigenvalues, horizon, weights):
+    """Yield (start, block) over _KERNEL_BLOCK-row blocks of the weighted kernel.
+
+    Block rows are a in start:start+_KERNEL_BLOCK, columns b >= start, and
+    entries weights_a K_ab weights_b with K_ab = sin(x)/x at
+    x = (e_a - e_b) * horizon, from the series 1 - x^2/6 + x^4/120 for
+    |x| < 1e-4.  K is symmetric, so the columns past the block are doubled:
+    summing the blocks over rows and columns gives the whole weighted sum.
+    """
+    for start in range(0, len(eigenvalues), _KERNEL_BLOCK):
+        blk = slice(start, start + _KERNEL_BLOCK)
+        x = np.subtract.outer(eigenvalues[blk], eigenvalues[start:])
+        x *= horizon
+        k = _sinc(x)
+        k *= weights[blk, None]
+        k *= weights[start:]
+        k[:, _KERNEL_BLOCK:] *= 2.0
+        yield start, k
+
+
+def direct_profile(spec, initial, horizon):
+    """Horizon-averaged profile on the direct sin(x)/x kernel at every pair,
+    built in blocks by `_kernel_blocks`: the reference for the sine addition
+    formula of `time_averaged_profile`."""
+    v = spec.eigenvectors
+    p_avg = np.zeros(spec.dim)
+    for start, k in _kernel_blocks(spec.eigenvalues, horizon, v[initial]):
+        p_avg += np.einsum(
+            "af,fa->f", k @ v[:, start:].T, v[:, start : start + _KERNEL_BLOCK]
+        )
+    return _as_profile(initial, horizon, p_avg)
 
 
 def direct_return_probability(spec, initial, horizon):

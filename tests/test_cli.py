@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,19 @@ from crystalchain.cli import main
 from crystalchain.dynamics import dense_peak_bytes
 from golden import THREE_SITE_BASIS_LINES, THREE_SITE_DUMP
 from oracles import dense_evaluate, scalar_model_build
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_in_child(args, cwd):
+    """The CLI in a fresh interpreter, so stderr holds every warning it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "crystalchain.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def read_csv_column(path, column):
@@ -164,6 +181,18 @@ class TestProfileCommand:
                      "--out", str(tmp_path)]) == 2
         assert main(["profile", "--n", "3", "--initial", "RRY", "--horizon", "soon",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("horizon", ["inf", "1e400"])
+    def test_non_finite_horizon_is_usage_error(self, tmp_path, horizon):
+        proc = run_in_child(
+            ["profile", "--n", "3", "--initial", "RRY", "--eps", "0.1",
+             "--horizon", horizon, "--out", "x"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: explicit horizon must be positive and finite, got inf\n"
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_stable_horizon_failure_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         import crystalchain.cli as cli_module
@@ -412,6 +441,20 @@ class TestSweepCommand:
         ]) == 4
         summary = (out / "summary.csv").read_text()
         assert "fit_error" in summary
+
+    def test_diverging_fit_refinement_prints_no_warnings(self, tmp_path):
+        # at eps = 0.3 the log-space Yule seed has r2 = -4e6 and trial
+        # refinement steps overflow; they are rejected without a word
+        proc = run_in_child(
+            ["sweep", "--n", "3", "--initial", "RRY", "--param", "eps=0.1,0.3",
+             "--horizon", "160", "--out", "sweep"],
+            tmp_path,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        for point in ("point_000", "point_001"):
+            fits = json.loads((tmp_path / "sweep" / point / "fits.json").read_text())["fits"]
+            assert all(np.isfinite([f["a"], f["k"], f["b"], f["sse_linear"]]).all() for f in fits)
 
     def test_unknown_parameter_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", "--n", "3", "--initial", "RRY", "--param", "zeta=1",

@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystalchain import (
@@ -18,11 +19,13 @@ from crystalchain import (
 )
 from crystalchain import dynamics
 from crystalchain.cli import FIGURE_PRESETS
-from crystalchain.dynamics import _KERNEL_BLOCK, SpectralDecomposition
+from crystalchain.dynamics import _KERNEL_BLOCK, _NEAR_GAP, SpectralDecomposition
 from oracles import (
+    direct_profile,
     direct_return_probability,
     exhaustive_find_stable_T,
     expm_unitary,
+    reference_eigendecompose,
     trapezoid_profile,
     unblocked_profile,
 )
@@ -41,6 +44,63 @@ def preset_spec(name):
     sym = build_model(preset.n) if preset.model == "crystal" else build_hamming(preset.n)
     spec = eigendecompose(sym.evaluate(preset.couplings))
     return spec, sym.basis.index_of_word(preset.initial)
+
+
+def probe_bound(dim):
+    """Largest |time_averaged_profile - direct_profile| rounding allows: the
+    probe's 27.02 eps / _NEAR_GAP + (dim + 310) eps / 2 (derived in
+    time_averaged_profile) plus the direct kernel's own (dim + 314) eps / 2
+    (sin(x)/x within 14u per entry, and the same sums)."""
+    return np.finfo(float).eps * (27.02 / _NEAR_GAP + dim + 312)
+
+
+def assert_probe_matches_direct_kernel(spec, initial, horizons):
+    for horizon in horizons:
+        probe = time_averaged_profile(spec, initial, horizon).p_avg
+        direct = direct_profile(spec, initial, horizon).p_avg
+        assert np.abs(probe - direct).max() <= probe_bound(spec.dim), horizon
+
+
+def hadamard_blocks(dim, rng):
+    """An orthogonal matrix whose every column has entries of one magnitude
+    with both signs: block-diagonal Sylvester-Hadamard blocks, one per
+    binary digit of dim, with rows flipped and columns permuted at random."""
+    blocks, size = [], 1
+    while size <= dim:
+        if dim & size:
+            h = np.ones((1, 1))
+            while len(h) < size:
+                h = np.block([[h, h], [h, -h]])
+            blocks.append(h / math.sqrt(size))
+        size *= 2
+    q = np.zeros((dim, dim))
+    at = 0
+    for block in blocks[::-1]:
+        q[at : at + len(block), at : at + len(block)] = block
+        at += len(block)
+    return (q * rng.choice([-1.0, 1.0], size=(dim, 1)))[:, rng.permutation(dim)]
+
+
+def assert_matches_reference(h):
+    """eigendecompose equals the whole-matrix reference bit for bit, or both
+    raise the same exception with the same message."""
+    try:
+        expected = reference_eigendecompose(h)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)) as info:
+            eigendecompose(h)
+        assert str(info.value) == str(exc)
+        return
+    found = eigendecompose(h)
+    assert found.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+    assert found.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+
+
+def patch_eigh(monkeypatch, eigenvalues, vectors):
+    """Make np.linalg.eigh return copies of the given decomposition."""
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda m: (np.array(eigenvalues), np.array(vectors))
+    )
 
 
 def assert_search_matches_oracle(spec, initial, **kwargs):
@@ -132,6 +192,108 @@ class TestEigendecompose:
             )
             with pytest.raises(RuntimeError, match="decomposition failed checks"):
                 eigendecompose(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 300),
+        kind=st.sampled_from(["normal", "integer", "sparse"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=256, kind="normal", seed=1)
+    @example(dim=257, kind="integer", seed=2)
+    @example(dim=300, kind="sparse", seed=3)
+    def test_bitwise_equal_to_whole_matrix_reference(self, dim, kind, seed):
+        # integer and sparse entries give degenerate spectra; equal-magnitude
+        # column maxima are forced in the next test
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            a = rng.normal(size=(dim, dim))
+        elif kind == "integer":
+            a = rng.integers(-2, 3, size=(dim, dim)).astype(float)
+        else:
+            a = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0], size=(dim, dim))
+        assert_matches_reference((a + a.T) / 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(dim=256, seed=0)
+    @example(dim=257, seed=0)
+    @example(dim=300, seed=0)
+    def test_sign_anchor_takes_first_of_equal_magnitude_entries(self, dim, seed):
+        # every column of size > 1 holds +m and -m: argmax's first occurrence decides
+        rng = np.random.default_rng(seed)
+        q = hadamard_blocks(dim, rng)
+        eigenvalues = np.sort(rng.normal(size=dim))
+        h = (q * eigenvalues) @ q.T
+        h = (h + h.T) / 2
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            patch_eigh(monkeypatch, eigenvalues, q)
+            assert_matches_reference(h)
+            anchored = eigendecompose(h).eigenvectors
+        first = np.argmax(np.abs(anchored), axis=0)
+        assert (anchored[first, np.arange(dim)] > 0).all()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dim", [3, 300])
+    def test_non_finite_entries_raise_before_symmetry(self, value, dim):
+        h = np.zeros((dim, dim))
+        h[dim - 1, dim - 2] = value  # also an asymmetric entry
+        with pytest.raises(RuntimeError, match="matrix has non-finite entries"):
+            eigendecompose(h)
+        assert_matches_reference(h)
+
+    @pytest.mark.parametrize("row, col", [(290, 299), (299, 290), (10, 290), (290, 10)])
+    def test_asymmetry_in_any_tile_raises(self, row, col):
+        # dim 300: the tile pair (1, 1) is the last, partial one
+        rng = np.random.default_rng(37)
+        a = rng.normal(size=(300, 300))
+        h = a + a.T
+        scale = np.abs(h).max()
+        h[row, col] += 2e-10 * scale
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigendecompose(h)
+        assert_matches_reference(h)
+        h[row, col] -= 1.5e-10 * scale  # within tol * scale again
+        eigendecompose(h)
+        assert_matches_reference(h)
+
+    @pytest.mark.parametrize("where", ["eigenvalues", "vectors", "vectors_inf"])
+    def test_non_finite_eigensolver_output_raises(self, monkeypatch, where):
+        h = np.diag(np.arange(300.0))
+        eigenvalues, vectors = np.arange(300.0), np.eye(300)
+        if where == "eigenvalues":
+            eigenvalues[299] = math.nan
+        else:
+            vectors[299, 299] = math.nan if where == "vectors" else -math.inf
+        patch_eigh(monkeypatch, eigenvalues, vectors)
+        with pytest.raises(RuntimeError, match="eigensolver returned non-finite values"):
+            eigendecompose(h)
+        assert_matches_reference(h)
+
+    @pytest.mark.parametrize("column", [0, 299])
+    @pytest.mark.parametrize("shift, scale", [(1e-6, 1.0), (0.0, 1.0 + 1e-6)])
+    def test_failed_checks_raise_in_every_block(self, monkeypatch, column, shift, scale):
+        # a shifted eigenvalue fails the residual, a scaled vector both
+        # checks; column 299 sits in the last, partial block
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(300, 300))
+        h = (a + a.T) / 2
+        eigenvalues, vectors = np.linalg.eigh(h)
+        eigenvalues[column] += shift
+        vectors[:, column] *= scale
+        patch_eigh(monkeypatch, eigenvalues, vectors)
+        with pytest.raises(RuntimeError, match="decomposition failed checks"):
+            eigendecompose(h)
+        assert_matches_reference(h)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_residual_is_nan_and_raises(self, monkeypatch):
+        # h V overflows to inf and V diag(e) too: their difference is NaN
+        h = np.diag([1e300, 1e300])
+        patch_eigh(monkeypatch, [1e300, 1e300], [[1e10, 0.0], [0.0, 1e10]])
+        with pytest.raises(RuntimeError, match="residual nan"):
+            eigendecompose(h)
+        assert_matches_reference(h)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -244,6 +406,57 @@ class TestTimeAveragedProfile:
         _, spec = fig2_spec()
         with pytest.raises(ValueError):
             time_averaged_profile(spec, 0, 0.0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, horizon):
+        _, spec = fig2_spec()
+        with pytest.raises(ValueError, match="positive and finite"):
+            time_averaged_profile(spec, 0, horizon)
+
+    HORIZONS = (1e-3, 0.7, 10.0, 320.0, 5120.0, 81920.0, 1e6, 1e8)
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+    def test_figure_presets_match_direct_kernel(self, name):
+        spec, _ = preset_spec(name)
+        for initial in range(spec.dim):
+            assert_probe_matches_direct_kernel(spec, initial, self.HORIZONS)
+
+    @pytest.mark.parametrize(
+        "n, words", [(8, ("RYRYRYRY", "RRRYYRYY", "YYYYYYYY")), (10, ("RRYYRYRYYR",))]
+    )
+    def test_model_words_match_direct_kernel(self, n, words):
+        sym = build_model(n)
+        spec = eigendecompose(
+            sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
+        )
+        for word in words:
+            assert_probe_matches_direct_kernel(
+                spec, sym.basis.index_of_word(word), (10.0, 320.0, 40960.0, 1e8)
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(2, 300),
+        ratios=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=20),
+        offset=st.floats(-1e3, 1e3),
+        log_horizon=st.floats(-3.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=300, ratios=[0.999, 1.0, 1.001], offset=0.0, log_horizon=8.0, seed=0)
+    def test_random_spectra_match_direct_kernel(self, dim, ratios, offset, log_horizon, seed):
+        # eigenvalues spread over [-1, 1], so max|e - mean| is a little over
+        # 1, with pairs `ratios` times _NEAR_GAP apart: on both sides of the
+        # near-pair threshold _NEAR_GAP * max|e - mean|
+        rng = np.random.default_rng(seed)
+        eigenvalues = rng.uniform(-1.0, 1.0, dim)
+        eigenvalues[0], eigenvalues[-1] = -1.0, 1.0
+        for at, ratio in zip(range(1, dim - 1, 2), ratios):
+            eigenvalues[at + 1] = eigenvalues[at] + ratio * _NEAR_GAP
+        eigenvalues = np.sort(eigenvalues + offset)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        spec = SpectralDecomposition(eigenvalues, q)
+        initial = int(rng.integers(0, dim))
+        assert_probe_matches_direct_kernel(spec, initial, (10.0**log_horizon,))
 
 
 class TestInfiniteTimeAverage:
@@ -418,6 +631,26 @@ class TestFindStableT:
         initial = int(rng.integers(0, dim))
         assert_screens_within_bound(spec, initial, t_cap=t_cap)
         assert_search_matches_oracle(spec, initial, t_cap=t_cap)
+
+    def test_overlong_ladder_raises_at_once(self):
+        _, spec = fig2_spec()
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 256 horizons"):
+            find_stable_T(spec, 3, rel_tol=1e-15, growth=1 + 1e-9)
+        assert time.perf_counter() - started < 1.0
+
+    def test_ladder_holds_at_most_256_horizons(self):
+        ladder = dynamics._ladder(1.0, 2.0, 2.0**254)
+        assert len(ladder) == 256 and ladder[-1] == 2.0**255
+        with pytest.raises(ValueError):
+            dynamics._ladder(1.0, 2.0, 2.0**255)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3"])
+    def test_fine_ladder_matches_exhaustive_search(self, name):
+        # growth 1.1 gives 195 horizons below the default cap, in one pass
+        spec, initial = preset_spec(name)
+        assert len(dynamics._ladder(10.0, 1.1, 1e9)) == 195
+        assert_search_matches_oracle(spec, initial, growth=1.1)
 
     def test_parameter_validation(self):
         _, spec = fig2_spec()
