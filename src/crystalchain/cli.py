@@ -121,8 +121,10 @@ def _parse_horizon(value: "str | float") -> "str | float":
                 f"horizon must be a positive number, 'auto' or 'infinite', got {value!r}"
             ) from None
     value = _number("horizon", value)
-    if not (value > 0 and math.isfinite(value)):
-        raise UsageError(f"explicit horizon must be positive and finite, got {value!r}")
+    if not (value > 0 and math.isfinite(value) and math.isfinite(2.0 / value)):
+        raise UsageError(
+            f"explicit horizon must be positive and finite, with 2/horizon finite, got {value!r}"
+        )
     return value
 
 
@@ -334,7 +336,10 @@ def _read_ranked_csv(path: Path) -> RankedDistribution:
         parts = line.split(",")
         if len(parts) != 4:
             raise UsageError(f"malformed ranked row: {line!r}")
-        entries.append(RankedEntry(int(parts[0]), int(parts[1]) - 1, float(parts[3])))
+        value = float(parts[3])
+        if not math.isfinite(value):
+            raise UsageError(f"non-finite value in ranked row: {line!r}")
+        entries.append(RankedEntry(int(parts[0]), int(parts[1]) - 1, value))
     return RankedDistribution(tuple(entries), include_self=None, initial=None)
 
 

@@ -269,8 +269,10 @@ def time_averaged_profile(
     of at most dim + 300 terms of absolute sum <= 1, (dim + 300) u, as
     for the direct kernel: in all 27.02 eps / _NEAR_GAP + (dim + 310) eps / 2.
     """
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    if not (horizon > 0 and math.isfinite(horizon) and math.isfinite(2.0 / float(horizon))):
+        raise ValueError(
+            f"horizon must be positive and finite, with 2/horizon finite, got {horizon!r}"
+        )
     v = spec.eigenvectors
     w = v[initial]
     shifted, radius = _shifted(spec.eigenvalues)

@@ -4,12 +4,12 @@ The mutation model couples basis states through short chains of ladder
 operators: the spin-flip steps J+/J- and the label shifts A_i / A_{i,k}
 with their adjoints.  Chains act right to left, and an intermediate result
 outside the admissible label set annihilates the whole chain.  Every
-surviving chain adds exactly +1 to the integer coefficient matrix of one
-coupling constant, so the Hamiltonian structure stays exact and parameter
-free until `evaluate` substitutes numbers.  The builders apply each chain
-to every basis state at once with numpy and keep each matrix as sparse
-(row, col, count) triplets; the scalar `apply_*` operators define the
-same moves on one state.
+surviving chain couples one (final, initial) pair of states through one
+coupling constant, and no two chains couple the same pair, so the
+Hamiltonian structure is one exact, parameter-free list of pairs, each
+tagged with the term family that made it, until `evaluate` substitutes
+numbers.  The builders apply each chain to every basis state at once with
+numpy; the scalar `apply_*` operators define the same moves on one state.
 
 The baseline builder instead couples words at Hamming distance one with a
 single coupling.
@@ -202,72 +202,86 @@ class Triplets(NamedTuple):
         return matrix
 
 
+Family = tuple[str, CouplingSymbol]
+
+
 @dataclass(frozen=True)
 class SymbolicHamiltonian:
-    """Exact Hamiltonian structure: one integer COO matrix per coupling.
+    """Exact Hamiltonian structure: the 2*J3 diagonal and one tagged pair list.
 
-    `diag` holds 2*J3 per state (the mu0 multiplier); `coeffs` maps each
-    interaction symbol to the triplets of a symmetric positive integer
-    matrix with zero diagonal.  `provenance` maps each term family (H1,
-    H2, H3, H5, H6 or HAMMING) to the triplets of the chains it produced;
-    the families of one symbol sum to its coefficients.
+    `diag` holds 2*J3 per state (the mu0 multiplier).  (`rows`, `cols`)
+    lists every coupled off-diagonal pair once, sorted row-major, and
+    `family[j]` indexes `families`, the (term family, coupling symbol) of
+    the chain that coupled pair j: H1, H2, H3, H5, H6 or HAMMING.  Each
+    pair comes from exactly one chain, so every coefficient is 0 or 1.
+    `coeffs` and `provenance` are derived views of the list.
     """
 
     n: int
     basis: BasisMap
     diag: np.ndarray
-    coeffs: Mapping[CouplingSymbol, Triplets]
-    provenance: Mapping[str, Triplets]
+    rows: np.ndarray
+    cols: np.ndarray
+    family: np.ndarray
+    families: tuple[Family, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def _view(self, keep: np.ndarray) -> Triplets:
+        return Triplets(self.rows[keep], self.cols[keep], np.ones(np.count_nonzero(keep), np.int64))
+
+    def _has_symbol(self, symbol: CouplingSymbol) -> np.ndarray:
+        codes = [code for code, (_, s) in enumerate(self.families) if s is symbol]
+        return np.isin(self.family, codes)
+
+    @property
+    def coeffs(self) -> dict[CouplingSymbol, Triplets]:
+        """Triplets of each coupling of this structure (every count 1)."""
+        symbols = {symbol for _, symbol in self.families}
+        return {s: self._view(self._has_symbol(s)) for s in OFFDIAG_SYMBOLS if s in symbols}
+
+    @property
+    def provenance(self) -> dict[str, Triplets]:
+        """Triplets of each term family that couples some pair (every count 1)."""
+        masks = {name: self.family == code for code, (name, _) in enumerate(self.families)}
+        return {name: self._view(keep) for name, keep in masks.items() if keep.any()}
+
     def coefficient(self, symbol: CouplingSymbol) -> np.ndarray:
         """Dense integer matrix of one coupling (zeros if absent); small N only."""
-        entries = self.coeffs.get(symbol)
-        if entries is None:
-            return np.zeros((self.dim, self.dim), dtype=np.int64)
-        return entries.dense(self.dim)
+        return self._view(self._has_symbol(symbol)).dense(self.dim)
 
     def evaluate(self, values: CouplingValues) -> np.ndarray:
-        applied = [
-            (values.value(symbol), entries)
-            for symbol, entries in self.coeffs.items()
-            if values.value(symbol) != 0.0
-        ]
+        couplings = [values.value(symbol) for _, symbol in self.families]
         diag = values.mu0 * self.diag.astype(float)
         # H equals the dense sum mu0*diag(2J3) + sum_v v*C_v bit for bit.  In
-        # that sum each diagonal entry gains v*0.0 per coupling; a positive v
-        # turns a -0.0 entry (as mu0 < 0 gives at 2J3 = 0) into +0.0, and
-        # nothing else moves.
-        if any(v > 0 for v, _ in applied):
+        # that sum each entry gains v*0.0 per coupling it lacks; a positive v
+        # turns a -0.0 diagonal entry (as mu0 < 0 gives at 2J3 = 0) into
+        # +0.0, and a coupling of -0.0 leaves its pairs at +0.0.
+        if any(v > 0 for v in couplings):
             diag += 0.0
         h = np.diag(diag)
-        for v, entries in applied:
-            h[entries.rows, entries.cols] += v * entries.counts
+        h[self.rows, self.cols] = np.array(couplings)[self.family] + 0.0
         return h
 
     def allowed_transitions(self, state: int) -> set[int]:
-        connected: set[int] = set()
-        for entries in self.coeffs.values():
-            connected.update(entries.rows[entries.cols == state].tolist())
-        connected.discard(state)
-        return connected
+        return set(self.rows[self.cols == state].tolist())
 
     def dump(self) -> str:
         """One line per entry: `row col SYMBOL multiplicity`, 1-based.
 
         The diagonal is emitted as `row row MU0 <2J3>`; lines are sorted by
-        (row, col, symbol).  This text is the exact comparison surface.
+        (row, col, symbol).  Every off-diagonal multiplicity is 1.  This
+        text is the exact comparison surface.
         """
+        names = [symbol.name for _, symbol in self.families]
         entries = [
             (r + 1, r + 1, CouplingSymbol.MU0.name, d)
             for r, d in enumerate(self.diag.tolist())
         ]
-        for symbol, t in self.coeffs.items():
-            for r, c, m in zip(t.rows.tolist(), t.cols.tolist(), t.counts.tolist()):
-                entries.append((r + 1, c + 1, symbol.name, m))
+        for r, c, f in zip(self.rows.tolist(), self.cols.tolist(), self.family.tolist()):
+            entries.append((r + 1, c + 1, names[f], 1))
         entries.sort()
         return "\n".join(f"{r} {c} {s} {m}" for r, c, s, m in entries)
 
@@ -387,62 +401,55 @@ def _apply_chain(
     return rows, cols
 
 
-def _triplets(pairs: list[tuple[np.ndarray, np.ndarray]], dim: int) -> Triplets:
-    """Sum +1 per (row, col) over every pair of index arrays."""
-    keys = np.concatenate([rows * dim + cols for rows, cols in pairs] + [np.empty(0, np.int64)])
-    flat, counts = np.unique(keys, return_counts=True)
-    return Triplets(flat // dim, flat % dim, counts)
+def _assemble(
+    n: int, basis: BasisMap, diag: np.ndarray, families: tuple[Family, ...], chains: list
+) -> SymbolicHamiltonian:
+    """One tagged pair list from (family, rows, cols) chains, verified.
 
-
-def _check_structure(coeffs: Mapping[CouplingSymbol, Triplets], n: int) -> None:
-    for symbol, t in coeffs.items():
-        # (cols, rows) sorted row-major is the transpose's triplet list
-        order = np.lexsort((t.rows, t.cols))
-        if not (
-            np.array_equal(t.rows, t.cols[order])
-            and np.array_equal(t.cols, t.rows[order])
-            and np.array_equal(t.counts, t.counts[order])
-        ):
-            raise AssertionError(f"{symbol.name} coefficient matrix not symmetric")
-        if (t.rows == t.cols).any():
-            raise AssertionError(f"{symbol.name} coefficient matrix has diagonal entries")
-        if not (t.counts > 0).all():
-            raise AssertionError(f"{symbol.name} coefficient matrix has nonpositive entries")
-    eta = coeffs.get(CouplingSymbol.ETA)
-    if n == 3 and eta is not None and len(eta.rows):
+    No two chains may couple the same pair, no chain a state to itself,
+    and the transpose of every pair must come from the same family (the
+    adjoint half of its chain).
+    """
+    dim = len(basis)
+    keys = np.concatenate([rows * dim + cols for _, rows, cols in chains])
+    codes = np.concatenate([np.full(len(rows), families.index(f), np.int8) for f, rows, _ in chains])
+    order = np.argsort(keys)
+    keys, codes = keys[order], codes[order]
+    rows, cols = keys // dim, keys % dim
+    if (keys[1:] == keys[:-1]).any():
+        raise AssertionError("two chains couple the same pair")
+    if (rows == cols).any():
+        raise AssertionError("a chain couples a state to itself")
+    # (cols, rows) sorted row-major is the transpose's pair list
+    mirrored = cols * dim + rows
+    back = np.argsort(mirrored)
+    if not (np.array_equal(mirrored[back], keys) and np.array_equal(codes[back], codes)):
+        raise AssertionError("coupled pairs not symmetric within each family")
+    sym = SymbolicHamiltonian(n, basis, diag, rows, cols, codes, families)
+    if n == 3 and sym._has_symbol(CouplingSymbol.ETA).any():
         raise AssertionError("eta coefficients must vanish for three-site chains")
+    return sym
+
+
+# The term families of the mutation model, in the order `_model_terms` lists them.
+_MODEL_FAMILIES: tuple[Family, ...] = (
+    ("H2", CouplingSymbol.DELTA), ("H1", CouplingSymbol.GAMMA), ("H3", CouplingSymbol.EPS),
+    ("H5", CouplingSymbol.EPS), ("H6", CouplingSymbol.ETA),
+)
 
 
 def build_model(n: int) -> SymbolicHamiltonian:
     """Assemble the mutation-model Hamiltonian structure for n sites.
 
-    Every chain is applied to every basis state; surviving chains add +1
-    at (final, initial).  Adjoint halves make each coefficient matrix
+    Every chain is applied to every basis state; each surviving chain
+    couples (final, initial).  Adjoint halves make the pair list
     symmetric by construction (verified).
     """
     basis = enumerate_basis(n)
-    dim = len(basis)
     labels = _label_array(basis)
     row_table = _row_table(labels)
-    by_symbol: dict[CouplingSymbol, list] = {
-        symbol: []
-        for symbol in (
-            CouplingSymbol.EPS,
-            CouplingSymbol.GAMMA,
-            CouplingSymbol.DELTA,
-            CouplingSymbol.ETA,
-        )
-    }
-    by_family: dict[str, list] = {}
-    for family, symbol, ops in _model_terms(n):
-        entries = _apply_chain(labels, row_table, ops)
-        by_symbol[symbol].append(entries)
-        by_family.setdefault(family, []).append(entries)
-    coeffs = {symbol: _triplets(pairs, dim) for symbol, pairs in by_symbol.items()}
-    provenance = {family: _triplets(pairs, dim) for family, pairs in by_family.items()}
-    _check_structure(coeffs, n)
-    diag = labels[0].astype(np.int64)
-    return SymbolicHamiltonian(n, basis, diag, coeffs, provenance)
+    chains = [((f, s), *_apply_chain(labels, row_table, ops)) for f, s, ops in _model_terms(n)]
+    return _assemble(n, basis, labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
 
 
 def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:
@@ -458,15 +465,13 @@ def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:
     row_of = np.empty(1 << n, dtype=np.int64)
     row_of[bits] = np.arange(dim)
     cols = np.arange(dim)
-    flips = [(row_of[bits ^ (1 << (n - position))], cols) for position in range(1, n + 1)]
-    beta = _triplets(flips, dim)
-    coeffs = {CouplingSymbol.BETA: beta}
-    _check_structure(coeffs, n)
+    family = ("HAMMING", CouplingSymbol.BETA)
+    flips = [(family, row_of[bits ^ (1 << (n - position))], cols) for position in range(1, n + 1)]
     if include_diagonal:
         diag = np.array([labels.two_j3 for labels in basis.labels], dtype=np.int64)
     else:
         diag = np.zeros(dim, dtype=np.int64)
-    return SymbolicHamiltonian(n, basis, diag, coeffs, {"HAMMING": beta})
+    return _assemble(n, basis, diag, (family,), flips)
 
 
 def evaluate(sym: SymbolicHamiltonian, values: CouplingValues) -> np.ndarray:

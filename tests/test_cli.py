@@ -182,7 +182,7 @@ class TestProfileCommand:
         assert main(["profile", "--n", "3", "--initial", "RRY", "--horizon", "soon",
                      "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("horizon", ["inf", "1e400"])
+    @pytest.mark.parametrize("horizon", ["inf", "1e400", "1e-308"])
     def test_non_finite_horizon_is_usage_error(self, tmp_path, horizon):
         proc = run_in_child(
             ["profile", "--n", "3", "--initial", "RRY", "--eps", "0.1",
@@ -190,7 +190,10 @@ class TestProfileCommand:
             tmp_path,
         )
         assert proc.returncode == 2
-        assert proc.stderr == "error: explicit horizon must be positive and finite, got inf\n"
+        assert proc.stderr == (
+            "error: explicit horizon must be positive and finite, with 2/horizon finite, "
+            f"got {float(horizon)!r}\n"
+        )
         assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -337,6 +340,17 @@ class TestFitCommand:
         assert main(["fit", "--input", str(tmp_path / "missing.csv")]) == 2
         (tmp_path / "bad.csv").write_text("nope\n1,2,3\n")
         assert main(["fit", "--input", str(tmp_path / "bad.csv")]) == 2
+
+    @pytest.mark.parametrize("spelling", ["inf", "nan"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, spelling):
+        ranks = np.arange(1, 9, dtype=float)
+        self.write_ranked(tmp_path / "r.csv", [*(0.5 * ranks**-1.2), float(spelling)])
+        out = tmp_path / "fits"
+        assert main(["fit", "--input", str(tmp_path / "r.csv"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: non-finite value in ranked row: '9,9,WORD,{spelling}'\n"
+        assert not out.exists()
 
     def test_refine_appends_linear_fit(self, tmp_path, capsys):
         ranks = np.arange(1, 11, dtype=float)

@@ -407,7 +407,7 @@ class TestTimeAveragedProfile:
         with pytest.raises(ValueError):
             time_averaged_profile(spec, 0, 0.0)
 
-    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 1e-308])
     def test_rejects_non_finite_horizon(self, horizon):
         _, spec = fig2_spec()
         with pytest.raises(ValueError, match="positive and finite"):

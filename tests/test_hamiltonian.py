@@ -24,6 +24,7 @@ from crystalchain import (
     hamming_distance,
     mutation_context,
 )
+from crystalchain import hamiltonian
 from crystalchain.hamiltonian import (
     _J_MINUS,
     _apply_chain,
@@ -180,15 +181,28 @@ class TestModelStructure:
         for symbol in sym.coeffs:
             assert (rebuilt[symbol] == sym.coefficient(symbol)).all(), symbol
 
-    def test_three_site_terms_are_disjoint(self):
-        sym = build_model(3)
-        families_at = {}
-        for term, entries in sym.provenance.items():
-            for row, col in zip(entries.rows.tolist(), entries.cols.tolist()):
-                families_at.setdefault((row, col), []).append(term)
-            assert set(entries.counts.tolist()) == {1}
-        for families in families_at.values():
-            assert len(families) == 1
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_three_site_terms_are_disjoint(self, n):
+        for sym in (build_model(n), build_hamming(n)):
+            for views in (sym.provenance, sym.coeffs):
+                keys = np.concatenate([t.rows * sym.dim + t.cols for t in views.values()])
+                assert len(np.unique(keys)) == len(keys) == len(sym.rows)
+                assert all((t.counts == 1).all() for t in views.values())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda terms: terms + terms[:1], "two chains couple the same pair"),
+            (lambda terms: terms[:1] + terms[2:], "not symmetric"),
+            (lambda terms: terms + [("H2", S.DELTA, ())], "couples a state to itself"),
+        ],
+        ids=["chain_listed_twice", "adjoint_half_dropped", "identity_chain"],
+    )
+    def test_constructor_refuses_broken_terms(self, monkeypatch, edit, message):
+        terms = _model_terms(4)
+        monkeypatch.setattr(hamiltonian, "_model_terms", lambda n: edit(terms))
+        with pytest.raises(AssertionError, match=message):
+            build_model(4)
 
     def test_triplets_are_unique_and_row_major(self):
         sym = build_model(6)
