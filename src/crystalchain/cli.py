@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -416,7 +417,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
     config = _resolve_config(args)
-    axes = _parse_grid(args.param)
+    axes = _parse_grid(args.param or [])
     out = Path(args.out)
     points = [
         dict(zip([name for name, _ in axes], combo))
@@ -495,7 +496,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config or manifest; flags override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    Each `parse_args` returns a fresh Namespace and no flag has a mutable
+    default, so calls in one process cannot see each other's arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="crystalchain",
         description="Crystal-basis spin-chain mutation model: exact Hamiltonians, "
@@ -542,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid of runs over coupling values")
     _add_run_flags(p_sweep)
     p_sweep.add_argument(
-        "--param", action="append", default=[], metavar="NAME=V1,V2,...",
+        "--param", action="append", default=None, metavar="NAME=V1,V2,...",
         help="sweep axis; NAME may be 'all' to set eps=gamma=delta=eta together",
     )
     p_sweep.add_argument("--workers", type=int, default=1)

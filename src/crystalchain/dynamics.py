@@ -188,8 +188,8 @@ def transition_probability(
     spec: SpectralDecomposition, initial: int, final: int, t: float
 ) -> float:
     """|<final| exp(-iHt) |initial>|^2 from the spectral data."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     c = spec.eigenvectors[final] * spec.eigenvectors[initial]
     phase = spec.eigenvalues * t
     re = float(c @ np.cos(phase))
@@ -379,18 +379,23 @@ def infinite_time_average(
 
     Eigenvalues are clustered by consecutive gaps <= `degeneracy_tol`
     (default 1e-9 * max|eigenvalue|) so exact degeneracies keep their
-    cross terms.
+    cross terms.  A NaN or infinite tolerance raises ValueError: it would
+    merge the whole spectrum into one cluster and return the initial
+    state's delta profile.
     """
     eigenvalues = spec.eigenvalues
     if degeneracy_tol is None:
         degeneracy_tol = 1e-9 * float(np.abs(eigenvalues).max())
-    if degeneracy_tol < 0:
-        raise ValueError("degeneracy tolerance must be nonnegative")
+    if not (degeneracy_tol >= 0 and math.isfinite(degeneracy_tol)):
+        raise ValueError(
+            f"degeneracy tolerance must be nonnegative and finite, got {degeneracy_tol!r}"
+        )
     weights = spec.eigenvectors * spec.eigenvectors[initial]
     starts = np.flatnonzero(np.diff(eigenvalues) > degeneracy_tol) + 1
-    clusters = np.add.reduceat(weights, np.concatenate(([0], starts)), axis=1)
-    clusters *= clusters
-    p_avg = clusters.sum(axis=1)
+    if len(starts) < len(eigenvalues) - 1:  # some cluster holds several eigenvalues
+        weights = np.add.reduceat(weights, np.concatenate(([0], starts)), axis=1)
+    weights *= weights
+    p_avg = weights.sum(axis=1)
     return _as_profile(initial, math.inf, p_avg)
 
 

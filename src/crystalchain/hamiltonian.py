@@ -347,17 +347,28 @@ def _label_array(basis: BasisMap) -> np.ndarray:
     return np.array(rows, dtype=np.int16).T.copy()
 
 
-def _admissible(labels: np.ndarray) -> np.ndarray:
-    """`validate_labels` for every column of a label array at once."""
-    two_j3, two_j = labels[0], labels[1:]
-    top = two_j[-1]
-    return (
-        ((two_j[0] == 0) | (two_j[0] == 2))
-        & (np.abs(two_j[1:] - two_j[:-1]) == 1).all(axis=0)
-        & (two_j >= 0).all(axis=0)
-        & (np.abs(two_j3) <= top)
-        & ((top - two_j3) % 2 == 0)
-    )
+def _moved_admissible(labels: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Which columns are admissible (`labels_valid`) after rows lo:hi of
+    an array of admissible columns were shifted by +-2.
+
+    A +-2 shift keeps every parity and every unit step inside the block,
+    so only what the block touches is tested: its two edge steps (the
+    2J^2 in {0, 2} rule when it starts at row 1), the sign of the moved
+    2J^l rows, and |2J3| <= 2J^N when row 0 or the top row moved.
+    """
+    n = labels.shape[0]
+    if lo == 0:  # J+ or J-: only 2J3 moved
+        return np.abs(labels[0]) <= labels[n - 1]
+    keep = (labels[lo:hi] >= 0).all(axis=0)
+    if lo == 1:
+        keep &= (labels[1] == 0) | (labels[1] == 2)
+    else:
+        keep &= np.abs(labels[lo] - labels[lo - 1]) == 1
+    if hi < n:
+        keep &= np.abs(labels[hi] - labels[hi - 1]) == 1
+    else:
+        keep &= np.abs(labels[0]) <= labels[n - 1]
+    return keep
 
 
 def _walk_keys(labels: np.ndarray) -> np.ndarray:
@@ -387,13 +398,13 @@ def _apply_chain(
 
     Ops act in order on all states at once; after each one the states
     whose labels turned inadmissible are dropped, as the scalar operators
-    return None for them.
+    return None for them.  `labels` must be admissible.
     """
     state, cols = labels, np.arange(labels.shape[1])
     for lo, hi, delta in ops:
         state = state.copy()
         state[lo:hi] += delta
-        keep = _admissible(state)
+        keep = _moved_admissible(state, lo, hi)
         state, cols = state[:, keep], cols[keep]
     rows = row_table[_walk_keys(state)]
     if (rows < 0).any():

@@ -1,7 +1,8 @@
 """Independent oracles: numerical ones that deliberately avoid the
 closed-form paths they are used to check, per-state scalar builders of the
-Hamiltonian structure that the vectorized builders are checked against, and
-the plain loops that the screened horizon search and the vectorized
+Hamiltonian structure that the vectorized builders are checked against, the
+whole-array admissibility test that the builders' block-edge test must
+match, the plain loops that the screened horizon search and the vectorized
 plateaux grouping must reproduce exactly, the one-horizon-at-a-time
 return probability that bounds the batched ladder screens, the
 whole-matrix eigendecomposition checks that the blocked ones must match
@@ -91,6 +92,20 @@ def site_product_average(n_sites, distance, mu0, beta, horizon, samples=2_000_00
     trap = np.ones(samples)
     trap[0] = trap[-1] = 0.5
     return float((trap @ values) / (samples - 1))
+
+
+def admissible_columns(labels):
+    """`labels_valid` for every column of a builder label array at once:
+    row 0 is 2J3, row l-1 is 2J^l."""
+    two_j3, two_j = labels[0], labels[1:]
+    top = two_j[-1]
+    return (
+        ((two_j[0] == 0) | (two_j[0] == 2))
+        & (np.abs(two_j[1:] - two_j[:-1]) == 1).all(axis=0)
+        & (two_j >= 0).all(axis=0)
+        & (np.abs(two_j3) <= top)
+        & ((top - two_j3) % 2 == 0)
+    )
 
 
 def _scalar_a(i):

@@ -583,3 +583,74 @@ class TestSweepCommand:
         ]) == 0
         assert sizes == [expected]
         assert read_csv_column(out / "summary.csv", "status") == ["ok"] * 3
+
+
+def artifact_bytes(root):
+    """Every file under ``root`` by relative path, manifest timestamps removed."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                manifest.pop("timestamp")
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[path.relative_to(root).as_posix()] = data
+    return files
+
+
+class TestParserReuse:
+    CALLS = [
+        ["profile", "--n", "3", "--initial", "RRY", "--eps", "0.1", "--gamma", "0.3",
+         "--delta", "0.3", "--out", "profile"],
+        ["sweep", "--n", "3", "--initial", "RRY", "--delta", "0.3", "--horizon", "infinite",
+         "--param", "eps=0.1,0.2", "--param", "gamma=0.3", "--out", "sweep"],
+        # a sweep without --param must not see the previous call's axes
+        ["sweep", "--n", "3", "--initial", "RRY", "--out", "sweep_empty"],
+        ["reproduce", "fig2", "--include-self", "--out", "fig2_self"],
+        ["reproduce", "fig2", "--no-include-self", "--out", "fig2_no_self"],
+        ["reproduce", "fig2", "--out", "fig2"],
+        ["profile", "--n", "3", "--initial", "RRYY", "--out", "bad_word"],
+        ["profile", "--n", "three"],  # argparse error: SystemExit(2)
+    ]
+
+    @staticmethod
+    def run_calls(capsys):
+        outcomes = []
+        for argv in TestParserReuse.CALLS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    def test_repeated_calls_in_one_process_are_identical(self, tmp_path, capsys, monkeypatch):
+        rounds = []
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            rounds.append((self.run_calls(capsys), artifact_bytes(tmp_path / name)))
+        (first, first_files), (second, second_files) = rounds
+        assert first == second
+        assert first_files == second_files
+        codes = [code for code, _, _ in first]
+        assert codes == [0, 0, 0, 0, 0, 0, 2, ("exit", 2)]
+        assert first[2][1] == "sweep of 0 point(s) written to sweep_empty\n"
+        assert json.loads(first_files["fig2_self/manifest.json"])["include_self"] is True
+        assert json.loads(first_files["fig2_no_self/manifest.json"])["include_self"] is False
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        probe = (
+            "import crystalchain.cli as cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

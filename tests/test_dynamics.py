@@ -335,6 +335,12 @@ class TestTransitionProbability:
         with pytest.raises(ValueError):
             transition_probability(spec, 0, 1, -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        _, spec = fig2_spec()
+        with pytest.raises(ValueError, match="finite"):
+            transition_probability(spec, 0, 1, t)
+
 
 class TestTimeAveragedProfile:
     def test_short_horizon_is_delta_row(self):
@@ -476,6 +482,24 @@ class TestInfiniteTimeAverage:
         assert gaps.min() > 1e-6  # generic draw: spectrum is simple
         manual = ((spec.eigenvectors * spec.eigenvectors[4]) ** 2).sum(axis=1)
         assert np.abs(infinite_time_average(spec, 4).p_avg - manual).max() <= 1e-12
+
+    @pytest.mark.parametrize("figure", sorted(FIGURE_PRESETS))
+    def test_singleton_clusters_match_cluster_sums_exactly(self, figure):
+        """Squaring the weights directly gives the cluster-sum formula bit for bit."""
+        spec, initial = preset_spec(figure)
+        weights = spec.eigenvectors * spec.eigenvectors[initial]
+        for tol in (1e-9 * float(np.abs(spec.eigenvalues).max()), 0.0):
+            starts = np.flatnonzero(np.diff(spec.eigenvalues) > tol) + 1
+            clusters = np.add.reduceat(weights, np.concatenate(([0], starts)), axis=1)
+            expected = (clusters * clusters).sum(axis=1)
+            got = infinite_time_average(spec, initial, degeneracy_tol=tol).p_avg
+            assert got.tobytes() == np.clip(expected, 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_degeneracy_tolerance(self, tol):
+        _, spec = fig2_spec()
+        with pytest.raises(ValueError, match="degeneracy tolerance"):
+            infinite_time_average(spec, 0, degeneracy_tol=tol)
 
     def test_matches_long_horizon_closed_form(self):
         _, spec = fig2_spec()

@@ -30,6 +30,7 @@ from crystalchain.hamiltonian import (
     _apply_chain,
     _label_array,
     _model_terms,
+    _moved_admissible,
     _row_table,
 )
 from golden import (
@@ -42,7 +43,7 @@ from golden import (
     TWO_SITE_EPS_PAIRS,
     pairs_matrix,
 )
-from oracles import dense_evaluate, scalar_hamming_build, scalar_model_build
+from oracles import admissible_columns, dense_evaluate, scalar_hamming_build, scalar_model_build
 
 S = CouplingSymbol
 
@@ -248,6 +249,28 @@ class TestScalarOracle:
         assert list(sym.coeffs) == [S.BETA]
         assert (sym.coefficient(S.BETA) == beta).all()
         assert (sym.provenance["HAMMING"].dense(sym.dim) == beta).all()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_moved_check_keeps_what_full_check_keeps(self, n):
+        """After every op of every chain, and after every op on the whole
+        basis, the block-edge check keeps exactly the admissible columns."""
+
+        def shifted(state, op):
+            lo, hi, delta = op
+            state = state.copy()
+            state[lo:hi] += delta
+            keep = _moved_admissible(state, lo, hi)
+            assert (keep == admissible_columns(state)).all(), op
+            return state[:, keep]
+
+        labels = _label_array(enumerate_basis(n))
+        terms = _model_terms(n)
+        for op in {op for _, _, ops in terms for op in ops}:
+            shifted(labels, op)
+        for _, _, ops in terms:
+            state = labels
+            for op in ops:
+                state = shifted(state, op)
 
 
 class TestHammingStructure:
