@@ -4,12 +4,12 @@ time averaging of transition probabilities, and Yule/Zipf rank-size fits."""
 __version__ = "0.1.0"
 
 from .analysis import (
+    FitError,
     FitResult,
     ModelComparison,
     PlateauxGroup,
     PlateauxReport,
     RankedDistribution,
-    RankedEntry,
     UnderdeterminedFitError,
     compare_models,
     fit_log_linear,

@@ -21,60 +21,45 @@ from .dynamics import TransitionProfile
 _RATIO_FLOOR = 1e-18
 
 
-class UnderdeterminedFitError(ValueError):
+class FitError(ValueError):
+    """A fit that cannot be determined or whose residuals are not finite."""
+
+
+class UnderdeterminedFitError(FitError):
     """Too few positive points remain to determine the fit parameters."""
 
 
-@dataclass(frozen=True)
-class RankedEntry:
-    rank: int
-    index: int
-    value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedDistribution:
-    """Values sorted descending; ties broken by canonical basis index."""
+    """Basis indices and their values, sorted descending with ties broken by
+    canonical basis index; position i holds rank i + 1."""
 
-    entries: tuple[RankedEntry, ...]
+    indices: np.ndarray
+    values: np.ndarray
     include_self: bool | None
     initial: int | None
 
     @property
     def ranks(self) -> np.ndarray:
-        return np.array([e.rank for e in self.entries], dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries], dtype=float)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(e.index for e in self.entries)
+        return np.arange(1, len(self.values) + 1, dtype=float)
 
 
 def rank_order(profile: TransitionProfile, include_self: bool = False) -> RankedDistribution:
     """Sort the averaged probabilities descending (optionally keeping self)."""
-    items = [
-        (float(v), idx)
-        for idx, v in enumerate(profile.p_avg)
-        if include_self or idx != profile.initial
-    ]
-    items.sort(key=lambda pair: (-pair[0], pair[1]))
-    entries = tuple(
-        RankedEntry(rank, idx, value) for rank, (value, idx) in enumerate(items, start=1)
-    )
-    return RankedDistribution(entries, include_self, profile.initial)
+    indices = np.arange(len(profile.p_avg), dtype=np.int64)
+    if not include_self:
+        indices = np.delete(indices, profile.initial)
+    values = profile.p_avg[indices]
+    order = np.argsort(-values, kind="stable")
+    return RankedDistribution(indices[order], values[order], include_self, profile.initial)
 
 
 def ranked_from_values(
     values: Sequence[float], include_self: bool = False, initial: int | None = None
 ) -> RankedDistribution:
-    """Build a ranked distribution from already-sorted values (CSV loads)."""
-    entries = tuple(
-        RankedEntry(rank, rank - 1, float(v)) for rank, v in enumerate(values, start=1)
-    )
-    return RankedDistribution(entries, include_self, initial)
+    """Rank already-sorted values 1..n, their indices taken as 0..n-1."""
+    values = np.array(values, dtype=float)
+    return RankedDistribution(np.arange(len(values), dtype=np.int64), values, include_self, initial)
 
 
 @dataclass(frozen=True)
@@ -93,10 +78,6 @@ class FitResult:
     points_excluded: int
     diverged: bool = False
 
-    def predict(self, ranks: np.ndarray) -> np.ndarray:
-        ranks = np.asarray(ranks, dtype=float)
-        return self.a * ranks**self.k * self.b**ranks
-
     def to_json_dict(self) -> dict:
         return {
             "model": self.model,
@@ -113,28 +94,56 @@ class FitResult:
 
 
 def _positive_points(ranked: RankedDistribution) -> tuple[np.ndarray, np.ndarray, int]:
-    ranks = ranked.ranks
     values = ranked.values
     mask = values > 0.0
-    excluded = int((~mask).sum())
-    return ranks[mask], values[mask], excluded
+    return ranked.ranks[mask], values[mask], int((~mask).sum())
 
 
 def _min_points(model: str) -> int:
     return 4 if model == "yule" else 3
 
 
-def _residual_summary(
-    ranks: np.ndarray, values: np.ndarray, a: float, k: float, b: float
-) -> tuple[float, float]:
-    predicted = a * ranks**k * b**ranks
-    sse_linear = float(((values - predicted) ** 2).sum())
-    sstot = float(((values - values.mean()) ** 2).sum())
+def _rank_size(ranks: np.ndarray, a: float, k: float, b: float) -> np.ndarray:
+    return a * ranks**k * b**ranks
+
+
+def _fit_result(
+    model: str,
+    fit_space: str,
+    params: tuple[float, float, float],
+    sse_log: float,
+    ranks: np.ndarray,
+    values: np.ndarray,
+    excluded: int,
+    diverged: bool = False,
+) -> FitResult:
+    """Add the linear-space residual summary; a non-finite fit is a failure."""
+    a, k, b = params
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse_linear = float(((values - _rank_size(ranks, a, k, b)) ** 2).sum())
+        sstot = float(((values - values.mean()) ** 2).sum())
     if sstot > 0.0:
         r2 = 1.0 - sse_linear / sstot
     else:
         r2 = 1.0 if sse_linear <= 1e-30 else 0.0
-    return sse_linear, r2
+    if not all(map(math.isfinite, (sse_log, sse_linear, r2))):
+        raise FitError(
+            f"{model} fit in {fit_space} space is not finite "
+            f"(sse_log {sse_log!r}, sse_linear {sse_linear!r}, r2 {r2!r})"
+        )
+    return FitResult(
+        model=model,
+        a=a,
+        k=k,
+        b=b,
+        sse_log=sse_log,
+        sse_linear=sse_linear,
+        r2=r2,
+        fit_space=fit_space,
+        points_used=len(ranks),
+        points_excluded=excluded,
+        diverged=diverged,
+    )
 
 
 def fit_log_linear(ranked: RankedDistribution, model: str = "yule") -> FitResult:
@@ -159,22 +168,13 @@ def fit_log_linear(ranked: RankedDistribution, model: str = "yule") -> FitResult
     log_a, k = float(coef[0]), float(coef[1])
     log_b = float(coef[2]) if model == "yule" else 0.0
     sse_log = float(((y - design @ coef) ** 2).sum())
-    a, b = math.exp(log_a), math.exp(log_b)
-    sse_linear, r2 = _residual_summary(ranks, values, a, k, b)
-    return FitResult(
-        model=model,
-        a=a,
-        k=k,
-        b=b,
-        sse_log=sse_log,
-        sse_linear=sse_linear,
-        r2=r2,
-        fit_space="log",
-        points_used=len(ranks),
-        points_excluded=excluded,
-    )
+    params = (math.exp(log_a), k, math.exp(log_b))
+    return _fit_result(model, "log", params, sse_log, ranks, values, excluded)
 
 
+# a trial step, or the Gram matrix of a seed near the float range, may
+# overflow; the inf or NaN steps and sse values are rejected in the loop
+@np.errstate(over="ignore", invalid="ignore")
 def fit_refine(
     ranked: RankedDistribution,
     initial: FitResult,
@@ -201,9 +201,7 @@ def fit_refine(
 
     def sse_of(theta: np.ndarray) -> float:
         a, k, b = unpack(theta)
-        # a trial step may overflow; its inf or NaN sse is rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(((values - a * ranks**k * b**ranks) ** 2).sum())
+        return float(((values - _rank_size(ranks, a, k, b)) ** 2).sum())
 
     theta = np.array(
         [math.log(initial.a), initial.k] + ([math.log(initial.b)] if yule else [])
@@ -214,7 +212,7 @@ def fit_refine(
     log_ranks = np.log(ranks)
     for _ in range(max_iter):
         a, k, b = unpack(theta)
-        predicted = a * ranks**k * b**ranks
+        predicted = _rank_size(ranks, a, k, b)
         residual = values - predicted
         columns = [predicted, predicted * log_ranks]
         if yule:
@@ -251,19 +249,8 @@ def fit_refine(
     y = np.log(values)
     model_log = math.log(a) + k * log_ranks + (math.log(b) * ranks if yule else 0.0)
     sse_log = float(((y - model_log) ** 2).sum())
-    sse_linear, r2 = _residual_summary(ranks, values, a, k, b)
-    return FitResult(
-        model=initial.model,
-        a=a,
-        k=k,
-        b=b,
-        sse_log=sse_log,
-        sse_linear=sse_linear,
-        r2=r2,
-        fit_space="linear",
-        points_used=len(ranks),
-        points_excluded=excluded,
-        diverged=diverged,
+    return _fit_result(
+        initial.model, "linear", (a, k, b), sse_log, ranks, values, excluded, diverged
     )
 
 
@@ -313,9 +300,9 @@ def plateaux_report(
     word = initial_word if isinstance(initial_word, SpinWord) else SpinWord.parse(initial_word)
     if len(word) != basis.n:
         raise ValueError(f"length mismatch: {basis.n} vs {len(word)}")
-    value_by_index = {e.index: e.value for e in ranked.entries}
-    indices = np.array(sorted(i for i in value_by_index if 0 <= i < basis.dim), dtype=np.int64)
-    values = np.array([value_by_index[i] for i in indices.tolist()], dtype=float)
+    inside = (ranked.indices >= 0) & (ranked.indices < basis.dim)
+    order = np.argsort(ranked.indices[inside])
+    indices, values = ranked.indices[inside][order], ranked.values[inside][order]
     bits = np.array([w.bits for w in basis.words], dtype=np.int64)
     differing = bits[indices] ^ word.bits
     distances = sum((differing >> site) & 1 for site in range(basis.n))

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
+    FitError,
     FitResult,
     RankedDistribution,
-    RankedEntry,
-    UnderdeterminedFitError,
     compare_models,
     fit_log_linear,
     fit_refine,
@@ -251,14 +252,14 @@ def _profile_csv(sym: SymbolicHamiltonian, profile) -> str:
 
 def _ranked_csv(sym: SymbolicHamiltonian, ranked: RankedDistribution) -> str:
     lines = ["rank,index,word,value"]
-    for entry in ranked.entries:
-        word = sym.basis.words[entry.index]
-        lines.append(f"{entry.rank},{entry.index + 1},{word},{float(entry.value)!r}")
+    pairs = zip(ranked.indices.tolist(), ranked.values.tolist())
+    for rank, (idx, value) in enumerate(pairs, start=1):
+        lines.append(f"{rank},{idx + 1},{sym.basis.words[idx]},{value!r}")
     return "\n".join(lines) + "\n"
 
 
 def _plot_text(ranked: RankedDistribution) -> str:
-    return "".join(f"{e.rank} {float(e.value)!r}\n" for e in ranked.entries)
+    return "".join(f"{rank} {value!r}\n" for rank, value in enumerate(ranked.values.tolist(), 1))
 
 
 def _write(path: Path, text: str) -> None:
@@ -332,16 +333,19 @@ def _read_ranked_csv(path: Path) -> RankedDistribution:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0].strip() != "rank,index,word,value":
         raise UsageError(f"{path} is not a ranked CSV (header must be rank,index,word,value)")
-    entries = []
-    for line in lines[1:]:
+    indices, values = [], []
+    for rank, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != 4:
             raise UsageError(f"malformed ranked row: {line!r}")
+        if int(parts[0]) != rank:
+            raise UsageError(f"ranked row {rank} must have rank {rank} (ranks run 1..n): {line!r}")
         value = float(parts[3])
         if not math.isfinite(value):
             raise UsageError(f"non-finite value in ranked row: {line!r}")
-        entries.append(RankedEntry(int(parts[0]), int(parts[1]) - 1, value))
-    return RankedDistribution(tuple(entries), include_self=None, initial=None)
+        indices.append(int(parts[1]) - 1)
+        values.append(value)
+    return RankedDistribution(np.array(indices, dtype=np.int64), np.array(values), None, None)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -407,10 +411,11 @@ def _apply_point(couplings: CouplingValues, point: dict[str, float]) -> Coupling
     return dataclasses.replace(couplings, **updates)
 
 
-_SUMMARY_HEADER = (
-    "point,status,mu0,eps,gamma,delta,eta,beta,resolved_T,"
-    "yule_a,yule_k,yule_b,yule_r2,zipf_a,zipf_k,zipf_r2,sse_ratio"
+_FIT_COLUMNS = (
+    "resolved_T", "yule_a", "yule_k", "yule_b", "yule_r2",
+    "zipf_a", "zipf_k", "zipf_r2", "sse_ratio",
 )
+_SUMMARY_HEADER = ",".join(("point", "status", *COUPLING_NAMES, *_FIT_COLUMNS))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -435,7 +440,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             result = run(point_config, sym, fit=True)
         except RuntimeError:  # StableHorizonError or a failed numeric check
             row["status"] = "dynamics_error"
-        except UnderdeterminedFitError:
+        except FitError:
             row["status"] = "fit_error"
         else:
             _write_run(out / f"point_{idx:03d}", result)
@@ -456,14 +461,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [run_point(item) for item in enumerate(points)]
 
     lines = [_SUMMARY_HEADER]
-    fit_fields = (
-        "resolved_T", "yule_a", "yule_k", "yule_b", "yule_r2",
-        "zipf_a", "zipf_k", "zipf_r2", "sse_ratio",
-    )
     for row in rows:
         cells = [str(row["point"]), row["status"]]
         cells += [repr(float(row[name])) for name in COUPLING_NAMES]
-        for field in fit_fields:
+        for field in _FIT_COLUMNS:
             value = row.get(field)
             cells.append("" if value is None else repr(float(value)))
         lines.append(",".join(cells))
@@ -563,7 +564,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnderdeterminedFitError as exc:
+    except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except RuntimeError as exc:  # StableHorizonError or a failed numeric check

@@ -171,8 +171,6 @@ def validate_labels(two_j3: int, two_j: Sequence[int]) -> bool:
     if two_j[0] not in (0, 2):
         return False
     prev = two_j[0]
-    if prev < 0:
-        return False
     for q in two_j[1:]:
         if q < 0 or abs(q - prev) != 1:
             return False

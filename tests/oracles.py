@@ -3,11 +3,12 @@ closed-form paths they are used to check, per-state scalar builders of the
 Hamiltonian structure that the vectorized builders are checked against, the
 whole-array admissibility test that the builders' block-edge test must
 match, the plain loops that the screened horizon search and the vectorized
-plateaux grouping must reproduce exactly, the one-horizon-at-a-time
-return probability that bounds the batched ladder screens, the
-whole-matrix eigendecomposition checks that the blocked ones must match
-bit for bit, and the direct sin(x)/x kernel that the sine-addition probe
-is bounded against."""
+plateaux grouping must reproduce exactly, the (-value, index) Python sort
+that the argsort ranking must reproduce byte for byte, the
+one-horizon-at-a-time return probability that bounds the batched ladder
+screens, the whole-matrix eigendecomposition checks that the blocked ones
+must match bit for bit, and the direct sin(x)/x kernel that the
+sine-addition probe is bounded against."""
 
 from collections import Counter
 
@@ -317,11 +318,25 @@ def exhaustive_find_stable_T(
     )
 
 
+def sorted_ranking(profile, include_self):
+    """Reference ranking: the profile's (index, value) pairs, the initial
+    state dropped unless `include_self`, sorted by (-value, index).  Returns
+    the indices and the values as arrays."""
+    items = [
+        (float(v), idx)
+        for idx, v in enumerate(profile.p_avg)
+        if include_self or idx != profile.initial
+    ]
+    items.sort(key=lambda pair: (-pair[0], pair[1]))
+    indices = np.array([idx for _, idx in items], dtype=np.int64)
+    return indices, np.array([v for v, _ in items], dtype=float)
+
+
 def loop_plateaux_report(ranked, basis, initial_word):
     """Reference plateaux grouping: one hamming_distance call per word and
     distance."""
     word = initial_word if isinstance(initial_word, SpinWord) else SpinWord.parse(initial_word)
-    value_by_index = {e.index: e.value for e in ranked.entries}
+    value_by_index = dict(zip(ranked.indices.tolist(), ranked.values.tolist()))
     groups = []
     for distance in range(basis.n + 1):
         members = [

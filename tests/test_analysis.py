@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalchain import (
     CouplingValues,
+    FitError,
+    TransitionProfile,
     UnderdeterminedFitError,
     build_hamming,
     build_model,
     compare_models,
     eigendecompose,
+    find_stable_T,
     fit_log_linear,
     fit_refine,
     infinite_time_average,
@@ -18,7 +23,8 @@ from crystalchain import (
     ranked_from_values,
     time_averaged_profile,
 )
-from oracles import loop_plateaux_report, site_product_average
+from crystalchain.cli import FIGURE_PRESETS
+from oracles import loop_plateaux_report, site_product_average, sorted_ranking
 
 
 def yule_values(a, k, b, count):
@@ -32,15 +38,15 @@ class TestRankOrder:
         spec = eigendecompose(sym.evaluate(CouplingValues(mu0=1.0)))
         profile = time_averaged_profile(spec, 3, 5.0)
         ranked = rank_order(profile, include_self=False)
-        assert all(e.value == 0.0 for e in ranked.entries)
+        assert all(v == 0.0 for v in ranked.values.tolist())
         assert list(ranked.indices) == [0, 1, 2, 4, 5, 6, 7]  # ties broken by index
 
     def test_delta_row_with_self(self):
         sym = build_model(3)
         spec = eigendecompose(sym.evaluate(CouplingValues(mu0=1.0)))
         ranked = rank_order(time_averaged_profile(spec, 3, 5.0), include_self=True)
-        assert ranked.entries[0].index == 3
-        assert ranked.entries[0].value == pytest.approx(1.0)
+        assert ranked.indices[0] == 3
+        assert ranked.values[0] == pytest.approx(1.0)
 
     def test_sorting_is_permutation(self):
         sym = build_model(3)
@@ -48,9 +54,44 @@ class TestRankOrder:
         profile = time_averaged_profile(spec, 3, 77.0)
         ranked = rank_order(profile, include_self=True)
         assert sorted(ranked.values.tolist()) == sorted(profile.p_avg.tolist())
-        assert [e.rank for e in ranked.entries] == list(range(1, 9))
+        assert ranked.ranks.tolist() == list(range(1, 9))
         values = ranked.values
         assert (values[:-1] >= values[1:]).all()
+
+    @staticmethod
+    def assert_matches_sort_oracle(profile):
+        for include_self in (False, True):
+            ranked = rank_order(profile, include_self=include_self)
+            indices, values = sorted_ranking(profile, include_self)
+            assert ranked.indices.dtype == np.int64
+            assert ranked.indices.tolist() == indices.tolist()
+            assert ranked.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("figure", sorted(FIGURE_PRESETS))
+    def test_figures_match_sort_oracle(self, figure):
+        preset = FIGURE_PRESETS[figure]
+        sym = build_model(preset.n) if preset.model == "crystal" else build_hamming(preset.n)
+        spec = eigendecompose(sym.evaluate(preset.couplings))
+        initial = sym.basis.index_of_word(preset.initial)
+        self.assert_matches_sort_oracle(find_stable_T(spec, initial))
+        self.assert_matches_sort_oracle(infinite_time_average(spec, initial))
+
+    def test_delta_row_matches_sort_oracle(self):
+        sym = build_model(3)
+        spec = eigendecompose(sym.evaluate(CouplingValues(mu0=1.0)))
+        self.assert_matches_sort_oracle(time_averaged_profile(spec, 3, 5.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 0.125, 0.25, 1 / 3, 0.5]), min_size=1, max_size=40
+        ),
+        data=st.data(),
+    )
+    def test_repeated_values_match_sort_oracle(self, values, data):
+        # exact ties, -0.0 against 0.0 included, must keep basis-index order
+        initial = data.draw(st.integers(0, len(values) - 1))
+        self.assert_matches_sort_oracle(TransitionProfile(initial, 1.0, np.array(values)))
 
 
 class TestFitLogLinear:
@@ -102,6 +143,12 @@ class TestFitLogLinear:
             fit_log_linear(ranked_from_values([1.0, 0.5, 0.25]), "yule")
         with pytest.raises(UnderdeterminedFitError):
             fit_log_linear(ranked_from_values([1.0, 0.5]), "zipf")
+
+    def test_non_finite_residuals_raise(self):
+        ranked = ranked_from_values(1e300 * 0.5 ** np.arange(8))
+        with pytest.raises(FitError, match="not finite"):
+            fit_log_linear(ranked, "yule")
+        assert issubclass(UnderdeterminedFitError, FitError)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):

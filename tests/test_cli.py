@@ -309,10 +309,11 @@ class TestMemoryPreflight:
 
 class TestFitCommand:
     @staticmethod
-    def write_ranked(path, values):
+    def write_ranked(path, values, ranks=None):
         lines = ["rank,index,word,value"]
-        for rank, value in enumerate(values, start=1):
-            lines.append(f"{rank},{rank},WORD,{float(value)!r}")
+        for index, value in enumerate(values, start=1):
+            rank = index if ranks is None else ranks[index - 1]
+            lines.append(f"{rank},{index},WORD,{float(value)!r}")
         path.write_text("\n".join(lines) + "\n")
 
     def test_recovers_synthetic_parameters(self, tmp_path, capsys):
@@ -351,6 +352,46 @@ class TestFitCommand:
         assert captured.out == ""
         assert captured.err == f"error: non-finite value in ranked row: '9,9,WORD,{spelling}'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("ranks, bad_row", [
+        ([0, 1, 2, 3, 4, 5, 6, 7], 1),
+        ([1, 2, -3, 4, 5, 6, 7, 8], 3),
+        ([1] * 8, 2),
+        ([1, 2, 3, 5, 6, 7, 8, 9], 4),
+        ([1, 2, 4, 3, 5, 6, 7, 8], 3),
+    ], ids=["from-zero", "negative", "duplicated", "gap", "out-of-order"])
+    def test_ranks_must_run_one_to_n(self, tmp_path, ranks, bad_row):
+        values = 0.5 * np.arange(1, 9, dtype=float) ** -1.2
+        self.write_ranked(tmp_path / "r.csv", values, ranks)
+        proc = run_in_child(["fit", "--input", "r.csv", "--refine", "--out", "fits"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        line = f"{ranks[bad_row - 1]},{bad_row},WORD,{float(values[bad_row - 1])!r}"
+        assert proc.stderr == (
+            f"error: ranked row {bad_row} must have rank {bad_row} (ranks run 1..n): {line!r}\n"
+        )
+        assert not (tmp_path / "fits").exists()
+
+    def test_overflowing_fit_is_exit_4(self, tmp_path):
+        # the log-space fit is exact, but its linear-space residuals overflow
+        self.write_ranked(tmp_path / "huge.csv", 1e300 * 0.5 ** np.arange(8))
+        proc = run_in_child(["fit", "--input", "huge.csv", "--refine", "--out", "fits"], tmp_path)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: yule fit in log space is not finite")
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+        assert not (tmp_path / "fits").exists()
+
+    def test_refine_near_float_range_prints_no_warnings(self, tmp_path):
+        # the residuals stay finite, but the refinement's Gram matrix overflows
+        ranks = np.arange(8, dtype=float)
+        values = 1e154 * 0.7**ranks * (1 + 0.1 * (-1) ** ranks)
+        self.write_ranked(tmp_path / "r.csv", values)
+        proc = run_in_child(["fit", "--input", "r.csv", "--refine"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        fits = json.loads(proc.stdout)["fits"]
+        assert all(np.isfinite([f["sse_linear"], f["r2"]]).all() for f in fits)
 
     def test_refine_appends_linear_fit(self, tmp_path, capsys):
         ranks = np.arange(1, 11, dtype=float)
