@@ -19,6 +19,12 @@ from .crystal import BasisMap, SpinWord
 from .dynamics import TransitionProfile
 
 _RATIO_FLOOR = 1e-18
+# fit_refine stops after this many accepted steps, or at a step whose
+# largest parameter change is at most _STEP_TOL.
+_MAX_REFINE_STEPS = 500
+_STEP_TOL = 1e-12
+# Largest spread of a group PlateauxReport.is_exact calls flat.
+_PLATEAU_TOL = 1e-9
 
 
 class FitError(ValueError):
@@ -36,8 +42,6 @@ class RankedDistribution:
 
     indices: np.ndarray
     values: np.ndarray
-    include_self: bool | None
-    initial: int | None
 
     @property
     def ranks(self) -> np.ndarray:
@@ -51,15 +55,13 @@ def rank_order(profile: TransitionProfile, include_self: bool = False) -> Ranked
         indices = np.delete(indices, profile.initial)
     values = profile.p_avg[indices]
     order = np.argsort(-values, kind="stable")
-    return RankedDistribution(indices[order], values[order], include_self, profile.initial)
+    return RankedDistribution(indices[order], values[order])
 
 
-def ranked_from_values(
-    values: Sequence[float], include_self: bool = False, initial: int | None = None
-) -> RankedDistribution:
+def ranked_from_values(values: Sequence[float]) -> RankedDistribution:
     """Rank already-sorted values 1..n, their indices taken as 0..n-1."""
     values = np.array(values, dtype=float)
-    return RankedDistribution(np.arange(len(values), dtype=np.int64), values, include_self, initial)
+    return RankedDistribution(np.arange(len(values), dtype=np.int64), values)
 
 
 @dataclass(frozen=True)
@@ -175,12 +177,7 @@ def fit_log_linear(ranked: RankedDistribution, model: str = "yule") -> FitResult
 # a trial step, or the Gram matrix of a seed near the float range, may
 # overflow; the inf or NaN steps and sse values are rejected in the loop
 @np.errstate(over="ignore", invalid="ignore")
-def fit_refine(
-    ranked: RankedDistribution,
-    initial: FitResult,
-    max_iter: int = 500,
-    step_tol: float = 1e-12,
-) -> FitResult:
+def fit_refine(ranked: RankedDistribution, initial: FitResult) -> FitResult:
     """Damped least squares on linear-space residuals, seeded by `initial`.
 
     Parameters move in (log a, k, log b) so a and b stay positive; steps
@@ -210,7 +207,7 @@ def fit_refine(
     damping = 1e-3
     accepted_any = False
     log_ranks = np.log(ranks)
-    for _ in range(max_iter):
+    for _ in range(_MAX_REFINE_STEPS):
         a, k, b = unpack(theta)
         predicted = _rank_size(ranks, a, k, b)
         residual = values - predicted
@@ -242,7 +239,7 @@ def fit_refine(
             damping *= 10.0
         if step is None:
             break
-        if float(np.abs(step).max()) <= step_tol:
+        if float(np.abs(step).max()) <= _STEP_TOL:
             break
     diverged = not accepted_any  # theta is untouched when no step was accepted
     a, k, b = unpack(theta)
@@ -280,15 +277,13 @@ class PlateauxReport:
     groups: tuple[PlateauxGroup, ...]
     consistent: bool
 
-    def group(self, distance: int) -> PlateauxGroup:
-        return self.groups[distance]
-
     def max_spread(self) -> float:
         return max(g.spread for g in self.groups)
 
-    def is_exact(self, tol: float = 1e-9) -> bool:
-        """True when every group is flat within `tol` and groups do not interleave."""
-        return self.consistent and all(g.spread <= tol for g in self.groups)
+    def is_exact(self) -> bool:
+        """True when every group is flat within _PLATEAU_TOL (1e-9) and groups
+        do not interleave."""
+        return self.consistent and all(g.spread <= _PLATEAU_TOL for g in self.groups)
 
 
 def plateaux_report(
@@ -303,8 +298,7 @@ def plateaux_report(
     inside = (ranked.indices >= 0) & (ranked.indices < basis.dim)
     order = np.argsort(ranked.indices[inside])
     indices, values = ranked.indices[inside][order], ranked.values[inside][order]
-    bits = np.array([w.bits for w in basis.words], dtype=np.int64)
-    differing = bits[indices] ^ word.bits
+    differing = basis.bits[indices] ^ word.bits
     distances = sum((differing >> site) & 1 for site in range(basis.n))
     groups = []
     for distance in range(basis.n + 1):

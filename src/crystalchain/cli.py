@@ -37,7 +37,7 @@ from .analysis import (
     plateaux_report,
     rank_order,
 )
-from .crystal import SpinWord, enumerate_basis
+from .crystal import MAX_CHAIN_LENGTH, SpinWord, enumerate_basis
 from .dynamics import (
     TransitionProfile,
     dense_peak_bytes,
@@ -58,7 +58,7 @@ EXIT_USAGE = 2
 EXIT_DYNAMICS = 3
 EXIT_FIT = 4
 
-COUPLING_NAMES = ("mu0", "eps", "gamma", "delta", "eta", "beta")
+COUPLING_NAMES = tuple(field.name for field in dataclasses.fields(CouplingValues))
 GRID_NAMES = COUPLING_NAMES + ("all",)
 
 
@@ -326,6 +326,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The largest basis index of any chain; ranked CSVs hold 1-based indices.
+_MAX_INDEX = 2**MAX_CHAIN_LENGTH
+
+
 def _read_ranked_csv(path: Path) -> RankedDistribution:
     try:
         lines = path.read_text().strip().splitlines()
@@ -333,19 +337,43 @@ def _read_ranked_csv(path: Path) -> RankedDistribution:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0].strip() != "rank,index,word,value":
         raise UsageError(f"{path} is not a ranked CSV (header must be rank,index,word,value)")
-    indices, values = [], []
+    row_of_index: dict[int, int] = {}  # basis index -> the ranked row that holds it
+    values = []
     for rank, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != 4:
-            raise UsageError(f"malformed ranked row: {line!r}")
-        if int(parts[0]) != rank:
+            raise UsageError(f"ranked row {rank} is not rank,index,word,value: {line!r}")
+        rank_text, index_text, _, value_text = parts
+        if _int_or_none(rank_text) != rank:
             raise UsageError(f"ranked row {rank} must have rank {rank} (ranks run 1..n): {line!r}")
-        value = float(parts[3])
+        index = _int_or_none(index_text)
+        if index is None or not 1 <= index <= _MAX_INDEX:
+            raise UsageError(
+                f"ranked row {rank} must have an integer index in 1..{_MAX_INDEX}: {line!r}"
+            )
+        if index in row_of_index:
+            raise UsageError(
+                f"ranked row {rank} repeats index {index} of row {row_of_index[index]}: {line!r}"
+            )
+        row_of_index[index] = rank
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise UsageError(
+                f"ranked row {rank} has a value that is not a number: {line!r}"
+            ) from None
         if not math.isfinite(value):
             raise UsageError(f"non-finite value in ranked row: {line!r}")
-        indices.append(int(parts[1]) - 1)
         values.append(value)
-    return RankedDistribution(np.array(indices, dtype=np.int64), np.array(values), None, None)
+    indices = np.array(list(row_of_index), dtype=np.int64) - 1
+    return RankedDistribution(indices, np.array(values))
+
+
+def _int_or_none(text: str) -> "int | None":
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 MIN_CHAIN_LENGTH = 2
 MAX_CHAIN_LENGTH = 14
 
@@ -247,12 +249,18 @@ def word_from_labels(labels: CrystalLabels) -> SpinWord:
 
 
 class BasisMap:
-    """Canonically ordered basis with label->index and word->index lookup."""
+    """Canonically ordered basis with label->index and word->index lookup.
+
+    `bits` holds each word's `SpinWord.bits` in basis order, as a read-only
+    int64 array.
+    """
 
     def __init__(self, n: int, pairs: Sequence[tuple[SpinWord, CrystalLabels]]):
         self.n = n
         self.words: tuple[SpinWord, ...] = tuple(w for w, _ in pairs)
         self.labels: tuple[CrystalLabels, ...] = tuple(l for _, l in pairs)
+        self.bits = np.array([w.bits for w in self.words], dtype=np.int64)
+        self.bits.flags.writeable = False
         self._by_labels = {
             (l.two_j3, l.two_j): idx for idx, l in enumerate(self.labels)
         }

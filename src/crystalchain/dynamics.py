@@ -31,9 +31,14 @@ _NEAR_GAP = 1e-2
 # 3 eps / _SCREEN_NEAR_GAP) against direct kernel evaluations: one per near
 # pair and horizon.
 _SCREEN_NEAR_GAP = 1e-4
-# Longest ladder find_stable_T screens in one pass; the default ladder (10
-# to past 1e9, growth 2) has 28 horizons.
-_MAX_LADDER = 256
+# find_stable_T's policy: horizons 10, 20, 40, ... up to the first one past
+# _T_CAP (28 of them), each twice the last; a pair passes when its profiles
+# agree within _REL_TOL in max norm.
+_REL_TOL = 1e-3
+_T_CAP = 1e9
+_LADDER = (10.0,)
+while _LADDER[-1] <= _T_CAP:
+    _LADDER += (_LADDER[-1] * 2.0,)
 
 
 class StableHorizonError(RuntimeError):
@@ -120,16 +125,17 @@ def _decomposition_errors(
     return float(residual), float(ortho)
 
 
-def eigendecompose(h: np.ndarray, tol: float = DEFAULT_DECOMP_TOL) -> SpectralDecomposition:
+def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
     """Diagonalize a dense symmetric matrix with checked residuals.
 
     Deterministic up to the sign convention: the largest-magnitude
     component of every eigenvector (the first one, on a tie) is made
     nonnegative.  Non-finite entries (e.g. couplings large enough to
-    overflow) raise RuntimeError before anything else is checked; an
-    asymmetry above tol * max(max|h|, 1) raises ValueError; a failed
-    residual (max |h V - V diag(e)| above tol * max(max|h|, 1)) or
-    orthonormality (max |V.T V - I| above tol) check raises RuntimeError,
+    overflow) raise RuntimeError before anything else is checked.  With
+    tol = DEFAULT_DECOMP_TOL, an asymmetry above tol * max(max|h|, 1) raises
+    ValueError; a failed residual (max |h V - V diag(e)| above
+    tol * max(max|h|, 1)) or orthonormality (max |V.T V - I| above tol)
+    check raises RuntimeError,
     as does a NaN in either.  The checks run in blocks of _KERNEL_BLOCK
     rows or square tiles, so they hold no dim x dim temporary.
     """
@@ -140,7 +146,7 @@ def eigendecompose(h: np.ndarray, tol: float = DEFAULT_DECOMP_TOL) -> SpectralDe
     if not (math.isfinite(high) and math.isfinite(low)):
         raise RuntimeError("matrix has non-finite entries")
     scale = max(high, -low, 1.0)
-    if _asymmetry(h) > tol * scale:
+    if _asymmetry(h) > DEFAULT_DECOMP_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     try:
         eigenvalues, vectors = np.linalg.eigh(h)
@@ -155,7 +161,7 @@ def eigendecompose(h: np.ndarray, tol: float = DEFAULT_DECOMP_TOL) -> SpectralDe
         raise RuntimeError("eigensolver returned non-finite values")
     vectors *= _anchor_signs(vectors, column_max, column_min)
     residual, ortho = _decomposition_errors(h, eigenvalues, vectors)
-    if not (residual <= tol * scale and ortho <= tol):
+    if not (residual <= DEFAULT_DECOMP_TOL * scale and ortho <= DEFAULT_DECOMP_TOL):
         raise RuntimeError(
             f"decomposition failed checks: residual {residual:.3e}, orthonormality {ortho:.3e}"
         )
@@ -294,28 +300,8 @@ def time_averaged_profile(
     return _as_profile(initial, horizon, p_avg)
 
 
-def _ladder(t_start: float, growth: float, t_cap: float) -> list[float]:
-    """Horizons t_start, t_start*growth, ... up to the first one past t_cap.
-
-    Each is the previous one times growth, as the exhaustive search grows
-    them, so the probes see the same floats.  A ladder longer than
-    _MAX_LADDER horizons raises ValueError.
-    """
-    ladder = [t_start]
-    while ladder[-1] <= t_cap:
-        if len(ladder) == _MAX_LADDER:
-            raise ValueError(
-                f"more than {_MAX_LADDER} horizons from t_start {t_start:g} past "
-                f"t_cap {t_cap:g} at growth {growth!r}"
-            )
-        ladder.append(ladder[-1] * growth)
-    return ladder
-
-
-def _ladder_screens(
-    spec: SpectralDecomposition, initial: int, t_start: float, growth: float, t_cap: float
-) -> list[tuple[float, float, float]]:
-    """(T, p_initial(T), bound) at every horizon of the search's ladder.
+def _ladder_screens(spec: SpectralDecomposition, initial: int) -> list[tuple[float, float, float]]:
+    """(T, p_initial(T), bound) at every horizon of _LADDER.
 
     p_initial = sum_ab w_a w_b K_ab(T), w = V[initial]**2, is the return
     probability `time_averaged_profile` gives the initial state, clipped
@@ -332,12 +318,10 @@ def _ladder_screens(
     direct sin(x)/x kernel.  Each
     block of G multiplies the stacked [w*c | w*s] columns of the whole
     ladder in one GEMM, so G, the near pairs and the bound's sums are built
-    once per search; memory is O(_KERNEL_BLOCK * dim) plus
-    O(_MAX_LADDER * dim).
+    once per search; memory is O((_KERNEL_BLOCK + 28) * dim).
     """
-    ladder = _ladder(t_start, growth, t_cap)
-    t = np.array(ladder)
-    size = len(ladder)
+    t = np.array(_LADDER)
+    size = len(_LADDER)
     dim = spec.dim
     w = spec.eigenvectors[initial] ** 2
     shifted, radius = _shifted(spec.eigenvalues)
@@ -369,27 +353,21 @@ def _ladder_screens(
     screens = np.clip(diagonal + 2.0 * near + 2.0 * far / t, 0.0, 1.0)
     eps = np.finfo(float).eps
     bounds = eps * (3.0 * s2 + (5 * dim + 32) * s1 / t + dim + n_near + 16)
-    return list(zip(ladder, screens.tolist(), bounds.tolist()))
+    return list(zip(_LADDER, screens.tolist(), bounds.tolist()))
 
 
-def infinite_time_average(
-    spec: SpectralDecomposition, initial: int, degeneracy_tol: float | None = None
-) -> TransitionProfile:
+def infinite_time_average(spec: SpectralDecomposition, initial: int) -> TransitionProfile:
     """Infinite-horizon limit: only (near-)degenerate eigenpairs survive.
 
-    Eigenvalues are clustered by consecutive gaps <= `degeneracy_tol`
-    (default 1e-9 * max|eigenvalue|) so exact degeneracies keep their
-    cross terms.  A NaN or infinite tolerance raises ValueError: it would
-    merge the whole spectrum into one cluster and return the initial
-    state's delta profile.
+    Eigenvalues are clustered by consecutive gaps <= 1e-9 * max|eigenvalue|
+    so exact degeneracies keep their cross terms.  A NaN or infinite
+    eigenvalue raises ValueError: it would merge the whole spectrum into one
+    cluster and return the initial state's delta profile.
     """
     eigenvalues = spec.eigenvalues
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * float(np.abs(eigenvalues).max())
-    if not (degeneracy_tol >= 0 and math.isfinite(degeneracy_tol)):
-        raise ValueError(
-            f"degeneracy tolerance must be nonnegative and finite, got {degeneracy_tol!r}"
-        )
+    degeneracy_tol = 1e-9 * float(np.abs(eigenvalues).max())
+    if not math.isfinite(degeneracy_tol):
+        raise ValueError("spectrum has non-finite eigenvalues")
     weights = spec.eigenvectors * spec.eigenvectors[initial]
     starts = np.flatnonzero(np.diff(eigenvalues) > degeneracy_tol) + 1
     if len(starts) < len(eigenvalues) - 1:  # some cluster holds several eigenvalues
@@ -399,29 +377,21 @@ def infinite_time_average(
     return _as_profile(initial, math.inf, p_avg)
 
 
-def find_stable_T(
-    spec: SpectralDecomposition,
-    initial: int,
-    rel_tol: float = 1e-3,
-    growth: float = 2.0,
-    t_start: float = 10.0,
-    t_cap: float = 1e9,
-) -> TransitionProfile:
+def find_stable_T(spec: SpectralDecomposition, initial: int) -> TransitionProfile:
     """Profile at the smallest tested horizon that agrees with the next longer one.
 
-    Horizons grow geometrically from `t_start`; the profile at the first T
-    that differs from the profile at growth*T by at most `rel_tol` in max
-    norm is returned, with T as its `horizon`.  Exceeding `t_cap` raises
-    StableHorizonError; callers should fall back to the infinite-horizon
-    average.  `t_cap` must be finite: past T of about 1e16 / max|eigenvalue|
-    the phase e T keeps no significant digit.
+    Horizons run through _LADDER (10, 20, 40, ...); the profile at the first
+    T that differs from the profile at 2T by at most _REL_TOL = 1e-3 in max
+    norm is returned, with T as its `horizon`.  No such T up to
+    _T_CAP = 1e9 raises StableHorizonError; callers should fall back to the
+    infinite-horizon average.
 
-    Each pair (T, growth*T) is screened first on the initial state alone:
-    the max norm is at least |p_i(T) - p_i(growth*T)|.  `_ladder_screens`
+    Each pair (T, 2T) is screened first on the initial state alone:
+    the max norm is at least |p_i(T) - p_i(2T)|.  `_ladder_screens`
     gives the return probability p_i at every horizon of the ladder in one
     blocked pass, with a bound b(T) on its rounding error.  A pair whose
-    screened difference exceeds rel_tol + _SCREEN_MARGIN + b(T) +
-    b(growth*T) cannot pass and gets no full probe.  The margin covers the
+    screened difference exceeds _REL_TOL + _SCREEN_MARGIN + b(T) + b(2T)
+    cannot pass and gets no full probe.  The margin covers the
     full probes: each entry of one is within 27.02 eps / _NEAR_GAP +
     (dim + 310) eps / 2 of the exact average (see `time_averaged_profile`),
     under 9e-13 at dim 2048 and 2.5e-12 at dim 16384, far below
@@ -464,21 +434,13 @@ def find_stable_T(
     |e'_a| + |e'_b| <= 2 |e_a - e_b| / _SCREEN_NEAR_GAP, so 3 eps S2 <=
     3 eps / _SCREEN_NEAR_GAP whatever the spectrum.
     """
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    if not growth > 1:
-        raise ValueError("growth must exceed 1")
-    if not t_start > 0:
-        raise ValueError("t_start must be positive")
-    if not math.isfinite(t_cap):
-        raise ValueError("t_cap must be finite")
-    screens = iter(_ladder_screens(spec, initial, t_start, growth, t_cap))
+    screens = iter(_ladder_screens(spec, initial))
     horizon, screen, bound = next(screens)
     current = None  # full profile at `horizon` once probed
     last = ""  # the last pair tested and its difference, for the error
     for longer_horizon, longer_screen, longer_bound in screens:
         screen_diff = abs(screen - longer_screen)
-        if screen_diff > rel_tol + _SCREEN_MARGIN + bound + longer_bound:
+        if screen_diff > _REL_TOL + _SCREEN_MARGIN + bound + longer_bound:
             current = None
             diff, kind = screen_diff, "initial-row screen, a lower bound"
         else:
@@ -486,7 +448,7 @@ def find_stable_T(
                 current = time_averaged_profile(spec, initial, horizon)
             longer = time_averaged_profile(spec, initial, longer_horizon)
             diff = float(np.abs(current.p_avg - longer.p_avg).max())
-            if diff <= rel_tol:
+            if diff <= _REL_TOL:
                 return current
             current = longer
             kind = "full max norm"
@@ -495,6 +457,6 @@ def find_stable_T(
         )
         horizon, screen, bound = longer_horizon, longer_screen, longer_bound
     raise StableHorizonError(
-        f"no stable horizon below {t_cap:g} at rel_tol {rel_tol:g}{last}; "
+        f"no stable horizon below {_T_CAP:g} at rel_tol {_REL_TOL:g}{last}; "
         "spectrum may be nearly degenerate"
     )

@@ -17,6 +17,7 @@ single coupling.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -78,14 +79,8 @@ class CouplingValues:
         return getattr(self, symbol.value)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "mu0": self.mu0,
-            "eps": self.eps,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "eta": self.eta,
-            "beta": self.beta,
-        }
+        """The couplings by name, in field order (the manifest's key order)."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "CouplingValues":
@@ -472,7 +467,7 @@ def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:
     """
     basis = enumerate_basis(n)
     dim = len(basis)
-    bits = np.array([w.bits for w in basis.words])
+    bits = basis.bits
     row_of = np.empty(1 << n, dtype=np.int64)
     row_of[bits] = np.arange(dim)
     cols = np.arange(dim)

@@ -212,7 +212,7 @@ def dense_evaluate(diag, coeffs, values):
     return h
 
 
-def reference_eigendecompose(h, tol=DEFAULT_DECOMP_TOL):
+def reference_eigendecompose(h):
     """Checked eigendecomposition with whole-matrix checks: finiteness by
     np.isfinite, symmetry by np.abs(h - h.T).max(), the sign anchor by a
     column argmax, and the residual h V - V diag(e) and V.T V - I as dense
@@ -225,7 +225,7 @@ def reference_eigendecompose(h, tol=DEFAULT_DECOMP_TOL):
         raise RuntimeError("matrix has non-finite entries")
     scale = float(np.abs(h).max()) if h.size else 0.0
     scale = max(scale, 1.0)
-    if float(np.abs(h - h.T).max()) > tol * scale:
+    if float(np.abs(h - h.T).max()) > DEFAULT_DECOMP_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     try:
         eigenvalues, vectors = np.linalg.eigh(h)
@@ -244,7 +244,7 @@ def reference_eigendecompose(h, tol=DEFAULT_DECOMP_TOL):
     g = vectors.T @ vectors
     g[np.diag_indices_from(g)] -= 1.0
     ortho = float(np.abs(g, out=g).max())
-    if not (residual <= tol * scale and ortho <= tol):
+    if not (residual <= DEFAULT_DECOMP_TOL * scale and ortho <= DEFAULT_DECOMP_TOL):
         raise RuntimeError(
             f"decomposition failed checks: residual {residual:.3e}, orthonormality {ortho:.3e}"
         )
@@ -295,27 +295,19 @@ def direct_return_probability(spec, initial, horizon):
     return 0.0 if total < 0.0 else 1.0 if total > 1.0 else total
 
 
-def exhaustive_find_stable_T(
-    spec, initial, rel_tol=1e-3, growth=2.0, t_start=10.0, t_cap=1e9
-):
-    """Reference stable-horizon search: a full profile at every horizon."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    if growth <= 1:
-        raise ValueError("growth must exceed 1")
-    if t_start <= 0:
-        raise ValueError("t_start must be positive")
-    horizon = t_start
+def exhaustive_find_stable_T(spec, initial):
+    """Reference stable-horizon search: a full profile at every horizon
+    10, 20, 40, ... up to the first past 1e9, accepting the first T within
+    1e-3 of 2T in max norm."""
+    horizon = 10.0
     current = time_averaged_profile(spec, initial, horizon)
-    while horizon <= t_cap:
-        longer = time_averaged_profile(spec, initial, horizon * growth)
-        if float(np.abs(current.p_avg - longer.p_avg).max()) <= rel_tol:
+    while horizon <= 1e9:
+        longer = time_averaged_profile(spec, initial, horizon * 2.0)
+        if float(np.abs(current.p_avg - longer.p_avg).max()) <= 1e-3:
             return current
-        horizon *= growth
+        horizon *= 2.0
         current = longer
-    raise StableHorizonError(
-        f"no stable horizon below {t_cap:g}; spectrum may be nearly degenerate"
-    )
+    raise StableHorizonError("no stable horizon below 1e+09; spectrum may be nearly degenerate")
 
 
 def sorted_ranking(profile, include_self):

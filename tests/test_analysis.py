@@ -202,7 +202,7 @@ class TestPlateauxReport:
             initial = sym.basis.index_of_word("R" * n)
             ranked = rank_order(time_averaged_profile(spec, initial, 21.0), include_self=False)
             report = plateaux_report(ranked, sym.basis, sym.basis.words[initial])
-            assert report.is_exact(1e-9)
+            assert report.is_exact()
             assert report.max_spread() <= 1e-9
             for group in report.groups:
                 if group.distance > 0:
@@ -226,7 +226,7 @@ class TestPlateauxReport:
         initial = sym.basis.index_of_word("RRY")
         ranked = rank_order(infinite_time_average(spec, initial), include_self=False)
         report = plateaux_report(ranked, sym.basis, "RRY")
-        assert not report.is_exact(1e-9)
+        assert not report.is_exact()
         assert report.max_spread() > 1e-3
         assert not report.consistent
 

@@ -372,6 +372,33 @@ class TestFitCommand:
         )
         assert not (tmp_path / "fits").exists()
 
+    @pytest.mark.parametrize("row, field, text, message", [
+        (2, 0, "2.5", "ranked row 2 must have rank 2 (ranks run 1..n)"),
+        (3, 3, "abc", "ranked row 3 has a value that is not a number"),
+        (1, 1, "0", "ranked row 1 must have an integer index in 1..16384"),
+        (4, 1, "-4", "ranked row 4 must have an integer index in 1..16384"),
+        (4, 1, "x", "ranked row 4 must have an integer index in 1..16384"),
+        (6, 1, "99999999999999999999", "ranked row 6 must have an integer index in 1..16384"),
+        (5, 1, "2", "ranked row 5 repeats index 2 of row 2"),
+        (7, 2, "W,X", "ranked row 7 is not rank,index,word,value"),
+    ], ids=[
+        "fractional-rank", "value-not-number", "index-zero", "index-negative",
+        "index-not-number", "index-too-large", "index-duplicated", "extra-field",
+    ])
+    def test_bad_row_is_usage_error_naming_the_row(self, tmp_path, row, field, text, message):
+        values = 0.5 * np.arange(1, 9, dtype=float) ** -1.2
+        self.write_ranked(tmp_path / "r.csv", values)
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        parts = lines[row].split(",")
+        parts[field] = text
+        lines[row] = ",".join(parts)
+        (tmp_path / "r.csv").write_text("\n".join(lines) + "\n")
+        proc = run_in_child(["fit", "--input", "r.csv", "--refine", "--out", "fits"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}: {lines[row]!r}\n"
+        assert not (tmp_path / "fits").exists()
+
     def test_overflowing_fit_is_exit_4(self, tmp_path):
         # the log-space fit is exact, but its linear-space residuals overflow
         self.write_ranked(tmp_path / "huge.csv", 1e300 * 0.5 ** np.arange(8))

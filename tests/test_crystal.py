@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from crystalchain import (
@@ -198,6 +199,15 @@ class TestEnumerateBasis:
             enumerate_basis(1)
         with pytest.raises(ValueError):
             enumerate_basis(15)
+
+    def test_bits_are_the_words_bits_read_only(self):
+        for n in range(2, 13):
+            basis = enumerate_basis(n)
+            assert basis.bits.dtype == np.int64
+            assert basis.bits.tolist() == [w.bits for w in basis.words]
+            assert not basis.bits.flags.writeable
+            with pytest.raises(ValueError):
+                basis.bits[0] = 0
 
     def test_unknown_lookups_raise(self):
         basis = enumerate_basis(3)
