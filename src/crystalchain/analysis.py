@@ -109,6 +109,22 @@ def _rank_size(ranks: np.ndarray, a: float, k: float, b: float) -> np.ndarray:
     return a * ranks**k * b**ranks
 
 
+def _exp(value: float) -> float:
+    """math.exp with an overflow as inf instead of an exception."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def _check_parameters(model: str, fit_space: str, a: float, b: float) -> None:
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise FitError(
+            f"{model} fit in {fit_space} space puts a = {a!r}, b = {b!r} "
+            "outside the positive floats"
+        )
+
+
 def _fit_result(
     model: str,
     fit_space: str,
@@ -119,8 +135,10 @@ def _fit_result(
     excluded: int,
     diverged: bool = False,
 ) -> FitResult:
-    """Add the linear-space residual summary; a non-finite fit is a failure."""
+    """Add the linear-space residual summary; a non-finite fit, or an a or b
+    that is not a positive float, is a failure."""
     a, k, b = params
+    _check_parameters(model, fit_space, a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         sse_linear = float(((values - _rank_size(ranks, a, k, b)) ** 2).sum())
         sstot = float(((values - values.mean()) ** 2).sum())
@@ -170,7 +188,7 @@ def fit_log_linear(ranked: RankedDistribution, model: str = "yule") -> FitResult
     log_a, k = float(coef[0]), float(coef[1])
     log_b = float(coef[2]) if model == "yule" else 0.0
     sse_log = float(((y - design @ coef) ** 2).sum())
-    params = (math.exp(log_a), k, math.exp(log_b))
+    params = (_exp(log_a), k, _exp(log_b))
     return _fit_result(model, "log", params, sse_log, ranks, values, excluded)
 
 
@@ -183,7 +201,9 @@ def fit_refine(ranked: RankedDistribution, initial: FitResult) -> FitResult:
     Parameters move in (log a, k, log b) so a and b stay positive; steps
     are accepted only when they lower the linear-space sse, hence the
     result is never worse than the seed.  A refinement that cannot take a
-    single step returns the seed flagged as diverged.
+    single step returns the seed flagged as diverged.  The prediction of an
+    accepted candidate seeds the next Jacobian; a candidate whose a or b
+    overflows predicts inf and is rejected.
     """
     yule = initial.model == "yule"
     ranks, values, excluded = _positive_points(ranked)
@@ -191,36 +211,35 @@ def fit_refine(ranked: RankedDistribution, initial: FitResult) -> FitResult:
         raise UnderdeterminedFitError("too few positive points to refine")
 
     def unpack(theta: np.ndarray) -> tuple[float, float, float]:
-        a = math.exp(theta[0])
+        a = _exp(theta[0])
         k = float(theta[1])
-        b = math.exp(theta[2]) if yule else 1.0
+        b = _exp(theta[2]) if yule else 1.0
         return a, k, b
 
-    def sse_of(theta: np.ndarray) -> float:
-        a, k, b = unpack(theta)
-        return float(((values - _rank_size(ranks, a, k, b)) ** 2).sum())
+    def predict(theta: np.ndarray) -> np.ndarray:
+        return _rank_size(ranks, *unpack(theta))
 
     theta = np.array(
         [math.log(initial.a), initial.k] + ([math.log(initial.b)] if yule else [])
     )
-    current_sse = sse_of(theta)
+    predicted = predict(theta)
+    residual = values - predicted
+    current_sse = float((residual**2).sum())
     damping = 1e-3
     accepted_any = False
     log_ranks = np.log(ranks)
     for _ in range(_MAX_REFINE_STEPS):
-        a, k, b = unpack(theta)
-        predicted = _rank_size(ranks, a, k, b)
-        residual = values - predicted
         columns = [predicted, predicted * log_ranks]
         if yule:
             columns.append(predicted * ranks)
         jac = np.column_stack(columns)
         gram = jac.T @ jac
         grad = jac.T @ residual
+        scaling = np.diag(np.diag(gram))
         step = None
         while damping < 1e15:
             try:
-                delta = np.linalg.solve(gram + damping * np.diag(np.diag(gram)), grad)
+                delta = np.linalg.solve(gram + damping * scaling, grad)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
@@ -228,10 +247,12 @@ def fit_refine(ranked: RankedDistribution, initial: FitResult) -> FitResult:
                 damping *= 10.0
                 continue
             candidate = theta + delta
-            candidate_sse = sse_of(candidate)
+            candidate_predicted = predict(candidate)
+            candidate_residual = values - candidate_predicted
+            candidate_sse = float((candidate_residual**2).sum())
             if math.isfinite(candidate_sse) and candidate_sse <= current_sse:
                 step = delta
-                theta = candidate
+                theta, predicted, residual = candidate, candidate_predicted, candidate_residual
                 current_sse = candidate_sse
                 damping = max(damping / 3.0, 1e-12)
                 accepted_any = True
@@ -243,6 +264,7 @@ def fit_refine(ranked: RankedDistribution, initial: FitResult) -> FitResult:
             break
     diverged = not accepted_any  # theta is untouched when no step was accepted
     a, k, b = unpack(theta)
+    _check_parameters(initial.model, "linear", a, b)
     y = np.log(values)
     model_log = math.log(a) + k * log_ranks + (math.log(b) * ranks if yule else 0.0)
     sse_log = float(((y - model_log) ** 2).sum())

@@ -39,6 +39,7 @@ from .analysis import (
 )
 from .crystal import MAX_CHAIN_LENGTH, SpinWord, enumerate_basis
 from .dynamics import (
+    PhaseOverflowError,
     TransitionProfile,
     dense_peak_bytes,
     eigendecompose,
@@ -263,8 +264,11 @@ def _plot_text(ranked: RankedDistribution) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -466,7 +470,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         row: dict = {"point": idx, "status": "ok", **point_config.couplings.as_dict()}
         try:
             result = run(point_config, sym, fit=True)
-        except RuntimeError:  # StableHorizonError or a failed numeric check
+        except (RuntimeError, PhaseOverflowError):
+            # StableHorizonError, a failed numeric check, or a horizon whose
+            # phases overflow on this point's spectrum
             row["status"] = "dynamics_error"
         except FitError:
             row["status"] = "fit_error"

@@ -45,6 +45,10 @@ class StableHorizonError(RuntimeError):
     """Stable-horizon search exceeded its cap (nearly degenerate spectrum)."""
 
 
+class PhaseOverflowError(ValueError):
+    """A horizon or time whose phases e*T overflow the float range."""
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Ascending eigenvalues and orthonormal eigenvectors (as columns)."""
@@ -197,7 +201,10 @@ def transition_probability(
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     c = spec.eigenvectors[final] * spec.eigenvectors[initial]
-    phase = spec.eigenvalues * t
+    with np.errstate(over="ignore"):
+        phase = spec.eigenvalues * t
+    if not np.isfinite(phase).all():
+        raise PhaseOverflowError(f"time {t!r} overflows the phases e*t of this spectrum")
     re = float(c @ np.cos(phase))
     im = float(c @ np.sin(phase))
     return re * re + im * im
@@ -282,6 +289,9 @@ def time_averaged_profile(
     v = spec.eigenvectors
     w = v[initial]
     shifted, radius = _shifted(spec.eigenvalues)
+    # rounding is monotone, so no phase overflows when the largest does not
+    if not math.isfinite(radius * horizon):
+        raise PhaseOverflowError(f"horizon {horizon!r} overflows the phases e*T of this spectrum")
     phase = shifted * horizon
     wc = w * np.cos(phase)
     ws = w * np.sin(phase)

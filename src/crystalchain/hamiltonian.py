@@ -8,8 +8,17 @@ surviving chain couples one (final, initial) pair of states through one
 coupling constant, and no two chains couple the same pair, so the
 Hamiltonian structure is one exact, parameter-free list of pairs, each
 tagged with the term family that made it, until `evaluate` substitutes
-numbers.  The builders apply each chain to every basis state at once with
-numpy; the scalar `apply_*` operators define the same moves on one state.
+numbers.  The scalar `apply_*` operators define the moves on one state.
+
+The builder decides every chain for all basis states at once from
+features computed once per build: the label rows, the walk keys, the N-1
+step bits of the prefix-spin walk 1, 2J^2, ..., 2J^N, and the minimum of
+each label range some chain lowers.  A chain shifts fixed label rows, so
+whether a state survives it is the AND of a few boolean tests of the
+initial state (the step bits at each op's block edges, a floor under each
+lowered block, and |2J3| <= 2J^N after an op on 2J3 or 2J^N), and every
+survivor's walk key moves by one constant: the final row is a table
+lookup at key + shift.
 
 The baseline builder instead couples words at Hamming distance one with a
 single coupling.
@@ -342,30 +351,6 @@ def _label_array(basis: BasisMap) -> np.ndarray:
     return np.array(rows, dtype=np.int16).T.copy()
 
 
-def _moved_admissible(labels: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Which columns are admissible (`labels_valid`) after rows lo:hi of
-    an array of admissible columns were shifted by +-2.
-
-    A +-2 shift keeps every parity and every unit step inside the block,
-    so only what the block touches is tested: its two edge steps (the
-    2J^2 in {0, 2} rule when it starts at row 1), the sign of the moved
-    2J^l rows, and |2J3| <= 2J^N when row 0 or the top row moved.
-    """
-    n = labels.shape[0]
-    if lo == 0:  # J+ or J-: only 2J3 moved
-        return np.abs(labels[0]) <= labels[n - 1]
-    keep = (labels[lo:hi] >= 0).all(axis=0)
-    if lo == 1:
-        keep &= (labels[1] == 0) | (labels[1] == 2)
-    else:
-        keep &= np.abs(labels[lo] - labels[lo - 1]) == 1
-    if hi < n:
-        keep &= np.abs(labels[hi] - labels[hi - 1]) == 1
-    else:
-        keep &= np.abs(labels[0]) <= labels[n - 1]
-    return keep
-
-
 def _walk_keys(labels: np.ndarray) -> np.ndarray:
     """Distinct key of each admissible column, below 2^(N-1) * (N+1).
 
@@ -378,33 +363,138 @@ def _walk_keys(labels: np.ndarray) -> np.ndarray:
     return bits * (n + 1) + (labels[0] + n) // 2
 
 
-def _row_table(labels: np.ndarray) -> np.ndarray:
-    """Basis index of every walk key; -1 marks keys of no basis state."""
-    n, dim = labels.shape
-    table = np.full((1 << (n - 1)) * (n + 1), -1, dtype=np.int64)
-    table[_walk_keys(labels)] = np.arange(dim)
-    return table
+# One survivor test of a chain, on the initial state: ("steps", mask, rising)
+# keeps the states whose walk step bits under `mask` equal `rising`,
+# ("spin", a, b) those with |2J3 + a| <= 2J^N + b, and ("floor", lo, hi, m)
+# those whose rows lo:hi are all at least m.
+_Test = tuple
 
 
-def _apply_chain(
-    labels: np.ndarray, row_table: np.ndarray, ops: tuple[_Op, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+class _Chain(NamedTuple):
+    """What one chain does to every state it does not annihilate."""
+
+    tests: tuple[_Test, ...]
+    shift: int  # added to the walk key
+    moved: tuple[int, ...]  # added to each label row
+
+
+def _plan_chain(n: int, ops: tuple[_Op, ...]) -> Optional[_Chain]:
+    """The survivor tests and key shift of a chain; None if it annihilates every state.
+
+    A +-2 shift keeps every parity and every unit step inside its block, so
+    after each op only what the block touches needs a test, and each test
+    reads the initial state through c, the chain's cumulative row shift
+    after the op:
+      - a block edge is walk step lo-1 below (step 0 starts from the fixed
+        1, not from row 0) and step hi-1 above when hi < N; a step whose c
+        changes by +2 across it must fall in the initial state, by -2 must
+        rise, and by 4 or more nothing survives;
+      - a block shifted by c < 0 keeps the states whose rows lo:hi are at
+        least -c;
+      - an op on row 0 or on the top row keeps |2J3 + c_0| <= 2J^N + c_top.
+    Every op flips the step bits at its edges in its own direction, and J+-
+    moves 2J3 by delta, so every survivor's walk key moves by the same shift.
+    A block whose rows do not share one c has no single floor and raises
+    AssertionError; no chain of `_model_terms` has one.
+    """
+    moved = [0] * n
+    rising: dict[int, bool] = {}  # step -> whether it must rise initially
+    tests: dict[_Test, None] = {}
+    shift, dead = 0, False
+    for lo, hi, delta in ops:
+        for row in range(lo, hi):
+            moved[row] += delta
+        if lo > 0:
+            block = set(moved[lo:hi])
+            if len(block) != 1:
+                raise AssertionError(f"chain {ops} shifts the rows {lo}:{hi} unevenly")
+            edges = [(lo - 1, moved[lo] - (moved[lo - 1] if lo > 1 else 0))]
+            if hi < n:
+                edges.append((hi - 1, moved[hi] - moved[hi - 1]))
+            for step, change in edges:
+                if change:
+                    must_rise = change < 0
+                    dead |= abs(change) > 2 or rising.setdefault(step, must_rise) != must_rise
+            (floor,) = block
+            if floor < 0:
+                tests[("floor", lo, hi, -floor)] = None
+            upper = 1 << (hi - 1) if hi < n else 0
+            shift += (n + 1) * (delta // 2) * ((1 << (lo - 1)) - upper)
+        else:
+            shift += delta // 2
+        if (lo == 0 or hi == n) and moved[-1] < abs(moved[0]):
+            tests[("spin", moved[0], moved[-1])] = None
+    if dead:
+        return None
+    if rising:
+        mask = sum(1 << step for step in rising)
+        tests[("steps", mask, sum(1 << step for step, up in rising.items() if up))] = None
+    return _Chain(tuple(tests), shift, tuple(moved))
+
+
+class _Walks:
+    """Per-state features of the basis, computed once per build.
+
+    `labels` is the label array, `keys` the walk keys, `bits` the walk's
+    N-1 step bits (1 where it rises) and `row_table` the basis index of
+    every walk key (-1 for keys of no basis state).  The spin tests and
+    the range floors, which many chains share, are evaluated once.
+    """
+
+    def __init__(self, labels: np.ndarray):
+        n, dim = labels.shape
+        self.n, self.labels = n, labels
+        self.keys = _walk_keys(labels)
+        self.bits = self.keys // (n + 1)
+        self.row_table = np.full((1 << (n - 1)) * (n + 1), -1, dtype=np.int64)
+        self.row_table[self.keys] = np.arange(dim)
+        self._shared: dict[_Test, np.ndarray] = {}
+
+    def _test(self, test: _Test) -> np.ndarray:
+        kind, *args = test
+        if kind == "steps":  # nearly every chain tests its own edges: not kept
+            mask, rising = args
+            return (self.bits & mask) == rising
+        keep = self._shared.get(test)
+        if keep is None:
+            if kind == "spin":
+                a, b = args
+                keep = np.abs(self.labels[0] + a) <= self.labels[-1] + b
+            else:
+                lo, hi, least = args
+                keep = self.labels[lo:hi].min(axis=0) >= least
+            self._shared[test] = keep
+        return keep
+
+    def apply(self, chain: _Chain) -> tuple[np.ndarray, np.ndarray]:
+        """(final row, initial col) of every state `chain` does not annihilate."""
+        keep = None
+        for test in chain.tests:
+            keep = self._test(test) if keep is None else keep & self._test(test)
+        cols = np.arange(self.labels.shape[1]) if keep is None else keep.nonzero()[0]
+        keys = self.keys[cols] + chain.shift
+        # numpy would wrap a negative key; viewed unsigned it lies past the table
+        inside = keys.view(np.uint64).max(initial=0) < len(self.row_table)
+        rows = self.row_table[keys] if inside else None
+        if rows is None or rows.min(initial=0) < 0:
+            missing = (keys < 0) | (keys >= len(self.row_table))
+            missing[~missing] = self.row_table[keys[~missing]] < 0
+            state = self.labels[:, cols[np.argmax(missing)]] + np.array(chain.moved)
+            raise ValueError(f"labels not in basis: {state.tolist()}")
+        return rows, cols
+
+
+def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(final row, initial col) of every state the chain does not annihilate.
 
-    Ops act in order on all states at once; after each one the states
-    whose labels turned inadmissible are dropped, as the scalar operators
-    return None for them.  `labels` must be admissible.
+    Ops act in order, and a state is dropped once an intermediate result is
+    inadmissible, as the scalar operators return None for it.
     """
-    state, cols = labels, np.arange(labels.shape[1])
-    for lo, hi, delta in ops:
-        state = state.copy()
-        state[lo:hi] += delta
-        keep = _moved_admissible(state, lo, hi)
-        state, cols = state[:, keep], cols[keep]
-    rows = row_table[_walk_keys(state)]
-    if (rows < 0).any():
-        raise ValueError(f"labels not in basis: {state[:, np.argmax(rows < 0)].tolist()}")
-    return rows, cols
+    chain = _plan_chain(walks.n, ops)
+    if chain is None:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return walks.apply(chain)
 
 
 def _assemble(
@@ -452,10 +542,9 @@ def build_model(n: int) -> SymbolicHamiltonian:
     symmetric by construction (verified).
     """
     basis = enumerate_basis(n)
-    labels = _label_array(basis)
-    row_table = _row_table(labels)
-    chains = [((f, s), *_apply_chain(labels, row_table, ops)) for f, s, ops in _model_terms(n)]
-    return _assemble(n, basis, labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
+    walks = _Walks(_label_array(basis))
+    chains = [((f, s), *_apply_chain(walks, ops)) for f, s, ops in _model_terms(n)]
+    return _assemble(n, basis, walks.labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
 
 
 def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:

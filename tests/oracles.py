@@ -1,15 +1,19 @@
 """Independent oracles: numerical ones that deliberately avoid the
 closed-form paths they are used to check, per-state scalar builders of the
 Hamiltonian structure that the vectorized builders are checked against, the
-whole-array admissibility test that the builders' block-edge test must
-match, the plain loops that the screened horizon search and the vectorized
-plateaux grouping must reproduce exactly, the (-value, index) Python sort
-that the argsort ranking must reproduce byte for byte, the
-one-horizon-at-a-time return probability that bounds the batched ladder
-screens, the whole-matrix eigendecomposition checks that the blocked ones
-must match bit for bit, and the direct sin(x)/x kernel that the
-sine-addition probe is bounded against."""
+op-by-op walk of a ladder chain over copied label arrays that the builder's
+per-state walk features must reproduce, with the whole-array admissibility
+test that the walk's block-edge test must match, the plain loops that the
+screened horizon search and the vectorized plateaux grouping must reproduce
+exactly, the (-value, index) Python sort that the argsort ranking must
+reproduce byte for byte, the one-horizon-at-a-time return probability that
+bounds the batched ladder screens, the whole-matrix eigendecomposition
+checks that the blocked ones must match bit for bit, the direct sin(x)/x
+kernel that the sine-addition probe is bounded against, and the refinement
+loop that recomputes every prediction, which `fit_refine` must match bit
+for bit."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -30,6 +34,15 @@ from crystalchain import (
     hamming_distance,
     time_averaged_profile,
 )
+from crystalchain.analysis import (
+    _MAX_REFINE_STEPS,
+    _STEP_TOL,
+    UnderdeterminedFitError,
+    _fit_result,
+    _min_points,
+    _positive_points,
+    _rank_size,
+)
 from crystalchain.dynamics import (
     _KERNEL_BLOCK,
     DEFAULT_DECOMP_TOL,
@@ -37,6 +50,7 @@ from crystalchain.dynamics import (
     _as_profile,
     _sinc,
 )
+from crystalchain.hamiltonian import _walk_keys
 
 
 def expm_unitary(h, t, terms=30):
@@ -107,6 +121,49 @@ def admissible_columns(labels):
         & (np.abs(two_j3) <= top)
         & ((top - two_j3) % 2 == 0)
     )
+
+
+def moved_admissible(labels, lo, hi):
+    """Which columns are admissible (`labels_valid`) after rows lo:hi of
+    an array of admissible columns were shifted by +-2.
+
+    A +-2 shift keeps every parity and every unit step inside the block,
+    so only what the block touches is tested: its two edge steps (the
+    2J^2 in {0, 2} rule when it starts at row 1), the sign of the moved
+    2J^l rows, and |2J3| <= 2J^N when row 0 or the top row moved.
+    """
+    n = labels.shape[0]
+    if lo == 0:  # J+ or J-: only 2J3 moved
+        return np.abs(labels[0]) <= labels[n - 1]
+    keep = (labels[lo:hi] >= 0).all(axis=0)
+    if lo == 1:
+        keep &= (labels[1] == 0) | (labels[1] == 2)
+    else:
+        keep &= np.abs(labels[lo] - labels[lo - 1]) == 1
+    if hi < n:
+        keep &= np.abs(labels[hi] - labels[hi - 1]) == 1
+    else:
+        keep &= np.abs(labels[0]) <= labels[n - 1]
+    return keep
+
+
+def walk_chain(labels, row_table, ops):
+    """(final row, initial col) of every state the chain does not annihilate.
+
+    Ops act in order on all states at once; after each one the states
+    whose labels turned inadmissible are dropped, as the scalar operators
+    return None for them.  `labels` must be admissible.
+    """
+    state, cols = labels, np.arange(labels.shape[1])
+    for lo, hi, delta in ops:
+        state = state.copy()
+        state[lo:hi] += delta
+        keep = moved_admissible(state, lo, hi)
+        state, cols = state[:, keep], cols[keep]
+    rows = row_table[_walk_keys(state)]
+    if (rows < 0).any():
+        raise ValueError(f"labels not in basis: {state[:, np.argmax(rows < 0)].tolist()}")
+    return rows, cols
 
 
 def _scalar_a(i):
@@ -348,3 +405,83 @@ def loop_plateaux_report(ranked, basis, initial_word):
         min(hi.values) >= max(lo.values) for hi, lo in zip(ordered, ordered[1:])
     )
     return PlateauxReport(tuple(groups), consistent)
+
+
+# a trial step, or the Gram matrix of a seed near the float range, may
+# overflow; the inf or NaN steps and sse values are rejected in the loop
+@np.errstate(over="ignore", invalid="ignore")
+def reference_fit_refine(ranked, initial):
+    """`fit_refine` as a loop that recomputes the prediction at every
+    accepted point and rebuilds the damping diagonal at every try.
+
+    Damped least squares on linear-space residuals, seeded by `initial`.
+
+    Parameters move in (log a, k, log b) so a and b stay positive; steps
+    are accepted only when they lower the linear-space sse, hence the
+    result is never worse than the seed.  A refinement that cannot take a
+    single step returns the seed flagged as diverged.
+    """
+    yule = initial.model == "yule"
+    ranks, values, excluded = _positive_points(ranked)
+    if len(ranks) < _min_points(initial.model):
+        raise UnderdeterminedFitError("too few positive points to refine")
+
+    def unpack(theta: np.ndarray) -> tuple[float, float, float]:
+        a = math.exp(theta[0])
+        k = float(theta[1])
+        b = math.exp(theta[2]) if yule else 1.0
+        return a, k, b
+
+    def sse_of(theta: np.ndarray) -> float:
+        a, k, b = unpack(theta)
+        return float(((values - _rank_size(ranks, a, k, b)) ** 2).sum())
+
+    theta = np.array(
+        [math.log(initial.a), initial.k] + ([math.log(initial.b)] if yule else [])
+    )
+    current_sse = sse_of(theta)
+    damping = 1e-3
+    accepted_any = False
+    log_ranks = np.log(ranks)
+    for _ in range(_MAX_REFINE_STEPS):
+        a, k, b = unpack(theta)
+        predicted = _rank_size(ranks, a, k, b)
+        residual = values - predicted
+        columns = [predicted, predicted * log_ranks]
+        if yule:
+            columns.append(predicted * ranks)
+        jac = np.column_stack(columns)
+        gram = jac.T @ jac
+        grad = jac.T @ residual
+        step = None
+        while damping < 1e15:
+            try:
+                delta = np.linalg.solve(gram + damping * np.diag(np.diag(gram)), grad)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            if not np.isfinite(delta).all():
+                damping *= 10.0
+                continue
+            candidate = theta + delta
+            candidate_sse = sse_of(candidate)
+            if math.isfinite(candidate_sse) and candidate_sse <= current_sse:
+                step = delta
+                theta = candidate
+                current_sse = candidate_sse
+                damping = max(damping / 3.0, 1e-12)
+                accepted_any = True
+                break
+            damping *= 10.0
+        if step is None:
+            break
+        if float(np.abs(step).max()) <= _STEP_TOL:
+            break
+    diverged = not accepted_any  # theta is untouched when no step was accepted
+    a, k, b = unpack(theta)
+    y = np.log(values)
+    model_log = math.log(a) + k * log_ranks + (math.log(b) * ranks if yule else 0.0)
+    sse_log = float(((y - model_log) ** 2).sum())
+    return _fit_result(
+        initial.model, "linear", (a, k, b), sse_log, ranks, values, excluded, diverged
+    )

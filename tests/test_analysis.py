@@ -23,8 +23,13 @@ from crystalchain import (
     ranked_from_values,
     time_averaged_profile,
 )
-from crystalchain.cli import FIGURE_PRESETS
-from oracles import loop_plateaux_report, site_product_average, sorted_ranking
+from crystalchain.cli import FIGURE_PRESETS, run
+from oracles import (
+    loop_plateaux_report,
+    reference_fit_refine,
+    site_product_average,
+    sorted_ranking,
+)
 
 
 def yule_values(a, k, b, count):
@@ -192,6 +197,32 @@ class TestFitRefine:
         assert math.isfinite(refined.a) and math.isfinite(refined.k) and math.isfinite(refined.b)
         assert refined.a > 0 and refined.b > 0
         assert refined.sse_linear <= seed.sse_linear
+
+    @staticmethod
+    def assert_matches_reference_loop(ranked):
+        for model in ("yule", "zipf"):
+            seed = fit_log_linear(ranked, model)
+            got, want = fit_refine(ranked, seed), reference_fit_refine(ranked, seed)
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.diverged == want.diverged
+
+    @pytest.mark.parametrize("figure", sorted(FIGURE_PRESETS))
+    def test_figures_match_reference_loop(self, figure):
+        self.assert_matches_reference_loop(run(FIGURE_PRESETS[figure]).ranked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.floats(0.05, 20.0),
+        k=st.floats(-3.0, 1.0),
+        b=st.floats(0.3, 1.2),
+        count=st.integers(5, 40),
+        noise=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noisy_yule_matches_reference_loop(self, a, k, b, count, noise, seed):
+        rng = np.random.default_rng(seed)
+        values = yule_values(a, k, b, count) * (1 + rng.normal(0, noise, count))
+        self.assert_matches_reference_loop(ranked_from_values(np.abs(values)))
 
 
 class TestPlateauxReport:

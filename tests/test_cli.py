@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,7 +183,7 @@ class TestProfileCommand:
         assert main(["profile", "--n", "3", "--initial", "RRY", "--horizon", "soon",
                      "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("horizon", ["inf", "1e400", "1e-308"])
+    @pytest.mark.parametrize("horizon", ["inf", "1e400", "1e-308", "1e308"])
     def test_non_finite_horizon_is_usage_error(self, tmp_path, horizon):
         proc = run_in_child(
             ["profile", "--n", "3", "--initial", "RRY", "--eps", "0.1",
@@ -190,10 +191,14 @@ class TestProfileCommand:
             tmp_path,
         )
         assert proc.returncode == 2
-        assert proc.stderr == (
-            "error: explicit horizon must be positive and finite, with 2/horizon finite, "
-            f"got {float(horizon)!r}\n"
-        )
+        if horizon == "1e308":  # finite, but e*T is not
+            message = "horizon 1e+308 overflows the phases e*T of this spectrum"
+        else:
+            message = (
+                "explicit horizon must be positive and finite, with 2/horizon finite, "
+                f"got {float(horizon)!r}"
+            )
+        assert proc.stderr == f"error: {message}\n"
         assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -307,6 +312,23 @@ class TestMemoryPreflight:
         assert "physical memory" in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ["profile", "--n", "3", "--initial", "RRY", "--horizon", "10"],
+        ["sweep", "--n", "3", "--initial", "RRY", "--horizon", "10", "--param", "gamma=0.3,0.5"],
+    ], ids=["profile", "sweep"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["is-file", "under-file"])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, command, out):
+        (tmp_path / "taken").write_text("keep me\n")
+        proc = run_in_child([*command, "--out", out], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot write taken/")
+        assert proc.stderr.count("\n") == 1
+        assert (tmp_path / "taken").read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 class TestFitCommand:
     @staticmethod
     def write_ranked(path, values, ranks=None):
@@ -408,6 +430,20 @@ class TestFitCommand:
         assert proc.stderr.startswith("error: yule fit in log space is not finite")
         assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
         assert not (tmp_path / "fits").exists()
+
+    @pytest.mark.parametrize("logs", [
+        [600, 400, 200, 0, -200], [-700, -600, -500, -400, -300],
+    ], ids=["a-overflows", "a-underflows"])
+    @pytest.mark.parametrize("refine", [[], ["--refine"]], ids=["log", "refined"])
+    def test_parameter_outside_float_range_is_exit_4(self, tmp_path, logs, refine):
+        # exact Yule data whose fitted a is e^800 or e^-800
+        self.write_ranked(tmp_path / "r.csv", [math.exp(v) for v in logs])
+        proc = run_in_child(["fit", "--input", "r.csv", *refine], tmp_path)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: yule fit in log space puts a = ")
+        assert proc.stderr.endswith("outside the positive floats\n")
+        assert proc.stderr.count("\n") == 1
 
     def test_refine_near_float_range_prints_no_warnings(self, tmp_path):
         # the residuals stay finite, but the refinement's Gram matrix overflows
@@ -572,6 +608,19 @@ class TestSweepCommand:
         assert read_csv_column(out / "summary.csv", "status") == ["ok", "dynamics_error", "ok"]
         assert not (out / "point_001").exists()
         assert (out / "point_002" / "ranked.csv").exists()
+
+    def test_phase_overflow_marks_only_its_point(self, tmp_path):
+        # e*T is finite at delta = 0.3 but overflows at delta = 1000
+        proc = run_in_child(
+            ["sweep", "--n", "3", "--initial", "RRY", "--eps", "0.1", "--horizon", "1e306",
+             "--param", "delta=0.3,1000", "--out", "sweep"],
+            tmp_path,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        summary = tmp_path / "sweep" / "summary.csv"
+        assert read_csv_column(summary, "status") == ["ok", "dynamics_error"]
+        assert not (tmp_path / "sweep" / "point_001").exists()
 
     def test_all_points_failing_dynamics_is_exit_3(self, tmp_path, capsys, monkeypatch):
         import crystalchain.cli as cli_module

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,11 +344,14 @@ class TestTransitionProbability:
         with pytest.raises(ValueError):
             transition_probability(spec, 0, 1, -1.0)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 1e308])
     def test_rejects_non_finite_time(self, t):
         _, spec = fig2_spec()
-        with pytest.raises(ValueError, match="finite"):
-            transition_probability(spec, 0, 1, t)
+        message = "overflows the phases" if t == 1e308 else "finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                transition_probability(spec, 0, 1, t)
 
 
 class TestTimeAveragedProfile:
@@ -421,11 +425,14 @@ class TestTimeAveragedProfile:
         with pytest.raises(ValueError):
             time_averaged_profile(spec, 0, 0.0)
 
-    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 1e-308])
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 1e-308, 1e308])
     def test_rejects_non_finite_horizon(self, horizon):
         _, spec = fig2_spec()
-        with pytest.raises(ValueError, match="positive and finite"):
-            time_averaged_profile(spec, 0, horizon)
+        message = "overflows the phases" if horizon == 1e308 else "positive and finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                time_averaged_profile(spec, 0, horizon)
 
     HORIZONS = (1e-3, 0.7, 10.0, 320.0, 5120.0, 81920.0, 1e6, 1e8)
 

@@ -27,11 +27,16 @@ from crystalchain import (
 from crystalchain import hamiltonian
 from crystalchain.hamiltonian import (
     _J_MINUS,
+    _J_PLUS,
+    _MODEL_FAMILIES,
+    _Chain,
+    _Walks,
+    _a,
+    _a_ik,
     _apply_chain,
+    _assemble,
     _label_array,
     _model_terms,
-    _moved_admissible,
-    _row_table,
 )
 from golden import (
     THREE_SITE_DELTA_PAIRS,
@@ -43,7 +48,14 @@ from golden import (
     TWO_SITE_EPS_PAIRS,
     pairs_matrix,
 )
-from oracles import admissible_columns, dense_evaluate, scalar_hamming_build, scalar_model_build
+from oracles import (
+    admissible_columns,
+    dense_evaluate,
+    moved_admissible,
+    scalar_hamming_build,
+    scalar_model_build,
+    walk_chain,
+)
 
 S = CouplingSymbol
 
@@ -160,14 +172,13 @@ class TestModelStructure:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_forward_half_transposes_to_adjoint_half(self, n):
-        labels = _label_array(enumerate_basis(n))
-        row_table = _row_table(labels)
-        dim = labels.shape[1]
+        walks = _Walks(_label_array(enumerate_basis(n)))
+        dim = walks.labels.shape[1]
         forward = np.zeros((dim, dim), dtype=np.int64)
         adjoint = np.zeros((dim, dim), dtype=np.int64)
         for _, _, ops in _model_terms(n):
             lowering = _J_MINUS in ops
-            rows, cols = _apply_chain(labels, row_table, ops)
+            rows, cols = _apply_chain(walks, ops)
             target = forward if lowering else adjoint
             np.add.at(target, (rows, cols), 1)
         assert (forward == adjoint.T).all()
@@ -259,7 +270,7 @@ class TestScalarOracle:
             lo, hi, delta = op
             state = state.copy()
             state[lo:hi] += delta
-            keep = _moved_admissible(state, lo, hi)
+            keep = moved_admissible(state, lo, hi)
             assert (keep == admissible_columns(state)).all(), op
             return state[:, keep]
 
@@ -271,6 +282,86 @@ class TestScalarOracle:
             state = labels
             for op in ops:
                 state = shifted(state, op)
+
+
+def reference_walk(n):
+    """(walk features, label array, row table) of the n-site basis, the
+    table built from the walk keys independently of `_Walks`."""
+    labels = _label_array(enumerate_basis(n))
+    walks = _Walks(labels)
+    table = np.full(len(walks.row_table), -1, dtype=np.int64)
+    table[hamiltonian._walk_keys(labels)] = np.arange(labels.shape[1])
+    return walks, labels, table
+
+
+def uneven_block(n, ops):
+    """Whether some op of the chain leaves the rows of its block with
+    different cumulative shifts."""
+    moved = np.zeros(n, dtype=np.int64)
+    for lo, hi, delta in ops:
+        moved[lo:hi] += delta
+        if lo > 0 and len(set(moved[lo:hi].tolist())) > 1:
+            return True
+    return False
+
+
+@st.composite
+def chains(draw):
+    """(n, ops): 0-3 ops drawn from J+-, A_i and A_ik with delta = +-2."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    alphabet = [_J_PLUS, _J_MINUS]
+    alphabet += [_a(i, n, delta) for i in range(2, n + 1) for delta in (-2, 2)]
+    alphabet += [
+        _a_ik(i, k, delta) for i in range(2, n) for k in range(i + 1, n + 1) for delta in (-2, 2)
+    ]
+    return n, tuple(draw(st.lists(st.sampled_from(alphabet), max_size=3)))
+
+
+_WALKS = {n: reference_walk(n) for n in range(2, 10)}
+
+
+class TestWalkFeatures:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_builder_equals_reference_walk(self, n):
+        walks, labels, table = reference_walk(n)
+        basis = enumerate_basis(n)
+        reference = []
+        for family, symbol, ops in _model_terms(n):
+            rows, cols = _apply_chain(walks, ops)
+            want_rows, want_cols = walk_chain(labels, table, ops)
+            assert rows.tobytes() == want_rows.tobytes(), ops
+            assert cols.tobytes() == want_cols.tobytes(), ops
+            reference.append(((family, symbol), want_rows, want_cols))
+        want = _assemble(n, basis, labels[0].astype(np.int64), _MODEL_FAMILIES, reference)
+        got = build_model(n)
+        for field in ("diag", "rows", "cols", "family"):
+            got_array, want_array = getattr(got, field), getattr(want, field)
+            assert got_array.dtype == want_array.dtype, field
+            assert got_array.tobytes() == want_array.tobytes(), field
+        assert got.families == want.families
+
+    @settings(max_examples=400, deadline=None)
+    @given(chain=chains())
+    def test_drawn_chain_equals_reference_walk(self, chain):
+        n, ops = chain
+        walks, labels, table = _WALKS[n]
+        if uneven_block(n, ops):
+            with pytest.raises(AssertionError, match="unevenly"):
+                _apply_chain(walks, ops)
+            return
+        rows, cols = _apply_chain(walks, ops)
+        want_rows, want_cols = walk_chain(labels, table, ops)
+        assert rows.tobytes() == want_rows.tobytes()
+        assert cols.tobytes() == want_cols.tobytes()
+
+    @pytest.mark.parametrize("shift", [-6, 1 << 20, 1])
+    def test_key_outside_basis_raises(self, shift):
+        # The three-site keys run 5..15.  Key 5 - 6 would wrap to the last
+        # entry, a basis state; 1 << 20 lies past the table; and key 10 + 1
+        # names no state.
+        walks = _WALKS[3][0]
+        with pytest.raises(ValueError, match="labels not in basis"):
+            walks.apply(_Chain((), shift, (0, 0, 0)))
 
 
 class TestHammingStructure:
