@@ -23,14 +23,12 @@ from .crystal import (
     MIN_CHAIN_LENGTH,
     BasisMap,
     CrystalLabels,
-    ReductionState,
     Spin,
     SpinWord,
     enumerate_basis,
     hamming_distance,
     labels_from_word,
     labels_valid,
-    reduce_word,
     validate_labels,
     word_from_labels,
 )
@@ -48,10 +46,7 @@ from .hamiltonian import (
     CouplingSymbol,
     CouplingValues,
     LadderResult,
-    MutationContext,
     SymbolicHamiltonian,
-    Triplets,
-    allowed_transitions,
     apply_a,
     apply_a_dagger,
     apply_a_ik,
@@ -60,8 +55,6 @@ from .hamiltonian import (
     apply_j_plus,
     build_hamming,
     build_model,
-    evaluate,
-    mutation_context,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

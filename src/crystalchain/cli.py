@@ -243,11 +243,13 @@ def run(config: RunConfig, sym: SymbolicHamiltonian | None = None, fit: bool = F
 
 
 def _profile_csv(sym: SymbolicHamiltonian, profile) -> str:
+    basis = sym.basis
+    columns = zip(
+        basis.words, basis.labels[0].tolist(), basis.labels[-1].tolist(), profile.p_avg.tolist()
+    )
     lines = ["index,word,two_j3,two_jN,p_avg"]
-    for idx, (word, labels) in enumerate(sym.basis):
-        lines.append(
-            f"{idx + 1},{word},{labels.two_j3},{labels.two_j_top},{float(profile.p_avg[idx])!r}"
-        )
+    for idx, (word, two_j3, two_j_top, p) in enumerate(columns, start=1):
+        lines.append(f"{idx},{word},{two_j3},{two_j_top},{p!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ MIN_CHAIN_LENGTH = 2
 MAX_CHAIN_LENGTH = 14
 
 _CANONICAL_SPIN = {"R": "R", "Y": "Y", "1": "R", "0": "Y", "+": "R", "-": "Y"}
+_BIT_LETTERS = str.maketrans("10", "RY")
 
 
 class Spin(Enum):
@@ -95,31 +97,6 @@ class SpinWord:
         return SpinWord(self.spins[: position - 1] + new + self.spins[position:])
 
 
-class ReductionState(NamedTuple):
-    """Stack content after a scan: `a` unmatched Y's, `b` unmatched R's."""
-
-    a: int
-    b: int
-
-    @property
-    def total(self) -> int:
-        """Doubled total spin of the scanned letters (= a + b)."""
-        return self.a + self.b
-
-
-def reduce_word(spins: str) -> ReductionState:
-    """Stack-reduce an R/Y string; each Y cancels one earlier unmatched R."""
-    a = b = 0
-    for ch in spins:
-        if ch == "R":
-            b += 1
-        elif b > 0:
-            b -= 1
-        else:
-            a += 1
-    return ReductionState(a, b)
-
-
 @dataclass(frozen=True)
 class CrystalLabels:
     """Doubled labels (2*J3; 2*J^2 .. 2*J^N) identifying one chain state.
@@ -140,10 +117,6 @@ class CrystalLabels:
     def two_j_top(self) -> int:
         """2*J^N, the doubled total spin of the full chain."""
         return self.two_j[-1]
-
-    def sort_key(self) -> tuple[int, ...]:
-        """Canonical ordering key: (2J^N, ..., 2J^2, 2J3) ascending."""
-        return tuple(reversed(self.two_j)) + (self.two_j3,)
 
     def with_two_j3(self, value: int) -> "CrystalLabels":
         return CrystalLabels(value, self.two_j)
@@ -249,67 +222,81 @@ def word_from_labels(labels: CrystalLabels) -> SpinWord:
 
 
 class BasisMap:
-    """Canonically ordered basis with label->index and word->index lookup.
+    """Canonically ordered basis as arrays, with word and label lookup.
 
-    `bits` holds each word's `SpinWord.bits` in basis order, as a read-only
-    int64 array.
+    `bits[i]` is state i's word as `SpinWord.bits`, and column i of the
+    int16 `labels` array its labels: row 0 is 2J3, row l-1 is 2J^l.
+    `index_by_bits` maps every word's bits to its basis index.  All three
+    are read-only.  Word and label objects are built on demand.
     """
 
-    def __init__(self, n: int, pairs: Sequence[tuple[SpinWord, CrystalLabels]]):
-        self.n = n
-        self.words: tuple[SpinWord, ...] = tuple(w for w, _ in pairs)
-        self.labels: tuple[CrystalLabels, ...] = tuple(l for _, l in pairs)
-        self.bits = np.array([w.bits for w in self.words], dtype=np.int64)
-        self.bits.flags.writeable = False
-        self._by_labels = {
-            (l.two_j3, l.two_j): idx for idx, l in enumerate(self.labels)
-        }
-        self._by_word = {w.spins: idx for idx, w in enumerate(self.words)}
-        if len(self._by_labels) != len(pairs) or len(self._by_word) != len(pairs):
-            raise ValueError("basis contains duplicate states")
+    def __init__(self, n: int, bits: np.ndarray, labels: np.ndarray):
+        self.n, self.bits, self.labels = n, bits, labels
+        self.index_by_bits = np.empty(1 << n, dtype=np.int64)
+        self.index_by_bits[bits] = np.arange(len(bits))
+        for array in (bits, labels, self.index_by_bits):
+            array.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return len(self.words)
+        return len(self.bits)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.bits)
+
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        """The R/Y string of every state, in basis order."""
+        return tuple(format(b, f"0{self.n}b").translate(_BIT_LETTERS) for b in self.bits.tolist())
 
     def __iter__(self) -> Iterator[tuple[SpinWord, CrystalLabels]]:
-        return iter(zip(self.words, self.labels))
+        return (self[index] for index in range(len(self)))
 
     def __getitem__(self, index: int) -> tuple[SpinWord, CrystalLabels]:
-        return self.words[index], self.labels[index]
+        two_j3, *two_j = self.labels[:, index].tolist()
+        return SpinWord(self.words[index]), CrystalLabels(two_j3, tuple(two_j))
 
     def index_of(self, labels: CrystalLabels) -> int:
         try:
-            return self._by_labels[(labels.two_j3, labels.two_j)]
-        except KeyError:
+            return self.index_of_word(word_from_labels(labels))
+        except ValueError:
             raise ValueError(f"labels not in basis: {labels}") from None
 
     def index_of_word(self, word: "SpinWord | str") -> int:
         word = _as_word(word)
-        try:
-            return self._by_word[word.spins]
-        except KeyError:
-            raise ValueError(f"word not in basis: {word}") from None
+        if len(word) != self.n:
+            raise ValueError(f"word not in basis: {word}")
+        return int(self.index_by_bits[word.bits])
 
 
 def enumerate_basis(n: int) -> BasisMap:
-    """All 2^n words, sorted ascending by (2J^N, ..., 2J^2, 2J3)."""
+    """All 2^n words, sorted ascending by (2J^N, ..., 2J^2, 2J3).
+
+    Every word is stack-reduced at once, one site per step, as in
+    `labels_from_word`: bit n-1-s of the word is site s+1 (R = 1), and
+    after each prefix of length l >= 2 its doubled spin a + b is row l-1
+    of the label array.
+    """
     if not MIN_CHAIN_LENGTH <= n <= MAX_CHAIN_LENGTH:
         raise ValueError(
             f"chain length must be in [{MIN_CHAIN_LENGTH}, {MAX_CHAIN_LENGTH}], got {n}"
         )
-    pairs = []
-    for bits in range(2**n):
-        spins = "".join(
-            "R" if (bits >> (n - 1 - site)) & 1 else "Y" for site in range(n)
-        )
-        word = SpinWord(spins)
-        pairs.append((word, labels_from_word(word)))
-    pairs.sort(key=lambda pair: pair[1].sort_key())
-    return BasisMap(n, pairs)
+    bits = np.arange(1 << n, dtype=np.int64)
+    labels = np.empty((n, 1 << n), dtype=np.int16)
+    a = np.zeros(1 << n, dtype=np.int16)  # unmatched Y's
+    b = np.zeros(1 << n, dtype=np.int16)  # unmatched R's
+    for site in range(n):
+        r = ((bits >> (n - 1 - site)) & 1).astype(bool)
+        cancels = ~r & (b > 0)
+        b += r
+        b -= cancels
+        a += ~r & ~cancels
+        if site:
+            labels[site] = a + b
+    labels[0] = b - a  # matched pairs cancel in #R - #Y
+    # lexsort's primary key is the last row, 2J^N
+    order = np.lexsort(labels)
+    return BasisMap(n, bits[order], labels[:, order])
 
 
 def hamming_distance(first: "SpinWord | str", second: "SpinWord | str") -> int:

@@ -34,15 +34,7 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .crystal import (
-    BasisMap,
-    CrystalLabels,
-    Spin,
-    SpinWord,
-    enumerate_basis,
-    labels_valid,
-    reduce_word,
-)
+from .crystal import BasisMap, CrystalLabels, enumerate_basis, labels_valid
 
 # A ladder operator either annihilates (None) or yields admissible labels.
 LadderResult = Optional[CrystalLabels]
@@ -57,15 +49,6 @@ class CouplingSymbol(Enum):
     DELTA = "delta"
     ETA = "eta"
     BETA = "beta"
-
-
-OFFDIAG_SYMBOLS = (
-    CouplingSymbol.EPS,
-    CouplingSymbol.GAMMA,
-    CouplingSymbol.DELTA,
-    CouplingSymbol.ETA,
-    CouplingSymbol.BETA,
-)
 
 
 @dataclass(frozen=True)
@@ -152,60 +135,6 @@ def apply_a_ik_dagger(i: int, k: int, labels: CrystalLabels) -> LadderResult:
     return out if labels_valid(out) else None
 
 
-@dataclass(frozen=True)
-class MutationContext:
-    """Free-letter counts around one site, before and after its flip.
-
-    `r_l` counts unmatched R's strictly left of the site, `y_r` unmatched
-    Y's strictly right of it (each side reduced on its own).  The in/fi
-    fields include the flipping site itself in the matched-pair bookkeeping
-    before and after the flip.
-    """
-
-    position: int
-    initial: Spin
-    r_l: int
-    y_r: int
-    r_in: int
-    y_in: int
-    r_fi: int
-    y_fi: int
-
-
-def mutation_context(word: "SpinWord | str", position: int) -> MutationContext:
-    """Diagnostic context for a single-site flip at 1-based `position`."""
-    word = word if isinstance(word, SpinWord) else SpinWord.parse(word)
-    if not 1 <= position <= len(word):
-        raise ValueError(f"position {position} outside 1..{len(word)}")
-    r_l = reduce_word(word.spins[: position - 1]).b
-    y_r = reduce_word(word.spins[position:]).a
-    initial = word.spin_at(position)
-    if initial is Spin.R:
-        r_in, y_in = r_l + 1, y_r
-        r_fi, y_fi = r_l, y_r + 1
-    else:
-        r_in, y_in = r_l, y_r + 1
-        r_fi, y_fi = r_l + 1, y_r
-    return MutationContext(position, initial, r_l, y_r, r_in, y_in, r_fi, y_fi)
-
-
-class Triplets(NamedTuple):
-    """Sparse integer matrix as unique (row, col) entries sorted row-major.
-
-    `counts[j]` is the multiplicity at (`rows[j]`, `cols[j]`); every count
-    is positive, so absent entries are exactly the zeros.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    counts: np.ndarray
-
-    def dense(self, dim: int) -> np.ndarray:
-        matrix = np.zeros((dim, dim), dtype=np.int64)
-        matrix[self.rows, self.cols] = self.counts
-        return matrix
-
-
 Family = tuple[str, CouplingSymbol]
 
 
@@ -218,7 +147,6 @@ class SymbolicHamiltonian:
     `family[j]` indexes `families`, the (term family, coupling symbol) of
     the chain that coupled pair j: H1, H2, H3, H5, H6 or HAMMING.  Each
     pair comes from exactly one chain, so every coefficient is 0 or 1.
-    `coeffs` and `provenance` are derived views of the list.
     """
 
     n: int
@@ -233,30 +161,8 @@ class SymbolicHamiltonian:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _view(self, keep: np.ndarray) -> Triplets:
-        return Triplets(self.rows[keep], self.cols[keep], np.ones(np.count_nonzero(keep), np.int64))
-
-    def _has_symbol(self, symbol: CouplingSymbol) -> np.ndarray:
-        codes = [code for code, (_, s) in enumerate(self.families) if s is symbol]
-        return np.isin(self.family, codes)
-
-    @property
-    def coeffs(self) -> dict[CouplingSymbol, Triplets]:
-        """Triplets of each coupling of this structure (every count 1)."""
-        symbols = {symbol for _, symbol in self.families}
-        return {s: self._view(self._has_symbol(s)) for s in OFFDIAG_SYMBOLS if s in symbols}
-
-    @property
-    def provenance(self) -> dict[str, Triplets]:
-        """Triplets of each term family that couples some pair (every count 1)."""
-        masks = {name: self.family == code for code, (name, _) in enumerate(self.families)}
-        return {name: self._view(keep) for name, keep in masks.items() if keep.any()}
-
-    def coefficient(self, symbol: CouplingSymbol) -> np.ndarray:
-        """Dense integer matrix of one coupling (zeros if absent); small N only."""
-        return self._view(self._has_symbol(symbol)).dense(self.dim)
-
     def evaluate(self, values: CouplingValues) -> np.ndarray:
+        """Dense symmetric matrix mu0*diag(2J3) + sum of coupling * structure."""
         couplings = [values.value(symbol) for _, symbol in self.families]
         diag = values.mu0 * self.diag.astype(float)
         # H equals the dense sum mu0*diag(2J3) + sum_v v*C_v bit for bit.  In
@@ -270,6 +176,7 @@ class SymbolicHamiltonian:
         return h
 
     def allowed_transitions(self, state: int) -> set[int]:
+        """Basis indices reachable from `state` by any nonzero coefficient."""
         return set(self.rows[self.cols == state].tolist())
 
     def dump(self) -> str:
@@ -290,9 +197,9 @@ class SymbolicHamiltonian:
         return "\n".join(f"{r} {c} {s} {m}" for r, c, s, m in entries)
 
 
-# The builders hold all states at once as one small-int label array with
-# one column per state: row 0 is 2J3, row l-1 is 2J^l (l = 2..N).  Every
-# ladder operator adds `delta` to the rows lo:hi of that array.
+# The builders hold all states at once as the basis label array, one column
+# per state: row 0 is 2J3, row l-1 is 2J^l (l = 2..N).  Every ladder
+# operator adds `delta` to the rows lo:hi of that array.
 _Op = tuple[int, int, int]
 _J_PLUS: _Op = (0, 1, 2)
 _J_MINUS: _Op = (0, 1, -2)
@@ -344,11 +251,6 @@ def _model_terms(n: int) -> list[tuple[str, CouplingSymbol, tuple[_Op, ...]]]:
                 ("H6", CouplingSymbol.ETA, (_J_PLUS, _a(k + 1, n, -2), _a_ik(i, k, 2)))
             )
     return terms
-
-
-def _label_array(basis: BasisMap) -> np.ndarray:
-    rows = [(l.two_j3, *l.two_j) for l in basis.labels]
-    return np.array(rows, dtype=np.int16).T.copy()
 
 
 def _walk_keys(labels: np.ndarray) -> np.ndarray:
@@ -521,10 +423,10 @@ def _assemble(
     back = np.argsort(mirrored)
     if not (np.array_equal(mirrored[back], keys) and np.array_equal(codes[back], codes)):
         raise AssertionError("coupled pairs not symmetric within each family")
-    sym = SymbolicHamiltonian(n, basis, diag, rows, cols, codes, families)
-    if n == 3 and sym._has_symbol(CouplingSymbol.ETA).any():
+    eta = [code for code, (_, symbol) in enumerate(families) if symbol is CouplingSymbol.ETA]
+    if n == 3 and np.isin(codes, eta).any():
         raise AssertionError("eta coefficients must vanish for three-site chains")
-    return sym
+    return SymbolicHamiltonian(n, basis, diag, rows, cols, codes, families)
 
 
 # The term families of the mutation model, in the order `_model_terms` lists them.
@@ -542,9 +444,9 @@ def build_model(n: int) -> SymbolicHamiltonian:
     symmetric by construction (verified).
     """
     basis = enumerate_basis(n)
-    walks = _Walks(_label_array(basis))
+    walks = _Walks(basis.labels)
     chains = [((f, s), *_apply_chain(walks, ops)) for f, s, ops in _model_terms(n)]
-    return _assemble(n, basis, walks.labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
+    return _assemble(n, basis, basis.labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
 
 
 def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:
@@ -555,25 +457,15 @@ def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:
     the factorized, exactly-plateaued variant.
     """
     basis = enumerate_basis(n)
-    dim = len(basis)
-    bits = basis.bits
-    row_of = np.empty(1 << n, dtype=np.int64)
-    row_of[bits] = np.arange(dim)
-    cols = np.arange(dim)
+    bits, cols = basis.bits, np.arange(len(basis))
     family = ("HAMMING", CouplingSymbol.BETA)
-    flips = [(family, row_of[bits ^ (1 << (n - position))], cols) for position in range(1, n + 1)]
+    flips = [
+        (family, basis.index_by_bits[bits ^ (1 << (n - position))], cols)
+        for position in range(1, n + 1)
+    ]
     if include_diagonal:
-        diag = np.array([labels.two_j3 for labels in basis.labels], dtype=np.int64)
+        diag = basis.labels[0].astype(np.int64)
     else:
-        diag = np.zeros(dim, dtype=np.int64)
+        diag = np.zeros(len(basis), dtype=np.int64)
     return _assemble(n, basis, diag, (family,), flips)
 
-
-def evaluate(sym: SymbolicHamiltonian, values: CouplingValues) -> np.ndarray:
-    """Dense symmetric matrix mu0*diag(2J3) + sum of coupling * structure."""
-    return sym.evaluate(values)
-
-
-def allowed_transitions(sym: SymbolicHamiltonian, state: int) -> set[int]:
-    """Basis indices reachable from `state` by any nonzero coefficient."""
-    return sym.allowed_transitions(state)

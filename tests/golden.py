@@ -90,3 +90,30 @@ def pairs_matrix(dim, pairs):
         m[r - 1, c - 1] = 1
         m[c - 1, r - 1] = 1
     return m
+
+
+def coupling_matrices(sym):
+    """{coupling symbol: dense 0/1 int64 matrix of its pairs} for every
+    coupling of the structure's families, in the order they first appear."""
+    import numpy as np
+
+    matrices = {}
+    for code, (_, symbol) in enumerate(sym.families):
+        matrix = matrices.setdefault(symbol, np.zeros((sym.dim, sym.dim), dtype=np.int64))
+        keep = sym.family == code
+        matrix[sym.rows[keep], sym.cols[keep]] = 1
+    return matrices
+
+
+def family_matrices(sym):
+    """{term family: dense 0/1 int64 matrix of its pairs} for every family
+    that couples some pair."""
+    import numpy as np
+
+    matrices = {}
+    for code, (name, _) in enumerate(sym.families):
+        keep = sym.family == code
+        if keep.any():
+            matrices[name] = np.zeros((sym.dim, sym.dim), dtype=np.int64)
+            matrices[name][sym.rows[keep], sym.cols[keep]] = 1
+    return matrices

@@ -1,5 +1,6 @@
 """Independent oracles: numerical ones that deliberately avoid the
-closed-form paths they are used to check, per-state scalar builders of the
+closed-form paths they are used to check, the per-word basis enumeration
+that the array enumeration must reproduce, per-state scalar builders of the
 Hamiltonian structure that the vectorized builders are checked against, the
 op-by-op walk of a ladder chain over copied label arrays that the builder's
 per-state walk features must reproduce, with the whole-array admissibility
@@ -32,6 +33,7 @@ from crystalchain import (
     apply_j_plus,
     enumerate_basis,
     hamming_distance,
+    labels_from_word,
     time_averaged_profile,
 )
 from crystalchain.analysis import (
@@ -51,6 +53,24 @@ from crystalchain.dynamics import (
     _sinc,
 )
 from crystalchain.hamiltonian import _walk_keys
+
+
+def reference_enumeration(n):
+    """(bits, int16 label array) of the n-site basis, one word at a time.
+
+    Every word is labelled by `labels_from_word` and the words are sorted
+    ascending by (2J^N, ..., 2J^2, 2J3).  Bits put site 1 in the most
+    significant place (R = 1); label row 0 is 2J3, row l-1 is 2J^l.
+    """
+    keyed = []
+    for bits in range(2**n):
+        word = "".join("R" if (bits >> (n - 1 - site)) & 1 else "Y" for site in range(n))
+        labels = labels_from_word(word)
+        keyed.append(((*reversed(labels.two_j), labels.two_j3), bits, labels))
+    keyed.sort()
+    bits = np.array([b for _, b, _ in keyed], dtype=np.int64)
+    rows = [(labels.two_j3, *labels.two_j) for _, _, labels in keyed]
+    return bits, np.array(rows, dtype=np.int16).T
 
 
 def expm_unitary(h, t, terms=30):
@@ -232,7 +252,7 @@ def scalar_model_build(n):
     provenance = {}
     terms = scalar_model_terms(n)
     for col in range(dim):
-        start = basis.labels[col]
+        start = basis[col][1]
         for term_id, symbol, chain in terms:
             labels = start
             for op in chain:
@@ -252,7 +272,7 @@ def scalar_hamming_build(n):
     basis = enumerate_basis(n)
     dim = len(basis)
     beta = np.zeros((dim, dim), dtype=np.int64)
-    for col, word in enumerate(basis.words):
+    for col, (word, _) in enumerate(basis):
         for position in range(1, n + 1):
             beta[basis.index_of_word(word.flip(position)), col] = 1
     return beta

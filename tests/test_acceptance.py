@@ -10,7 +10,6 @@ import numpy as np
 
 from crystalchain import (
     CouplingValues,
-    allowed_transitions,
     build_hamming,
     build_model,
     compare_models,
@@ -64,7 +63,7 @@ def test_2_allowed_transition_sets():
         words = sym.basis.words
 
         def reachable(word):
-            return {words[f].spins for f in allowed_transitions(sym, sym.basis.index_of_word(word))}
+            return {words[f] for f in sym.allowed_transitions(sym.basis.index_of_word(word))}
 
         assert reachable("RYR") == {"RRR", "YYR", "RYY"}
         assert reachable("RYY") == {"YRR", "YYY", "RRY", "RYR"}

@@ -292,7 +292,7 @@ class TestPlateauxReport:
             profile = time_averaged_profile(spec, initial, 17.0)
             for include_self in (False, True):
                 ranked = rank_order(profile, include_self=include_self)
-                word = sym.basis.words[initial]
+                word = sym.basis[initial][0]
                 report = plateaux_report(ranked, sym.basis, word)
                 oracle = loop_plateaux_report(ranked, sym.basis, word)
                 assert report == oracle

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crystalchain import CouplingValues, StableHorizonError, build_model, cli
+from crystalchain import CouplingValues, StableHorizonError, build_hamming, build_model, cli
 from crystalchain.cli import main
 from crystalchain.dynamics import dense_peak_bytes
 from golden import THREE_SITE_BASIS_LINES, THREE_SITE_DUMP
@@ -71,9 +71,9 @@ class TestHamiltonianCommand:
             [float(v) for v in line.split()]
             for line in capsys.readouterr().out.strip().splitlines()
         ]
-        from crystalchain import CouplingValues, evaluate
+        from crystalchain import CouplingValues
 
-        expected = evaluate(build_model(3), CouplingValues(1.0, 0.1, 0.3, 0.3))
+        expected = build_model(3).evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3))
         assert np.allclose(np.array(rows), expected, atol=0)
 
     @pytest.mark.parametrize("n, couplings", [
@@ -110,6 +110,36 @@ class TestProfileCommand:
         by_word = dict(zip(words, values))
         assert by_word["RYY"] == pytest.approx(1.0, abs=1e-9)
         assert sum(values) == pytest.approx(1.0, abs=1e-8)
+
+    def test_builds_and_writers_make_no_per_state_objects(self, tmp_path, capsys, monkeypatch):
+        from crystalchain import crystal
+
+        made = []
+        post_init, init = crystal.SpinWord.__post_init__, crystal.CrystalLabels.__init__
+
+        def count_word(self):
+            made.append(self.spins)
+            post_init(self)
+
+        def count_labels(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(crystal.SpinWord, "__post_init__", count_word)
+        monkeypatch.setattr(crystal.CrystalLabels, "__init__", count_labels)
+        crystal.enumerate_basis(8)
+        build_model(8)
+        build_hamming(8)
+        assert made == []
+        out = tmp_path / "run"
+        assert main([
+            "profile", "--n", "8", "--initial", "RYRYRRYY", "--eps", "0.1", "--gamma", "0.5",
+            "--delta", "0.5", "--horizon", "infinite", "--out", str(out),
+        ]) == 0
+        assert len(read_csv_column(out / "profile.csv", "word")) == 256
+        assert len(read_csv_column(out / "ranked.csv", "word")) == 255
+        # only the initial word is parsed
+        assert set(made) == {"RYRYRRYY"}
 
     def test_manifest_fields(self, tmp_path, capsys):
         out = tmp_path / "run"

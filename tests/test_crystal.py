@@ -5,17 +5,16 @@ import pytest
 
 from crystalchain import (
     CrystalLabels,
-    ReductionState,
     Spin,
     SpinWord,
     enumerate_basis,
     hamming_distance,
     labels_from_word,
-    reduce_word,
     validate_labels,
     word_from_labels,
 )
 from golden import THREE_SITE_CATALOGUE, THREE_SITE_ORDER, TWO_SITE_ORDER
+from oracles import reference_enumeration
 
 
 def labels(two_j3, two_j):
@@ -48,19 +47,6 @@ class TestSpinWord:
         assert Spin.R.sign == 1
         assert Spin.Y.sign == -1
         assert Spin.R.flipped() is Spin.Y
-
-
-class TestReduceWord:
-    def test_alternating_word_cancels_fully(self):
-        assert reduce_word("RYRY") == ReductionState(0, 0)
-
-    def test_leading_pyrimidines_stay_unmatched(self):
-        assert reduce_word("YYR") == ReductionState(2, 1)
-
-    def test_total_is_doubled_prefix_spin(self):
-        state = reduce_word("RRYYY")
-        assert state == ReductionState(1, 0)
-        assert state.total == 1
 
 
 class TestLabelsFromWord:
@@ -175,11 +161,11 @@ def _count_by_walks(n):
 class TestEnumerateBasis:
     def test_three_site_order(self):
         basis = enumerate_basis(3)
-        assert [w.spins for w in basis.words] == THREE_SITE_ORDER
+        assert list(basis.words) == THREE_SITE_ORDER
 
     def test_two_site_order(self):
         basis = enumerate_basis(2)
-        assert [w.spins for w in basis.words] == TWO_SITE_ORDER
+        assert list(basis.words) == TWO_SITE_ORDER
 
     def test_counts_and_lookup(self):
         for n in (2, 4, 7):
@@ -192,7 +178,7 @@ class TestEnumerateBasis:
     def test_order_is_deterministic(self):
         first = enumerate_basis(5)
         second = enumerate_basis(5)
-        assert [w.spins for w in first.words] == [w.spins for w in second.words]
+        assert first.words == second.words
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -204,15 +190,29 @@ class TestEnumerateBasis:
         for n in range(2, 13):
             basis = enumerate_basis(n)
             assert basis.bits.dtype == np.int64
-            assert basis.bits.tolist() == [w.bits for w in basis.words]
+            assert basis.bits.tolist() == [SpinWord(w).bits for w in basis.words]
             assert not basis.bits.flags.writeable
             with pytest.raises(ValueError):
                 basis.bits[0] = 0
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_arrays_match_per_word_enumeration(self, n):
+        basis = enumerate_basis(n)
+        bits, label_rows = reference_enumeration(n)
+        assert basis.bits.tobytes() == bits.tobytes()
+        assert basis.labels.dtype == np.int16
+        assert basis.labels.shape == label_rows.shape
+        assert basis.labels.tobytes() == label_rows.tobytes()
+        for array in (basis.bits, basis.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[..., 0] = 0
+
     def test_unknown_lookups_raise(self):
         basis = enumerate_basis(3)
-        with pytest.raises(ValueError):
-            basis.index_of_word("RRRR")
+        for word in ("RRRR", "RY", "RXY"):
+            with pytest.raises(ValueError):
+                basis.index_of_word(word)
         with pytest.raises(ValueError):
             basis.index_of(labels(3, [2, 3, 4]))
 
@@ -238,6 +238,3 @@ class TestHammingDistance:
 class TestLabelText:
     def test_format(self):
         assert labels(-1, [0, 1]).text() == "J3=-1/2; J^2..J^N=0/2,1/2"
-
-    def test_sort_key_reverses_tuple(self):
-        assert labels(-1, [0, 1]).sort_key() == (1, 0, -1)

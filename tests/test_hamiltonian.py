@@ -9,8 +9,6 @@ from crystalchain import (
     CouplingSymbol,
     CouplingValues,
     CrystalLabels,
-    Spin,
-    allowed_transitions,
     apply_a,
     apply_a_dagger,
     apply_a_ik,
@@ -20,9 +18,7 @@ from crystalchain import (
     build_hamming,
     build_model,
     enumerate_basis,
-    evaluate,
     hamming_distance,
-    mutation_context,
 )
 from crystalchain import hamiltonian
 from crystalchain.hamiltonian import (
@@ -35,7 +31,6 @@ from crystalchain.hamiltonian import (
     _a_ik,
     _apply_chain,
     _assemble,
-    _label_array,
     _model_terms,
 )
 from golden import (
@@ -46,6 +41,8 @@ from golden import (
     TWO_SITE_DELTA_PAIRS,
     TWO_SITE_DIAG,
     TWO_SITE_EPS_PAIRS,
+    coupling_matrices,
+    family_matrices,
     pairs_matrix,
 )
 from oracles import (
@@ -130,49 +127,47 @@ class TestModelStructure:
     def test_three_site_matches_catalogue(self):
         sym = build_model(3)
         assert sym.diag.tolist() == THREE_SITE_DIAG
-        assert (sym.coefficient(S.DELTA) == pairs_matrix(8, THREE_SITE_DELTA_PAIRS)).all()
-        assert (sym.coefficient(S.GAMMA) == pairs_matrix(8, THREE_SITE_GAMMA_PAIRS)).all()
-        assert (sym.coefficient(S.EPS) == pairs_matrix(8, THREE_SITE_EPS_PAIRS)).all()
-        assert not sym.coefficient(S.ETA).any()
+        matrices = coupling_matrices(sym)
+        assert (matrices[S.DELTA] == pairs_matrix(8, THREE_SITE_DELTA_PAIRS)).all()
+        assert (matrices[S.GAMMA] == pairs_matrix(8, THREE_SITE_GAMMA_PAIRS)).all()
+        assert (matrices[S.EPS] == pairs_matrix(8, THREE_SITE_EPS_PAIRS)).all()
+        assert not matrices[S.ETA].any()
 
     def test_two_site_matches_derivation(self):
         sym = build_model(2)
         assert sym.diag.tolist() == TWO_SITE_DIAG
-        assert (sym.coefficient(S.DELTA) == pairs_matrix(4, TWO_SITE_DELTA_PAIRS)).all()
-        assert (sym.coefficient(S.EPS) == pairs_matrix(4, TWO_SITE_EPS_PAIRS)).all()
-        assert not sym.coefficient(S.GAMMA).any()
-        assert not sym.coefficient(S.ETA).any()
+        matrices = coupling_matrices(sym)
+        assert (matrices[S.DELTA] == pairs_matrix(4, TWO_SITE_DELTA_PAIRS)).all()
+        assert (matrices[S.EPS] == pairs_matrix(4, TWO_SITE_EPS_PAIRS)).all()
+        assert not matrices[S.GAMMA].any()
+        assert not matrices[S.ETA].any()
 
     def test_eta_appears_from_four_sites(self):
-        assert not build_model(3).coefficient(S.ETA).any()
-        assert build_model(4).coefficient(S.ETA).any()
-        assert build_model(5).coefficient(S.ETA).any()
+        assert not coupling_matrices(build_model(3))[S.ETA].any()
+        assert coupling_matrices(build_model(4))[S.ETA].any()
+        assert coupling_matrices(build_model(5))[S.ETA].any()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_symmetry_and_selection_rule(self, n):
         sym = build_model(n)
         two_j3 = sym.diag
-        for symbol in sym.coeffs:
-            matrix = sym.coefficient(symbol)
+        for symbol, matrix in coupling_matrices(sym).items():
             assert (matrix == matrix.T).all()
             assert not np.diag(matrix).any()
             rows, cols = np.nonzero(matrix)
             assert (np.abs(two_j3[rows] - two_j3[cols]) == 2).all(), symbol
 
     def test_symmetry_at_ten_sites(self):
-        sym = build_model(10)
-        for symbol in sym.coeffs:
-            matrix = sym.coefficient(symbol)
+        for matrix in coupling_matrices(build_model(10)).values():
             assert (matrix == matrix.T).all()
 
     def test_three_site_coefficients_are_boolean(self):
-        sym = build_model(3)
-        for symbol in sym.coeffs:
-            assert set(np.unique(sym.coefficient(symbol))) <= {0, 1}
+        for matrix in coupling_matrices(build_model(3)).values():
+            assert set(np.unique(matrix)) <= {0, 1}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_forward_half_transposes_to_adjoint_half(self, n):
-        walks = _Walks(_label_array(enumerate_basis(n)))
+        walks = _Walks(enumerate_basis(n).labels)
         dim = walks.labels.shape[1]
         forward = np.zeros((dim, dim), dtype=np.int64)
         adjoint = np.zeros((dim, dim), dtype=np.int64)
@@ -187,19 +182,21 @@ class TestModelStructure:
     def test_provenance_multiplicities_sum_to_coefficients(self, n):
         sym = build_model(n)
         term_symbol = {"H1": S.GAMMA, "H2": S.DELTA, "H3": S.EPS, "H5": S.EPS, "H6": S.ETA}
-        rebuilt = {symbol: np.zeros((sym.dim, sym.dim), dtype=np.int64) for symbol in sym.coeffs}
-        for term, entries in sym.provenance.items():
-            rebuilt[term_symbol[term]] += entries.dense(sym.dim)
-        for symbol in sym.coeffs:
-            assert (rebuilt[symbol] == sym.coefficient(symbol)).all(), symbol
+        matrices = coupling_matrices(sym)
+        rebuilt = {symbol: np.zeros((sym.dim, sym.dim), dtype=np.int64) for symbol in matrices}
+        for term, matrix in family_matrices(sym).items():
+            rebuilt[term_symbol[term]] += matrix
+        for symbol, matrix in matrices.items():
+            assert (rebuilt[symbol] == matrix).all(), symbol
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_three_site_terms_are_disjoint(self, n):
+        # each pair is listed once with one family code: the families are
+        # disjoint and every coefficient is 1
         for sym in (build_model(n), build_hamming(n)):
-            for views in (sym.provenance, sym.coeffs):
-                keys = np.concatenate([t.rows * sym.dim + t.cols for t in views.values()])
-                assert len(np.unique(keys)) == len(keys) == len(sym.rows)
-                assert all((t.counts == 1).all() for t in views.values())
+            keys = sym.rows * sym.dim + sym.cols
+            assert len(np.unique(keys)) == len(keys)
+            assert ((sym.family >= 0) & (sym.family < len(sym.families))).all()
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -218,10 +215,10 @@ class TestModelStructure:
 
     def test_triplets_are_unique_and_row_major(self):
         sym = build_model(6)
-        for entries in list(sym.coeffs.values()) + list(sym.provenance.values()):
-            keys = entries.rows * sym.dim + entries.cols
-            assert (np.diff(keys) > 0).all()
-            assert (entries.counts > 0).all()
+        keys = sym.rows * sym.dim + sym.cols
+        assert (np.diff(keys) > 0).all()
+        for code in range(len(sym.families)):
+            assert (np.diff(keys[sym.family == code]) > 0).all()
 
     def test_build_allocates_no_dense_integer_matrix(self):
         dim = 2**10
@@ -240,26 +237,28 @@ class TestScalarOracle:
     def test_model_matches_per_state_chains(self, n):
         sym = build_model(n)
         coeffs, provenance = scalar_model_build(n)
-        assert list(sym.coeffs) == list(coeffs)
+        matrices = coupling_matrices(sym)
+        assert set(matrices) == set(coeffs)
         for symbol, matrix in coeffs.items():
-            assert (sym.coefficient(symbol) == matrix).all(), symbol
+            assert (matrices[symbol] == matrix).all(), symbol
         expected = {}
         for (row, col), counts in provenance.items():
             for term, multiplicity in counts.items():
                 matrix = expected.setdefault(term, np.zeros((sym.dim, sym.dim), dtype=np.int64))
                 matrix[row, col] = multiplicity
-        assert set(sym.provenance) >= set(expected)
-        for term, entries in sym.provenance.items():
-            got = entries.dense(sym.dim)
+        families = family_matrices(sym)
+        assert set(families) >= set(expected)
+        for term, got in families.items():
             assert (got == expected.get(term, 0)).all(), term
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_hamming_matches_word_flips(self, n):
         sym = build_hamming(n)
         beta = scalar_hamming_build(n)
-        assert list(sym.coeffs) == [S.BETA]
-        assert (sym.coefficient(S.BETA) == beta).all()
-        assert (sym.provenance["HAMMING"].dense(sym.dim) == beta).all()
+        matrices = coupling_matrices(sym)
+        assert list(matrices) == [S.BETA]
+        assert (matrices[S.BETA] == beta).all()
+        assert (family_matrices(sym)["HAMMING"] == beta).all()
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_moved_check_keeps_what_full_check_keeps(self, n):
@@ -274,7 +273,7 @@ class TestScalarOracle:
             assert (keep == admissible_columns(state)).all(), op
             return state[:, keep]
 
-        labels = _label_array(enumerate_basis(n))
+        labels = enumerate_basis(n).labels
         terms = _model_terms(n)
         for op in {op for _, _, ops in terms for op in ops}:
             shifted(labels, op)
@@ -287,7 +286,7 @@ class TestScalarOracle:
 def reference_walk(n):
     """(walk features, label array, row table) of the n-site basis, the
     table built from the walk keys independently of `_Walks`."""
-    labels = _label_array(enumerate_basis(n))
+    labels = enumerate_basis(n).labels
     walks = _Walks(labels)
     table = np.full(len(walks.row_table), -1, dtype=np.int64)
     table[hamiltonian._walk_keys(labels)] = np.arange(labels.shape[1])
@@ -366,29 +365,25 @@ class TestWalkFeatures:
 
 class TestHammingStructure:
     def test_two_site_edges(self):
-        sym = build_hamming(2)
-        beta = sym.coefficient(S.BETA)
+        beta = coupling_matrices(build_hamming(2))[S.BETA]
         assert int(beta.sum()) == 8
         assert (beta == beta.T).all()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_row_degree_equals_length(self, n):
-        beta = build_hamming(n).coefficient(S.BETA)
+        beta = coupling_matrices(build_hamming(n))[S.BETA]
         assert (beta.sum(axis=0) == n).all()
 
     def test_edges_are_single_flips(self):
         sym = build_hamming(4)
-        beta = sym.coefficient(S.BETA)
+        beta = coupling_matrices(sym)[S.BETA]
         for r, c in zip(*np.nonzero(beta)):
             assert hamming_distance(sym.basis.words[r], sym.basis.words[c]) == 1
 
     def test_pattern_differs_from_model(self):
-        model = build_model(3)
-        ham = build_hamming(3)
-        combined = (
-            model.coefficient(S.EPS) + model.coefficient(S.GAMMA) + model.coefficient(S.DELTA)
-        )
-        assert ((combined != 0) != (ham.coefficient(S.BETA) != 0)).any()
+        model = coupling_matrices(build_model(3))
+        combined = model[S.EPS] + model[S.GAMMA] + model[S.DELTA]
+        assert ((combined != 0) != (coupling_matrices(build_hamming(3))[S.BETA] != 0)).any()
 
     def test_zero_diagonal_flag(self):
         assert not build_hamming(3, include_diagonal=False).diag.any()
@@ -398,12 +393,12 @@ class TestHammingStructure:
 class TestEvaluate:
     def test_zero_couplings_leave_diagonal(self):
         sym = build_model(4)
-        h = evaluate(sym, CouplingValues(mu0=1.0))
+        h = sym.evaluate(CouplingValues(mu0=1.0))
         assert (h == np.diag(sym.diag.astype(float))).all()
 
     def test_numeric_three_site_instance(self):
         sym = build_model(3)
-        h = evaluate(sym, CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3))
+        h = sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3))
         expected = (
             np.diag(np.array(THREE_SITE_DIAG, dtype=float))
             + 0.1 * pairs_matrix(8, THREE_SITE_EPS_PAIRS)
@@ -422,8 +417,8 @@ class TestEvaluate:
             mu0,
             *(first.value(s) + second.value(s) for s in (S.EPS, S.GAMMA, S.DELTA, S.ETA, S.BETA)),
         )
-        lhs = evaluate(sym, summed)
-        rhs = evaluate(sym, first) + evaluate(sym, second) - mu0 * np.diag(sym.diag.astype(float))
+        lhs = sym.evaluate(summed)
+        rhs = sym.evaluate(first) + sym.evaluate(second) - mu0 * np.diag(sym.diag.astype(float))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_couplings_must_be_finite(self):
@@ -478,18 +473,18 @@ class TestEvaluateBitwise:
 class TestAllowedTransitions:
     def test_from_rank_two_state(self):
         sym = build_model(3)
-        got = {sym.basis.words[f].spins for f in allowed_transitions(sym, sym.basis.index_of_word("RYR"))}
+        got = {sym.basis.words[f] for f in sym.allowed_transitions(sym.basis.index_of_word("RYR"))}
         assert got == {"RRR", "YYR", "RYY"}
 
     def test_from_lowest_interior_state(self):
         sym = build_model(3)
-        got = {sym.basis.words[f].spins for f in allowed_transitions(sym, sym.basis.index_of_word("RYY"))}
+        got = {sym.basis.words[f] for f in sym.allowed_transitions(sym.basis.index_of_word("RYY"))}
         assert got == {"YRR", "YYY", "RRY", "RYR"}
 
     def test_hamming_neighbours(self):
         sym = build_hamming(4)
         for idx, word in enumerate(sym.basis.words):
-            got = allowed_transitions(sym, idx)
+            got = sym.allowed_transitions(idx)
             assert len(got) == 4
             assert all(hamming_distance(word, sym.basis.words[f]) == 1 for f in got)
 
@@ -510,33 +505,3 @@ class TestDumpFormat:
                 assert int(mult) > 0
         assert keys == sorted(keys)
         assert seen_diag == 16
-
-
-class TestMutationContext:
-    def test_interior_of_pure_purine_run(self):
-        ctx = mutation_context("RRR", 2)
-        assert (ctx.r_l, ctx.y_r) == (1, 0)
-        assert (ctx.r_in, ctx.y_in) == (2, 0)
-
-    def test_first_position_has_empty_left_side(self):
-        ctx = mutation_context("RY", 1)
-        assert (ctx.r_l, ctx.y_r) == (0, 1)
-
-    def test_cancelled_prefix_leaves_no_free_letters(self):
-        ctx = mutation_context("RYRY", 3)
-        assert (ctx.r_l, ctx.y_r) == (0, 1)
-
-    def test_purine_flip_bookkeeping(self):
-        for word in ("RRY", "RYRY", "YRRY"):
-            for pos in range(1, len(word) + 1):
-                ctx = mutation_context(word, pos)
-                if ctx.initial is Spin.R:
-                    assert ctx.r_in == ctx.r_l + 1 and ctx.y_in == ctx.y_r
-                    assert ctx.r_fi == ctx.r_l and ctx.y_fi == ctx.y_r + 1
-                else:
-                    assert ctx.y_in == ctx.y_r + 1 and ctx.r_in == ctx.r_l
-                    assert ctx.y_fi == ctx.y_r and ctx.r_fi == ctx.r_l + 1
-
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            mutation_context("RRY", 4)
