@@ -43,7 +43,6 @@ from .dynamics import (
     transition_probability,
 )
 from .hamiltonian import (
-    CouplingSymbol,
     CouplingValues,
     LadderResult,
     SymbolicHamiltonian,

@@ -306,16 +306,13 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_hamiltonian(args: argparse.Namespace) -> int:
-    if args.model == "crystal":
-        if args.zero_diagonal:
-            raise UsageError("--zero-diagonal applies to the hamming model only")
-        sym = build_model(args.n)
-    else:
-        sym = build_hamming(args.n, include_diagonal=not args.zero_diagonal)
+    sym = build_model(args.n) if args.model == "crystal" else build_hamming(args.n)
     if args.symbolic:
         text = sym.dump() + "\n"
     else:
         matrix = sym.evaluate(_couplings(args, {}))
+        if not np.isfinite(matrix).all():
+            raise RuntimeError("matrix has non-finite entries")
         text = "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -412,6 +409,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The couplings the sweep axis `all` sets together.
+_ALL_AXIS = ("eps", "gamma", "delta", "eta")
+
+
 def _parse_grid(params: list[str]) -> list[tuple[str, list[float]]]:
     axes: list[tuple[str, list[float]]] = []
     seen = set()
@@ -423,6 +424,8 @@ def _parse_grid(params: list[str]) -> list[tuple[str, list[float]]]:
         if name in seen:
             raise UsageError(f"duplicate sweep parameter {name!r}")
         seen.add(name)
+        if "all" in seen and seen & set(_ALL_AXIS):
+            raise UsageError(f"sweep parameter 'all' sets {', '.join(_ALL_AXIS)}; give it alone")
         try:
             values = [float(v) for v in values_text.split(",") if v.strip() != ""]
         except ValueError:
@@ -438,10 +441,7 @@ def _parse_grid(params: list[str]) -> list[tuple[str, list[float]]]:
 def _apply_point(couplings: CouplingValues, point: dict[str, float]) -> CouplingValues:
     updates = {}
     for name, value in point.items():
-        if name == "all":
-            updates.update({"eps": value, "gamma": value, "delta": value, "eta": value})
-        else:
-            updates[name] = value
+        updates.update(dict.fromkeys(_ALL_AXIS, value) if name == "all" else {name: value})
     return dataclasses.replace(couplings, **updates)
 
 
@@ -556,10 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ham.add_argument("--n", type=int, required=True)
     p_ham.add_argument("--model", choices=("crystal", "hamming"), default="crystal")
     p_ham.add_argument("--symbolic", action="store_true", help="integer structure, no numbers")
-    p_ham.add_argument(
-        "--zero-diagonal", action="store_true", dest="zero_diagonal",
-        help="drop the 2*J3 diagonal (hamming model only)",
-    )
     _add_coupling_flags(p_ham)
     p_ham.add_argument("--out", default=None)
     p_ham.set_defaults(func=cmd_hamiltonian)

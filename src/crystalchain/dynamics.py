@@ -88,22 +88,6 @@ def _asymmetry(h: np.ndarray) -> np.floating:
     return worst
 
 
-def _anchor_signs(vectors: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """The sign of each column's first largest-magnitude entry (argmax's
-    first-occurrence rule), 1 for a zero column.
-
-    `high` and `low` are the column maxima and minima; only a column whose
-    maximum is minus its minimum looks for which of the two comes first.
-    """
-    signs = np.where(high >= -low, 1.0, -1.0)
-    ties = np.flatnonzero((high == -low) & (high > 0.0))
-    if len(ties):
-        columns = vectors[:, ties]
-        first = np.argmax(np.abs(columns), axis=0)
-        signs[ties] = np.sign(columns[first, np.arange(len(ties))])
-    return signs
-
-
 def _decomposition_errors(
     h: np.ndarray, eigenvalues: np.ndarray, vectors: np.ndarray
 ) -> tuple[float, float]:
@@ -132,16 +116,14 @@ def _decomposition_errors(
 def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
     """Diagonalize a dense symmetric matrix with checked residuals.
 
-    Deterministic up to the sign convention: the largest-magnitude
-    component of every eigenvector (the first one, on a tie) is made
-    nonnegative.  Non-finite entries (e.g. couplings large enough to
-    overflow) raise RuntimeError before anything else is checked.  With
+    Non-finite entries (e.g. couplings large enough to overflow) raise
+    RuntimeError before anything else is checked.  With
     tol = DEFAULT_DECOMP_TOL, an asymmetry above tol * max(max|h|, 1) raises
     ValueError; a failed residual (max |h V - V diag(e)| above
     tol * max(max|h|, 1)) or orthonormality (max |V.T V - I| above tol)
-    check raises RuntimeError,
-    as does a NaN in either.  The checks run in blocks of _KERNEL_BLOCK
-    rows or square tiles, so they hold no dim x dim temporary.
+    check raises RuntimeError, as does a NaN in either.  The checks run in
+    blocks of _KERNEL_BLOCK rows or square tiles, so they hold no
+    dim x dim temporary.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -163,7 +145,6 @@ def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
         and np.isfinite(column_min).all()
     ):
         raise RuntimeError("eigensolver returned non-finite values")
-    vectors *= _anchor_signs(vectors, column_max, column_min)
     residual, ortho = _decomposition_errors(h, eigenvalues, vectors)
     if not (residual <= DEFAULT_DECOMP_TOL * scale and ortho <= DEFAULT_DECOMP_TOL):
         raise RuntimeError(

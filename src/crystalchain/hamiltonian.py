@@ -10,15 +10,17 @@ Hamiltonian structure is one exact, parameter-free list of pairs, each
 tagged with the term family that made it, until `evaluate` substitutes
 numbers.  The scalar `apply_*` operators define the moves on one state.
 
-The builder decides every chain for all basis states at once from
-features computed once per build: the label rows, the walk keys, the N-1
-step bits of the prefix-spin walk 1, 2J^2, ..., 2J^N, and the minimum of
-each label range some chain lowers.  A chain shifts fixed label rows, so
-whether a state survives it is the AND of a few boolean tests of the
-initial state (the step bits at each op's block edges, a floor under each
-lowered block, and |2J3| <= 2J^N after an op on 2J3 or 2J^N), and every
-survivor's walk key moves by one constant: the final row is a table
-lookup at key + shift.
+The builder decides each chain from its net label shift m, the sum of
+its ops: the "variation of the labels" that sets a flip's intensity.
+Every product is written in the order that keeps each intermediate state
+admissible whenever the end state is (lower J3 before shrinking the irrep,
+enlarge the irrep before raising J3), so a chain keeps exactly the states
+whose labels + m are admissible.  m is even, so every parity holds, and
+the rest is a few boolean tests of the initial state read from features
+computed once per build: the N-1 step bits of the prefix-spin walk
+1, 2J^2, ..., 2J^N, a floor under each run of lowered rows, and
+|2J3| <= 2J^N.  Every survivor's walk key moves by one constant, so its
+final row is a table lookup at key + shift.
 
 The baseline builder instead couples words at Hamming distance one with a
 single coupling.
@@ -27,9 +29,9 @@ single coupling.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -38,17 +40,6 @@ from .crystal import BasisMap, CrystalLabels, enumerate_basis, labels_valid
 
 # A ladder operator either annihilates (None) or yields admissible labels.
 LadderResult = Optional[CrystalLabels]
-
-
-class CouplingSymbol(Enum):
-    """The six coupling constants, keyed by their manifest/CLI names."""
-
-    MU0 = "mu0"
-    EPS = "eps"
-    GAMMA = "gamma"
-    DELTA = "delta"
-    ETA = "eta"
-    BETA = "beta"
 
 
 @dataclass(frozen=True)
@@ -66,9 +57,6 @@ class CouplingValues:
         for name, value in self.as_dict().items():
             if not math.isfinite(value):
                 raise ValueError(f"coupling {name} must be finite, got {value!r}")
-
-    def value(self, symbol: CouplingSymbol) -> float:
-        return getattr(self, symbol.value)
 
     def as_dict(self) -> dict[str, float]:
         """The couplings by name, in field order (the manifest's key order)."""
@@ -135,7 +123,8 @@ def apply_a_ik_dagger(i: int, k: int, labels: CrystalLabels) -> LadderResult:
     return out if labels_valid(out) else None
 
 
-Family = tuple[str, CouplingSymbol]
+# (term family, coupling field of `CouplingValues`), e.g. ("H2", "delta")
+Family = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -144,7 +133,7 @@ class SymbolicHamiltonian:
 
     `diag` holds 2*J3 per state (the mu0 multiplier).  (`rows`, `cols`)
     lists every coupled off-diagonal pair once, sorted row-major, and
-    `family[j]` indexes `families`, the (term family, coupling symbol) of
+    `family[j]` indexes `families`, the (term family, coupling field) of
     the chain that coupled pair j: H1, H2, H3, H5, H6 or HAMMING.  Each
     pair comes from exactly one chain, so every coefficient is 0 or 1.
     """
@@ -163,8 +152,9 @@ class SymbolicHamiltonian:
 
     def evaluate(self, values: CouplingValues) -> np.ndarray:
         """Dense symmetric matrix mu0*diag(2J3) + sum of coupling * structure."""
-        couplings = [values.value(symbol) for _, symbol in self.families]
-        diag = values.mu0 * self.diag.astype(float)
+        couplings = [getattr(values, field) for _, field in self.families]
+        with np.errstate(over="ignore"):  # an inf is the caller's to refuse
+            diag = values.mu0 * self.diag.astype(float)
         # H equals the dense sum mu0*diag(2J3) + sum_v v*C_v bit for bit.  In
         # that sum each entry gains v*0.0 per coupling it lacks; a positive v
         # turns a -0.0 diagonal entry (as mu0 < 0 gives at 2J3 = 0) into
@@ -186,11 +176,8 @@ class SymbolicHamiltonian:
         (row, col, symbol).  Every off-diagonal multiplicity is 1.  This
         text is the exact comparison surface.
         """
-        names = [symbol.name for _, symbol in self.families]
-        entries = [
-            (r + 1, r + 1, CouplingSymbol.MU0.name, d)
-            for r, d in enumerate(self.diag.tolist())
-        ]
+        names = [field.upper() for _, field in self.families]
+        entries = [(r + 1, r + 1, "MU0", d) for r, d in enumerate(self.diag.tolist())]
         for r, c, f in zip(self.rows.tolist(), self.cols.tolist(), self.family.tolist()):
             entries.append((r + 1, c + 1, names[f], 1))
         entries.sort()
@@ -215,7 +202,7 @@ def _a_ik(i: int, k: int, delta: int) -> _Op:
     return (i - 1, k - 1, delta)
 
 
-def _model_terms(n: int) -> list[tuple[str, CouplingSymbol, tuple[_Op, ...]]]:
+def _model_terms(n: int) -> list[tuple[str, str, tuple[_Op, ...]]]:
     """Interaction chains, each listed in application order (first op first).
 
     Term families and ranges:
@@ -228,28 +215,24 @@ def _model_terms(n: int) -> list[tuple[str, CouplingSymbol, tuple[_Op, ...]]]:
     written order: lower J3 before shrinking the irrep, and enlarge the
     irrep before raising J3, otherwise admissible moves would annihilate.
     """
-    terms: list[tuple[str, CouplingSymbol, tuple[_Op, ...]]] = [
-        ("H2", CouplingSymbol.DELTA, (_J_MINUS,)),
-        ("H2", CouplingSymbol.DELTA, (_J_PLUS,)),
+    terms: list[tuple[str, str, tuple[_Op, ...]]] = [
+        ("H2", "delta", (_J_MINUS,)),
+        ("H2", "delta", (_J_PLUS,)),
     ]
     for i in range(2, n):
         for k in range(i + 1, n + 1):
-            terms.append(("H1", CouplingSymbol.GAMMA, (_J_MINUS, _a_ik(i, k, -2))))
-            terms.append(("H1", CouplingSymbol.GAMMA, (_a_ik(i, k, 2), _J_PLUS)))
+            terms.append(("H1", "gamma", (_J_MINUS, _a_ik(i, k, -2))))
+            terms.append(("H1", "gamma", (_a_ik(i, k, 2), _J_PLUS)))
     for i in range(2, n + 1):
-        terms.append(("H3", CouplingSymbol.EPS, (_J_MINUS, _a(i, n, -2))))
-        terms.append(("H3", CouplingSymbol.EPS, (_a(i, n, 2), _J_PLUS)))
+        terms.append(("H3", "eps", (_J_MINUS, _a(i, n, -2))))
+        terms.append(("H3", "eps", (_a(i, n, 2), _J_PLUS)))
     for m in range(2, n + 1):
-        terms.append(("H5", CouplingSymbol.EPS, (_a(m, n, 2), _J_MINUS)))
-        terms.append(("H5", CouplingSymbol.EPS, (_J_PLUS, _a(m, n, -2))))
+        terms.append(("H5", "eps", (_a(m, n, 2), _J_MINUS)))
+        terms.append(("H5", "eps", (_J_PLUS, _a(m, n, -2))))
     for i in range(2, n - 1):
         for k in range(i + 1, n):
-            terms.append(
-                ("H6", CouplingSymbol.ETA, (_a(k + 1, n, 2), _J_MINUS, _a_ik(i, k, -2)))
-            )
-            terms.append(
-                ("H6", CouplingSymbol.ETA, (_J_PLUS, _a(k + 1, n, -2), _a_ik(i, k, 2)))
-            )
+            terms.append(("H6", "eta", (_a(k + 1, n, 2), _J_MINUS, _a_ik(i, k, -2))))
+            terms.append(("H6", "eta", (_J_PLUS, _a(k + 1, n, -2), _a_ik(i, k, 2))))
     return terms
 
 
@@ -265,17 +248,18 @@ def _walk_keys(labels: np.ndarray) -> np.ndarray:
     return bits * (n + 1) + (labels[0] + n) // 2
 
 
-# One survivor test of a chain, on the initial state: ("steps", mask, rising)
-# keeps the states whose walk step bits under `mask` equal `rising`,
-# ("spin", a, b) those with |2J3 + a| <= 2J^N + b, and ("floor", lo, hi, m)
-# those whose rows lo:hi are all at least m.
-_Test = tuple
-
-
 class _Chain(NamedTuple):
-    """What one chain does to every state it does not annihilate."""
+    """What one chain does to every state it does not annihilate.
 
-    tests: tuple[_Test, ...]
+    A state survives when its walk step bits under `mask` equal `rising`,
+    its rows lo:hi are all at least `least` for each (lo, hi, least) in
+    `floors`, and |2J3 + a| <= 2J^N + b when `spin` is (a, b).
+    """
+
+    mask: int
+    rising: int
+    floors: tuple[tuple[int, int, int], ...]
+    spin: Optional[tuple[int, int]]
     shift: int  # added to the walk key
     moved: tuple[int, ...]  # added to each label row
 
@@ -283,55 +267,40 @@ class _Chain(NamedTuple):
 def _plan_chain(n: int, ops: tuple[_Op, ...]) -> Optional[_Chain]:
     """The survivor tests and key shift of a chain; None if it annihilates every state.
 
-    A +-2 shift keeps every parity and every unit step inside its block, so
-    after each op only what the block touches needs a test, and each test
-    reads the initial state through c, the chain's cumulative row shift
-    after the op:
-      - a block edge is walk step lo-1 below (step 0 starts from the fixed
-        1, not from row 0) and step hi-1 above when hi < N; a step whose c
-        changes by +2 across it must fall in the initial state, by -2 must
+    Only the net shift m, the sum of the ops, is read.  A state survives
+    when its labels + m are admissible; m is even, so every parity holds,
+    and the rest are tests of the initial state:
+      - walk step s runs from prefix spin s to s+1 (spin 0 is the fixed 1,
+        with m = 0); a step whose m changes by +2 must fall, by -2 must
         rise, and by 4 or more nothing survives;
-      - a block shifted by c < 0 keeps the states whose rows lo:hi are at
-        least -c;
-      - an op on row 0 or on the top row keeps |2J3 + c_0| <= 2J^N + c_top.
-    Every op flips the step bits at its edges in its own direction, and J+-
-    moves 2J3 by delta, so every survivor's walk key moves by the same shift.
-    A block whose rows do not share one c has no single floor and raises
-    AssertionError; no chain of `_model_terms` has one.
+      - each maximal run of rows lowered by c > 0 must be at least c;
+      - |2J3 + m_0| <= 2J^N + m_top, which holds anyway when m_top >= |m_0|.
+    A flipped step moves its key bit by half the change, and 2J3 moves by
+    m_0, so every survivor's walk key moves by the same shift.
     """
     moved = [0] * n
-    rising: dict[int, bool] = {}  # step -> whether it must rise initially
-    tests: dict[_Test, None] = {}
-    shift, dead = 0, False
     for lo, hi, delta in ops:
         for row in range(lo, hi):
             moved[row] += delta
-        if lo > 0:
-            block = set(moved[lo:hi])
-            if len(block) != 1:
-                raise AssertionError(f"chain {ops} shifts the rows {lo}:{hi} unevenly")
-            edges = [(lo - 1, moved[lo] - (moved[lo - 1] if lo > 1 else 0))]
-            if hi < n:
-                edges.append((hi - 1, moved[hi] - moved[hi - 1]))
-            for step, change in edges:
-                if change:
-                    must_rise = change < 0
-                    dead |= abs(change) > 2 or rising.setdefault(step, must_rise) != must_rise
-            (floor,) = block
-            if floor < 0:
-                tests[("floor", lo, hi, -floor)] = None
-            upper = 1 << (hi - 1) if hi < n else 0
-            shift += (n + 1) * (delta // 2) * ((1 << (lo - 1)) - upper)
-        else:
-            shift += delta // 2
-        if (lo == 0 or hi == n) and moved[-1] < abs(moved[0]):
-            tests[("spin", moved[0], moved[-1])] = None
-    if dead:
+    walk = [0, *moved[1:]]  # the shift of each prefix spin 1, 2J^2, ..., 2J^N
+    changes = [b - a for a, b in zip(walk, walk[1:])]
+    if any(abs(change) > 2 for change in changes):
         return None
-    if rising:
-        mask = sum(1 << step for step in rising)
-        tests[("steps", mask, sum(1 << step for step, up in rising.items() if up))] = None
-    return _Chain(tuple(tests), shift, tuple(moved))
+    floors, lo = [], 1
+    for change, run in itertools.groupby(moved[1:]):
+        hi = lo + len(list(run))
+        if change < 0:
+            floors.append((lo, hi, -change))
+        lo = hi
+    return _Chain(
+        mask=sum(1 << step for step, change in enumerate(changes) if change),
+        rising=sum(1 << step for step, change in enumerate(changes) if change < 0),
+        floors=tuple(floors),
+        spin=None if moved[-1] >= abs(moved[0]) else (moved[0], moved[-1]),
+        shift=moved[0] // 2
+        + (n + 1) * sum(change // 2 * (1 << step) for step, change in enumerate(changes)),
+        moved=tuple(moved),
+    )
 
 
 class _Walks:
@@ -339,8 +308,8 @@ class _Walks:
 
     `labels` is the label array, `keys` the walk keys, `bits` the walk's
     N-1 step bits (1 where it rises) and `row_table` the basis index of
-    every walk key (-1 for keys of no basis state).  The spin tests and
-    the range floors, which many chains share, are evaluated once.
+    every walk key (-1 for keys of no basis state).  The floor and spin
+    tests, which many chains share, are evaluated once.
     """
 
     def __init__(self, labels: np.ndarray):
@@ -350,30 +319,32 @@ class _Walks:
         self.bits = self.keys // (n + 1)
         self.row_table = np.full((1 << (n - 1)) * (n + 1), -1, dtype=np.int64)
         self.row_table[self.keys] = np.arange(dim)
-        self._shared: dict[_Test, np.ndarray] = {}
+        self._floors: dict[tuple[int, int, int], np.ndarray] = {}
+        self._spins: dict[tuple[int, int], np.ndarray] = {}
 
-    def _test(self, test: _Test) -> np.ndarray:
-        kind, *args = test
-        if kind == "steps":  # nearly every chain tests its own edges: not kept
-            mask, rising = args
-            return (self.bits & mask) == rising
-        keep = self._shared.get(test)
+    def _floor(self, lo: int, hi: int, least: int) -> np.ndarray:
+        keep = self._floors.get((lo, hi, least))
         if keep is None:
-            if kind == "spin":
-                a, b = args
-                keep = np.abs(self.labels[0] + a) <= self.labels[-1] + b
-            else:
-                lo, hi, least = args
-                keep = self.labels[lo:hi].min(axis=0) >= least
-            self._shared[test] = keep
+            keep = self._floors[lo, hi, least] = self.labels[lo:hi].min(axis=0) >= least
+        return keep
+
+    def _spin(self, a: int, b: int) -> np.ndarray:
+        keep = self._spins.get((a, b))
+        if keep is None:
+            keep = self._spins[a, b] = np.abs(self.labels[0] + a) <= self.labels[-1] + b
         return keep
 
     def apply(self, chain: _Chain) -> tuple[np.ndarray, np.ndarray]:
         """(final row, initial col) of every state `chain` does not annihilate."""
-        keep = None
-        for test in chain.tests:
-            keep = self._test(test) if keep is None else keep & self._test(test)
-        cols = np.arange(self.labels.shape[1]) if keep is None else keep.nonzero()[0]
+        tests = [self._floor(*floor) for floor in chain.floors]
+        if chain.spin is not None:
+            tests.append(self._spin(*chain.spin))
+        if chain.mask:  # nearly every chain tests its own steps: not kept
+            tests.append((self.bits & chain.mask) == chain.rising)
+        if tests:
+            cols = np.logical_and.reduce(tests).nonzero()[0]
+        else:
+            cols = np.arange(self.labels.shape[1])
         keys = self.keys[cols] + chain.shift
         # numpy would wrap a negative key; viewed unsigned it lies past the table
         inside = keys.view(np.uint64).max(initial=0) < len(self.row_table)
@@ -387,10 +358,13 @@ class _Walks:
 
 
 def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(final row, initial col) of every state the chain does not annihilate.
+    """(final row, initial col) of every state whose labels plus the chain's
+    net shift are admissible.
 
-    Ops act in order, and a state is dropped once an intermediate result is
-    inadmissible, as the scalar operators return None for it.
+    For a chain of `_model_terms` these are the states that survive its ops
+    one at a time, as the scalar operators apply them: each product is
+    written so that no intermediate result is inadmissible unless the end
+    state is.
     """
     chain = _plan_chain(walks.n, ops)
     if chain is None:
@@ -423,7 +397,7 @@ def _assemble(
     back = np.argsort(mirrored)
     if not (np.array_equal(mirrored[back], keys) and np.array_equal(codes[back], codes)):
         raise AssertionError("coupled pairs not symmetric within each family")
-    eta = [code for code, (_, symbol) in enumerate(families) if symbol is CouplingSymbol.ETA]
+    eta = [code for code, (_, field) in enumerate(families) if field == "eta"]
     if n == 3 and np.isin(codes, eta).any():
         raise AssertionError("eta coefficients must vanish for three-site chains")
     return SymbolicHamiltonian(n, basis, diag, rows, cols, codes, families)
@@ -431,8 +405,7 @@ def _assemble(
 
 # The term families of the mutation model, in the order `_model_terms` lists them.
 _MODEL_FAMILIES: tuple[Family, ...] = (
-    ("H2", CouplingSymbol.DELTA), ("H1", CouplingSymbol.GAMMA), ("H3", CouplingSymbol.EPS),
-    ("H5", CouplingSymbol.EPS), ("H6", CouplingSymbol.ETA),
+    ("H2", "delta"), ("H1", "gamma"), ("H3", "eps"), ("H5", "eps"), ("H6", "eta"),
 )
 
 
@@ -449,23 +422,19 @@ def build_model(n: int) -> SymbolicHamiltonian:
     return _assemble(n, basis, basis.labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
 
 
-def build_hamming(n: int, include_diagonal: bool = True) -> SymbolicHamiltonian:
+def build_hamming(n: int) -> SymbolicHamiltonian:
     """Baseline structure: unit coupling between words one flip apart.
 
     Not a parameter choice of the mutation model; the connectivity pattern
-    itself differs.  `include_diagonal=False` zeroes the 2*J3 diagonal for
-    the factorized, exactly-plateaued variant.
+    itself differs.  mu0 = 0 drops the 2*J3 diagonal for the factorized,
+    exactly-plateaued variant.
     """
     basis = enumerate_basis(n)
     bits, cols = basis.bits, np.arange(len(basis))
-    family = ("HAMMING", CouplingSymbol.BETA)
+    family = ("HAMMING", "beta")
     flips = [
         (family, basis.index_by_bits[bits ^ (1 << (n - position))], cols)
         for position in range(1, n + 1)
     ]
-    if include_diagonal:
-        diag = basis.labels[0].astype(np.int64)
-    else:
-        diag = np.zeros(len(basis), dtype=np.int64)
-    return _assemble(n, basis, diag, (family,), flips)
+    return _assemble(n, basis, basis.labels[0].astype(np.int64), (family,), flips)
 

@@ -93,13 +93,13 @@ def pairs_matrix(dim, pairs):
 
 
 def coupling_matrices(sym):
-    """{coupling symbol: dense 0/1 int64 matrix of its pairs} for every
+    """{coupling field: dense 0/1 int64 matrix of its pairs} for every
     coupling of the structure's families, in the order they first appear."""
     import numpy as np
 
     matrices = {}
-    for code, (_, symbol) in enumerate(sym.families):
-        matrix = matrices.setdefault(symbol, np.zeros((sym.dim, sym.dim), dtype=np.int64))
+    for code, (_, field) in enumerate(sym.families):
+        matrix = matrices.setdefault(field, np.zeros((sym.dim, sym.dim), dtype=np.int64))
         keep = sym.family == code
         matrix[sym.rows[keep], sym.cols[keep]] = 1
     return matrices

@@ -20,7 +20,6 @@ from collections import Counter
 import numpy as np
 
 from crystalchain import (
-    CouplingSymbol,
     PlateauxGroup,
     PlateauxReport,
     SpinWord,
@@ -205,28 +204,27 @@ def _scalar_a_ik_dag(i, k):
 def scalar_model_terms(n):
     """The interaction chains of the mutation model as tuples of scalar
     ladder operators, each in application order (first op first)."""
-    S = CouplingSymbol
     terms = [
-        ("H2", S.DELTA, (apply_j_minus,)),
-        ("H2", S.DELTA, (apply_j_plus,)),
+        ("H2", "delta", (apply_j_minus,)),
+        ("H2", "delta", (apply_j_plus,)),
     ]
     for i in range(2, n):
         for k in range(i + 1, n + 1):
-            terms.append(("H1", S.GAMMA, (apply_j_minus, _scalar_a_ik(i, k))))
-            terms.append(("H1", S.GAMMA, (_scalar_a_ik_dag(i, k), apply_j_plus)))
+            terms.append(("H1", "gamma", (apply_j_minus, _scalar_a_ik(i, k))))
+            terms.append(("H1", "gamma", (_scalar_a_ik_dag(i, k), apply_j_plus)))
     for i in range(2, n + 1):
-        terms.append(("H3", S.EPS, (apply_j_minus, _scalar_a(i))))
-        terms.append(("H3", S.EPS, (_scalar_a_dag(i), apply_j_plus)))
+        terms.append(("H3", "eps", (apply_j_minus, _scalar_a(i))))
+        terms.append(("H3", "eps", (_scalar_a_dag(i), apply_j_plus)))
     for m in range(2, n + 1):
-        terms.append(("H5", S.EPS, (_scalar_a_dag(m), apply_j_minus)))
-        terms.append(("H5", S.EPS, (apply_j_plus, _scalar_a(m))))
+        terms.append(("H5", "eps", (_scalar_a_dag(m), apply_j_minus)))
+        terms.append(("H5", "eps", (apply_j_plus, _scalar_a(m))))
     for i in range(2, n - 1):
         for k in range(i + 1, n):
             terms.append(
-                ("H6", S.ETA, (_scalar_a_dag(k + 1), apply_j_minus, _scalar_a_ik(i, k)))
+                ("H6", "eta", (_scalar_a_dag(k + 1), apply_j_minus, _scalar_a_ik(i, k)))
             )
             terms.append(
-                ("H6", S.ETA, (apply_j_plus, _scalar_a(k + 1), _scalar_a_ik_dag(i, k)))
+                ("H6", "eta", (apply_j_plus, _scalar_a(k + 1), _scalar_a_ik_dag(i, k)))
             )
     return terms
 
@@ -241,19 +239,13 @@ def scalar_model_build(n):
     basis = enumerate_basis(n)
     dim = len(basis)
     coeffs = {
-        symbol: np.zeros((dim, dim), dtype=np.int64)
-        for symbol in (
-            CouplingSymbol.EPS,
-            CouplingSymbol.GAMMA,
-            CouplingSymbol.DELTA,
-            CouplingSymbol.ETA,
-        )
+        field: np.zeros((dim, dim), dtype=np.int64) for field in ("eps", "gamma", "delta", "eta")
     }
     provenance = {}
     terms = scalar_model_terms(n)
     for col in range(dim):
         start = basis[col][1]
-        for term_id, symbol, chain in terms:
+        for term_id, field, chain in terms:
             labels = start
             for op in chain:
                 labels = op(labels)
@@ -262,7 +254,7 @@ def scalar_model_build(n):
             if labels is None:
                 continue
             row = basis.index_of(labels)
-            coeffs[symbol][row, col] += 1
+            coeffs[field][row, col] += 1
             provenance.setdefault((row, col), Counter())[term_id] += 1
     return coeffs, provenance
 
@@ -282,8 +274,8 @@ def dense_evaluate(diag, coeffs, values):
     """mu0*diag(2J3) plus v * matrix for every nonzero coupling, summed as
     whole dense arrays in the order of `coeffs`."""
     h = np.diag(values.mu0 * np.asarray(diag).astype(float))
-    for symbol, matrix in coeffs.items():
-        v = values.value(symbol)
+    for field, matrix in coeffs.items():
+        v = getattr(values, field)
         if v != 0.0:
             h = h + v * matrix
     return h
@@ -291,10 +283,9 @@ def dense_evaluate(diag, coeffs, values):
 
 def reference_eigendecompose(h):
     """Checked eigendecomposition with whole-matrix checks: finiteness by
-    np.isfinite, symmetry by np.abs(h - h.T).max(), the sign anchor by a
-    column argmax, and the residual h V - V diag(e) and V.T V - I as dense
-    products.  `eigendecompose` must match it bit for bit and raise where
-    it raises."""
+    np.isfinite, symmetry by np.abs(h - h.T).max(), and the residual
+    h V - V diag(e) and V.T V - I as dense products.  `eigendecompose` must
+    match it bit for bit and raise where it raises."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
@@ -310,10 +301,6 @@ def reference_eigendecompose(h):
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     if not (np.isfinite(eigenvalues).all() and np.isfinite(vectors).all()):
         raise RuntimeError("eigensolver returned non-finite values")
-    anchor = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[anchor, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    vectors *= signs
     r = h @ vectors
     r -= vectors * eigenvalues
     residual = float(np.abs(r, out=r).max())

@@ -285,7 +285,7 @@ class TestPlateauxReport:
                 sym = build_model(n)
                 values = CouplingValues(1.0, *rng.uniform(0.1, 1.0, 4))
             else:
-                sym = build_hamming(n, include_diagonal=bool(n % 2))
+                sym = build_hamming(n)
                 values = CouplingValues(mu0=0.0 if n % 2 == 0 else 1.0, beta=0.5)
             spec = eigendecompose(sym.evaluate(values))
             initial = int(rng.integers(0, sym.basis.dim))

@@ -90,12 +90,21 @@ class TestHamiltonianCommand:
         expected = "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix) + "\n"
         assert capsys.readouterr().out == expected
 
-    def test_zero_diagonal_requires_hamming(self, capsys):
-        assert main(["hamiltonian", "--n", "3", "--symbolic", "--zero-diagonal"]) == 2
-        assert main(["hamiltonian", "--n", "3", "--model", "hamming", "--symbolic", "--zero-diagonal"]) == 0
-        out = capsys.readouterr().out
-        diag_lines = [l for l in out.splitlines() if " MU0 " in l]
-        assert all(l.split()[-1] == "0" for l in diag_lines)
+    def test_zero_mu0_drops_the_diagonal(self, capsys):
+        assert main(["hamiltonian", "--n", "3", "--model", "hamming", "--mu0", "0",
+                     "--beta", "0.5"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[i] for i, row in enumerate(rows)] == ["0.0"] * 8
+
+    def test_non_finite_matrix_is_exit_3_and_writes_nothing(self, tmp_path):
+        proc = run_in_child(
+            ["hamiltonian", "--n", "3", "--mu0", "1e308", "--eps", "1e308", "--out", "D"],
+            tmp_path,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: matrix has non-finite entries\n"
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestProfileCommand:
@@ -250,6 +259,15 @@ class TestProfileCommand:
                      "--delta", "1e308", "--horizon", "10", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error:")
         assert not (out / "profile.csv").exists()
+
+    def test_overflowing_diagonal_prints_only_the_error(self, tmp_path):
+        proc = run_in_child(
+            ["profile", "--n", "3", "--initial", "RRY", "--mu0", "1e308", "--out", "x"], tmp_path
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: matrix has non-finite entries\n"
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("stage", ["eigendecompose", "time_averaged_profile"])
     def test_numeric_check_failure_maps_to_exit_3(self, tmp_path, capsys, monkeypatch, stage):
@@ -603,6 +621,19 @@ class TestSweepCommand:
         for point in ("point_000", "point_001"):
             fits = json.loads((tmp_path / "sweep" / point / "fits.json").read_text())["fits"]
             assert all(np.isfinite([f["a"], f["k"], f["b"], f["sse_linear"]]).all() for f in fits)
+
+    @pytest.mark.parametrize("member", ["eps", "gamma", "delta", "eta"])
+    @pytest.mark.parametrize("all_first", [True, False])
+    def test_all_next_to_a_member_is_usage_error(self, tmp_path, capsys, member, all_first):
+        axes = ["--param", "all=0.1", "--param", f"{member}=0.2"]
+        if not all_first:
+            axes = axes[2:] + axes[:2]
+        out = tmp_path / "s"
+        assert main(["sweep", "--n", "3", "--initial", "RRY", *axes, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep parameter 'all' sets eps, gamma, delta, eta; give it alone\n"
+        )
+        assert not out.exists()
 
     def test_unknown_parameter_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", "--n", "3", "--initial", "RRY", "--param", "zeta=1",
