@@ -16,21 +16,13 @@ from .analysis import (
     fit_refine,
     plateaux_report,
     rank_order,
-    ranked_from_values,
 )
 from .crystal import (
     MAX_CHAIN_LENGTH,
     MIN_CHAIN_LENGTH,
     BasisMap,
-    CrystalLabels,
-    Spin,
     SpinWord,
     enumerate_basis,
-    hamming_distance,
-    labels_from_word,
-    labels_valid,
-    validate_labels,
-    word_from_labels,
 )
 from .dynamics import (
     SpectralDecomposition,
@@ -40,18 +32,10 @@ from .dynamics import (
     find_stable_T,
     infinite_time_average,
     time_averaged_profile,
-    transition_probability,
 )
 from .hamiltonian import (
     CouplingValues,
-    LadderResult,
     SymbolicHamiltonian,
-    apply_a,
-    apply_a_dagger,
-    apply_a_ik,
-    apply_a_ik_dagger,
-    apply_j_minus,
-    apply_j_plus,
     build_hamming,
     build_model,
 )

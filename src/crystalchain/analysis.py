@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -56,12 +55,6 @@ def rank_order(profile: TransitionProfile, include_self: bool = False) -> Ranked
     values = profile.p_avg[indices]
     order = np.argsort(-values, kind="stable")
     return RankedDistribution(indices[order], values[order])
-
-
-def ranked_from_values(values: Sequence[float]) -> RankedDistribution:
-    """Rank already-sorted values 1..n, their indices taken as 0..n-1."""
-    values = np.array(values, dtype=float)
-    return RankedDistribution(np.arange(len(values), dtype=np.int64), values)
 
 
 @dataclass(frozen=True)
@@ -298,9 +291,6 @@ class PlateauxReport:
 
     groups: tuple[PlateauxGroup, ...]
     consistent: bool
-
-    def max_spread(self) -> float:
-        return max(g.spread for g in self.groups)
 
     def is_exact(self) -> bool:
         """True when every group is flat within _PLATEAU_TOL (1e-9) and groups

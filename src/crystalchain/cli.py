@@ -143,6 +143,14 @@ def _couplings(args: argparse.Namespace, base: dict) -> CouplingValues:
     return CouplingValues.from_dict({k: _number(f"coupling {k}", v) for k, v in data.items()})
 
 
+# The top-level keys `_write_run` writes to manifest.json: the only ones a
+# --config file may hold.
+_MANIFEST_KEYS = frozenset((
+    "n", "initial", "model", "couplings", "horizon", "resolved_T", "include_self",
+    "fits", "version", "timestamp",
+))
+
+
 def _resolve_config(args: argparse.Namespace, base: "dict | None" = None) -> RunConfig:
     """Merge flags over ``base`` (a preset's fields) or over the JSON
     config/manifest named by ``--config``; flags win."""
@@ -155,6 +163,9 @@ def _resolve_config(args: argparse.Namespace, base: "dict | None" = None) -> Run
             raise UsageError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(base, dict):
             raise UsageError(f"config {config_path} must hold a JSON object")
+        unknown = ", ".join(repr(key) for key in base if key not in _MANIFEST_KEYS)
+        if unknown:
+            raise UsageError(f"config {config_path} has unknown key(s) {unknown}")
 
     def pick(name, default=None):
         flag = getattr(args, name, None)
@@ -300,17 +311,19 @@ def _write_run(out: Path, result: RunResult) -> None:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     basis = enumerate_basis(args.n)
-    for idx, (word, labels) in enumerate(basis):
-        print(f"{idx + 1} {word} {labels.text()}")
+    for idx, (word, (two_j3, *two_j)) in enumerate(zip(basis.words, basis.labels.T.tolist()), 1):
+        body = ",".join(f"{q}/2" for q in two_j)
+        print(f"{idx} {word} J3={two_j3}/2; J^2..J^N={body}")
     return EXIT_OK
 
 
 def cmd_hamiltonian(args: argparse.Namespace) -> int:
+    couplings = _couplings(args, {})  # checked even when --symbolic leaves them unused
     sym = build_model(args.n) if args.model == "crystal" else build_hamming(args.n)
     if args.symbolic:
         text = sym.dump() + "\n"
     else:
-        matrix = sym.evaluate(_couplings(args, {}))
+        matrix = sym.evaluate(couplings)
         if not np.isfinite(matrix).all():
             raise RuntimeError("matrix has non-finite entries")
         text = "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix) + "\n"

@@ -175,22 +175,6 @@ def _as_profile(initial: int, horizon: float, values: np.ndarray) -> TransitionP
     return TransitionProfile(initial, horizon, values)
 
 
-def transition_probability(
-    spec: SpectralDecomposition, initial: int, final: int, t: float
-) -> float:
-    """|<final| exp(-iHt) |initial>|^2 from the spectral data."""
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError(f"time must be nonnegative and finite, got {t!r}")
-    c = spec.eigenvectors[final] * spec.eigenvectors[initial]
-    with np.errstate(over="ignore"):
-        phase = spec.eigenvalues * t
-    if not np.isfinite(phase).all():
-        raise PhaseOverflowError(f"time {t!r} overflows the phases e*t of this spectrum")
-    re = float(c @ np.cos(phase))
-    im = float(c @ np.sin(phase))
-    return re * re + im * im
-
-
 def _sinc(x: np.ndarray) -> np.ndarray:
     """sin(x)/x, from the series 1 - x^2/6 + x^4/120 for |x| < 1e-4."""
     small = np.abs(x) < 1e-4

@@ -1,4 +1,4 @@
-"""Ladder operators on crystal labels and symbolic Hamiltonian assembly.
+"""Symbolic Hamiltonian assembly from ladder-operator chains.
 
 The mutation model couples basis states through short chains of ladder
 operators: the spin-flip steps J+/J- and the label shifts A_i / A_{i,k}
@@ -8,7 +8,10 @@ surviving chain couples one (final, initial) pair of states through one
 coupling constant, and no two chains couple the same pair, so the
 Hamiltonian structure is one exact, parameter-free list of pairs, each
 tagged with the term family that made it, until `evaluate` substitutes
-numbers.  The scalar `apply_*` operators define the moves on one state.
+numbers.  Each operator is one (lo, hi, delta) shift of the basis label
+array's rows, applied to all states at once; the same operators on one
+state at a time are the reference the tests build against
+(`tests/oracles.py`).
 
 The builder decides each chain from its net label shift m, the sum of
 its ops: the "variation of the labels" that sets a flip's intensity.
@@ -36,10 +39,7 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .crystal import BasisMap, CrystalLabels, enumerate_basis, labels_valid
-
-# A ladder operator either annihilates (None) or yields admissible labels.
-LadderResult = Optional[CrystalLabels]
+from .crystal import BasisMap, enumerate_basis
 
 
 @dataclass(frozen=True)
@@ -69,58 +69,6 @@ class CouplingValues:
         if unknown:
             raise ValueError(f"unknown coupling names: {sorted(unknown)}")
         return cls(**{k: float(v) for k, v in data.items()})
-
-
-def apply_j_plus(labels: CrystalLabels) -> LadderResult:
-    """Raise 2J3 by 2 inside the irrep; annihilate past the top rung."""
-    out = labels.with_two_j3(labels.two_j3 + 2)
-    return out if abs(out.two_j3) <= out.two_j_top else None
-
-
-def apply_j_minus(labels: CrystalLabels) -> LadderResult:
-    """Lower 2J3 by 2 inside the irrep; annihilate past the bottom rung."""
-    out = labels.with_two_j3(labels.two_j3 - 2)
-    return out if abs(out.two_j3) <= out.two_j_top else None
-
-
-def _check_a_index(i: int, n: int) -> None:
-    if not 2 <= i <= n:
-        raise ValueError(f"index i must satisfy 2 <= i <= {n}, got {i}")
-
-
-def _check_a_ik_indices(i: int, k: int, n: int) -> None:
-    if not 2 <= i <= n - 1:
-        raise ValueError(f"index i must satisfy 2 <= i <= {n - 1}, got {i}")
-    if not i + 1 <= k <= n:
-        raise ValueError(f"index k must satisfy {i + 1} <= k <= {n}, got {k}")
-
-
-def apply_a(i: int, labels: CrystalLabels) -> LadderResult:
-    """Lower every 2J^l for i <= l <= N by 2; annihilate if inadmissible."""
-    _check_a_index(i, labels.n)
-    out = labels.with_shift(i, labels.n, -2)
-    return out if labels_valid(out) else None
-
-
-def apply_a_dagger(i: int, labels: CrystalLabels) -> LadderResult:
-    """Raise every 2J^l for i <= l <= N by 2; annihilate if inadmissible."""
-    _check_a_index(i, labels.n)
-    out = labels.with_shift(i, labels.n, 2)
-    return out if labels_valid(out) else None
-
-
-def apply_a_ik(i: int, k: int, labels: CrystalLabels) -> LadderResult:
-    """Lower 2J^l for i <= l <= k-1 by 2, leaving l >= k untouched."""
-    _check_a_ik_indices(i, k, labels.n)
-    out = labels.with_shift(i, k - 1, -2)
-    return out if labels_valid(out) else None
-
-
-def apply_a_ik_dagger(i: int, k: int, labels: CrystalLabels) -> LadderResult:
-    """Raise 2J^l for i <= l <= k-1 by 2, leaving l >= k untouched."""
-    _check_a_ik_indices(i, k, labels.n)
-    out = labels.with_shift(i, k - 1, 2)
-    return out if labels_valid(out) else None
 
 
 # (term family, coupling field of `CouplingValues`), e.g. ("H2", "delta")
@@ -164,10 +112,6 @@ class SymbolicHamiltonian:
         h = np.diag(diag)
         h[self.rows, self.cols] = np.array(couplings)[self.family] + 0.0
         return h
-
-    def allowed_transitions(self, state: int) -> set[int]:
-        """Basis indices reachable from `state` by any nonzero coefficient."""
-        return set(self.rows[self.cols == state].tolist())
 
     def dump(self) -> str:
         """One line per entry: `row col SYMBOL multiplicity`, 1-based.
@@ -362,9 +306,9 @@ def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.nd
     net shift are admissible.
 
     For a chain of `_model_terms` these are the states that survive its ops
-    one at a time, as the scalar operators apply them: each product is
-    written so that no intermediate result is inadmissible unless the end
-    state is.
+    one at a time, as the per-state ladder operators apply them: each
+    product is written so that no intermediate result is inadmissible
+    unless the end state is.
     """
     chain = _plan_chain(walks.n, ops)
     if chain is None:

@@ -1,38 +1,42 @@
-"""Independent oracles: numerical ones that deliberately avoid the
-closed-form paths they are used to check, the per-word basis enumeration
-that the array enumeration must reproduce, per-state scalar builders of the
-Hamiltonian structure that the vectorized builders are checked against, the
-op-by-op walk of a ladder chain over copied label arrays that the builder's
-per-state walk features must reproduce, with the whole-array admissibility
-test that the walk's block-edge test must match, the plain loops that the
-screened horizon search and the vectorized plateaux grouping must reproduce
-exactly, the (-value, index) Python sort that the argsort ranking must
-reproduce byte for byte, the one-horizon-at-a-time return probability that
-bounds the batched ladder screens, the whole-matrix eigendecomposition
-checks that the blocked ones must match bit for bit, the direct sin(x)/x
-kernel that the sine-addition probe is bounded against, and the refinement
-loop that recomputes every prediction, which `fit_refine` must match bit
-for bit."""
+"""Independent oracles for the tests.
+
+- The per-state reference layer: the word <-> label bijection and the
+  admissibility test on one label tuple, Hamming distance, the six scalar
+  ladder operators, and |<f|exp(-iHt)|i>|^2 at one time.  The library holds
+  the states only as the basis arrays; these definitions, one state at a
+  time, are what the arrays and the vectorized builders are checked
+  against.  `ranked_from_values` ranks values given already sorted.
+- The per-word basis enumeration that the array enumeration must
+  reproduce, and per-state scalar builders of the Hamiltonian structure.
+- The op-by-op walk of a ladder chain over copied label arrays that the
+  builder's per-state walk features must reproduce, with the whole-array
+  admissibility test that the walk's block-edge test must match.
+- Numerical oracles that deliberately avoid the closed-form paths they are
+  used to check: the matrix exponential and trapezoid averages, the plain
+  loops that the screened horizon search and the vectorized plateaux
+  grouping must reproduce exactly, the (-value, index) Python sort that the
+  argsort ranking must reproduce byte for byte, the one-horizon-at-a-time
+  return probability that bounds the batched ladder screens, the
+  whole-matrix eigendecomposition checks that the blocked ones must match
+  bit for bit, the direct sin(x)/x kernel that the sine-addition probe is
+  bounded against, and the refinement loop that recomputes every
+  prediction, which `fit_refine` must match bit for bit.
+"""
 
 import math
 from collections import Counter
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from crystalchain import (
     PlateauxGroup,
     PlateauxReport,
+    RankedDistribution,
     SpinWord,
     StableHorizonError,
-    apply_a,
-    apply_a_dagger,
-    apply_a_ik,
-    apply_a_ik_dagger,
-    apply_j_minus,
-    apply_j_plus,
     enumerate_basis,
-    hamming_distance,
-    labels_from_word,
     time_averaged_profile,
 )
 from crystalchain.analysis import (
@@ -47,11 +51,164 @@ from crystalchain.analysis import (
 from crystalchain.dynamics import (
     _KERNEL_BLOCK,
     DEFAULT_DECOMP_TOL,
+    PhaseOverflowError,
     SpectralDecomposition,
     _as_profile,
     _sinc,
 )
 from crystalchain.hamiltonian import _walk_keys
+
+
+class Labels(NamedTuple):
+    """Doubled labels (2*J3; 2*J^2 .. 2*J^N) of one chain state.
+
+    ``two_j[i - 2]`` holds 2*J^i, so the tuple runs from the two-letter
+    prefix up to the full chain; its last entry is the doubled total spin.
+    """
+
+    two_j3: int
+    two_j: tuple[int, ...]
+
+
+def validate_labels(two_j3, two_j):
+    """True iff the doubled tuple is the label set of some R/Y word.
+
+    Admissibility: first entry 0 or 2, successive entries differ by
+    exactly 1, all entries nonnegative, and |2J3| <= 2J^N with matching
+    parity.
+    """
+    if len(two_j) < 1:
+        return False
+    if two_j[0] not in (0, 2):
+        return False
+    prev = two_j[0]
+    for q in two_j[1:]:
+        if q < 0 or abs(q - prev) != 1:
+            return False
+        prev = q
+    top = two_j[-1]
+    if abs(two_j3) > top:
+        return False
+    if (top - two_j3) % 2 != 0:
+        return False
+    return True
+
+
+def labels_from_word(word):
+    """Label an R/Y word by stack reduction of every prefix.
+
+    On R the unmatched-R count grows; on Y one unmatched R is cancelled if
+    available, otherwise the unmatched-Y count grows.  After each prefix of
+    length i >= 2 the doubled prefix spin a + b is recorded.
+    """
+    a = b = 0
+    prefix_spins = []
+    for pos, ch in enumerate(word, start=1):
+        if ch == "R":
+            b += 1
+        elif b > 0:
+            b -= 1
+        else:
+            a += 1
+        if pos >= 2:
+            prefix_spins.append(a + b)
+    n_r = word.count("R")
+    return Labels(n_r - (len(word) - n_r), tuple(prefix_spins))
+
+
+def word_from_labels(labels):
+    """The unique R/Y word with the given labels, rebuilt right to left.
+
+    The terminal stack is fixed by (2J^N, 2J3); each step back compares
+    successive prefix spins: an increase going backwards marks a
+    cancelling Y, a decrease marks an R while unmatched R's remain and an
+    unmatched Y once they run out.
+    """
+    two_j3, two_j = labels
+    if not validate_labels(two_j3, two_j):
+        raise ValueError(f"inadmissible labels: {labels}")
+    b = (two_j[-1] + two_j3) // 2
+    a = (two_j[-1] - two_j3) // 2
+    # path[i - 1] = doubled prefix spin at length i; one letter carries spin 1
+    path = (1, *two_j)
+    letters = []
+    for i in range(len(path), 1, -1):
+        prev, cur = path[i - 2], path[i - 1]
+        if prev == cur + 1:
+            letters.append("Y")
+            b += 1
+        elif b >= 1:
+            letters.append("R")
+            b -= 1
+        else:
+            letters.append("Y")
+            a -= 1
+    letters.append("R" if b == 1 else "Y")
+    return "".join(reversed(letters))
+
+
+def hamming_distance(first, second):
+    """Number of sites at which two equal-length words differ."""
+    return sum(c1 != c2 for c1, c2 in zip(str(first), str(second), strict=True))
+
+
+def apply_j_plus(labels):
+    """Raise 2J3 by 2 inside the irrep; annihilate (None) past the top rung."""
+    two_j3 = labels.two_j3 + 2
+    return Labels(two_j3, labels.two_j) if abs(two_j3) <= labels.two_j[-1] else None
+
+
+def apply_j_minus(labels):
+    """Lower 2J3 by 2 inside the irrep; annihilate (None) past the bottom rung."""
+    two_j3 = labels.two_j3 - 2
+    return Labels(two_j3, labels.two_j) if abs(two_j3) <= labels.two_j[-1] else None
+
+
+def _shifted(labels, lo, hi, delta):
+    """`labels` with `delta` added to every 2J^l, lo <= l <= hi; None if
+    the result is inadmissible."""
+    two_j = tuple(q + delta if lo <= l <= hi else q for l, q in enumerate(labels.two_j, 2))
+    return Labels(labels.two_j3, two_j) if validate_labels(labels.two_j3, two_j) else None
+
+
+def apply_a(i, labels):
+    """A_i: lower every 2J^l for i <= l <= N by 2."""
+    return _shifted(labels, i, len(labels.two_j) + 1, -2)
+
+
+def apply_a_dagger(i, labels):
+    """A_i†: raise every 2J^l for i <= l <= N by 2."""
+    return _shifted(labels, i, len(labels.two_j) + 1, 2)
+
+
+def apply_a_ik(i, k, labels):
+    """A_{i,k}: lower 2J^l for i <= l <= k-1 by 2, leaving l >= k untouched."""
+    return _shifted(labels, i, k - 1, -2)
+
+
+def apply_a_ik_dagger(i, k, labels):
+    """A_{i,k}†: raise 2J^l for i <= l <= k-1 by 2, leaving l >= k untouched."""
+    return _shifted(labels, i, k - 1, 2)
+
+
+def transition_probability(spec, initial, final, t):
+    """|<final| exp(-iHt) |initial>|^2 from the spectral data."""
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"time must be nonnegative and finite, got {t!r}")
+    c = spec.eigenvectors[final] * spec.eigenvectors[initial]
+    with np.errstate(over="ignore"):
+        phase = spec.eigenvalues * t
+    if not np.isfinite(phase).all():
+        raise PhaseOverflowError(f"time {t!r} overflows the phases e*t of this spectrum")
+    re = float(c @ np.cos(phase))
+    im = float(c @ np.sin(phase))
+    return re * re + im * im
+
+
+def ranked_from_values(values):
+    """Rank already-sorted values 1..n, their indices taken as 0..n-1."""
+    values = np.array(values, dtype=float)
+    return RankedDistribution(np.arange(len(values), dtype=np.int64), values)
 
 
 def reference_enumeration(n):
@@ -129,7 +286,7 @@ def site_product_average(n_sites, distance, mu0, beta, horizon, samples=2_000_00
 
 
 def admissible_columns(labels):
-    """`labels_valid` for every column of a builder label array at once:
+    """`validate_labels` for every column of a builder label array at once:
     row 0 is 2J3, row l-1 is 2J^l."""
     two_j3, two_j = labels[0], labels[1:]
     top = two_j[-1]
@@ -143,7 +300,7 @@ def admissible_columns(labels):
 
 
 def moved_admissible(labels, lo, hi):
-    """Which columns are admissible (`labels_valid`) after rows lo:hi of
+    """Which columns are admissible (`validate_labels`) after rows lo:hi of
     an array of admissible columns were shifted by +-2.
 
     A +-2 shift keeps every parity and every unit step inside the block,
@@ -185,22 +342,6 @@ def walk_chain(labels, row_table, ops):
     return rows, cols
 
 
-def _scalar_a(i):
-    return lambda labels: apply_a(i, labels)
-
-
-def _scalar_a_dag(i):
-    return lambda labels: apply_a_dagger(i, labels)
-
-
-def _scalar_a_ik(i, k):
-    return lambda labels: apply_a_ik(i, k, labels)
-
-
-def _scalar_a_ik_dag(i, k):
-    return lambda labels: apply_a_ik_dagger(i, k, labels)
-
-
 def scalar_model_terms(n):
     """The interaction chains of the mutation model as tuples of scalar
     ladder operators, each in application order (first op first)."""
@@ -210,31 +351,31 @@ def scalar_model_terms(n):
     ]
     for i in range(2, n):
         for k in range(i + 1, n + 1):
-            terms.append(("H1", "gamma", (apply_j_minus, _scalar_a_ik(i, k))))
-            terms.append(("H1", "gamma", (_scalar_a_ik_dag(i, k), apply_j_plus)))
+            terms.append(("H1", "gamma", (apply_j_minus, partial(apply_a_ik, i, k))))
+            terms.append(("H1", "gamma", (partial(apply_a_ik_dagger, i, k), apply_j_plus)))
     for i in range(2, n + 1):
-        terms.append(("H3", "eps", (apply_j_minus, _scalar_a(i))))
-        terms.append(("H3", "eps", (_scalar_a_dag(i), apply_j_plus)))
+        terms.append(("H3", "eps", (apply_j_minus, partial(apply_a, i))))
+        terms.append(("H3", "eps", (partial(apply_a_dagger, i), apply_j_plus)))
     for m in range(2, n + 1):
-        terms.append(("H5", "eps", (_scalar_a_dag(m), apply_j_minus)))
-        terms.append(("H5", "eps", (apply_j_plus, _scalar_a(m))))
+        terms.append(("H5", "eps", (partial(apply_a_dagger, m), apply_j_minus)))
+        terms.append(("H5", "eps", (apply_j_plus, partial(apply_a, m))))
     for i in range(2, n - 1):
         for k in range(i + 1, n):
-            terms.append(
-                ("H6", "eta", (_scalar_a_dag(k + 1), apply_j_minus, _scalar_a_ik(i, k)))
-            )
-            terms.append(
-                ("H6", "eta", (apply_j_plus, _scalar_a(k + 1), _scalar_a_ik_dag(i, k)))
-            )
+            terms.append(("H6", "eta", (
+                partial(apply_a_dagger, k + 1), apply_j_minus, partial(apply_a_ik, i, k)
+            )))
+            terms.append(("H6", "eta", (
+                apply_j_plus, partial(apply_a, k + 1), partial(apply_a_ik_dagger, i, k)
+            )))
     return terms
 
 
 def scalar_model_build(n):
     """Reference mutation-model structure, one basis state at a time.
 
-    Applies every scalar chain to every state's CrystalLabels and finds the
-    result with basis.index_of.  Returns (dense int64 matrix per coupling,
-    {(row, col): Counter of term families}).
+    Applies every scalar chain to the labels of every state's word and
+    finds the result's row by the word of its labels.  Returns (dense int64
+    matrix per coupling, {(row, col): Counter of term families}).
     """
     basis = enumerate_basis(n)
     dim = len(basis)
@@ -243,8 +384,8 @@ def scalar_model_build(n):
     }
     provenance = {}
     terms = scalar_model_terms(n)
-    for col in range(dim):
-        start = basis[col][1]
+    for col, word in enumerate(basis.words):
+        start = labels_from_word(word)
         for term_id, field, chain in terms:
             labels = start
             for op in chain:
@@ -253,7 +394,7 @@ def scalar_model_build(n):
                     break
             if labels is None:
                 continue
-            row = basis.index_of(labels)
+            row = basis.index_of_word(word_from_labels(labels))
             coeffs[field][row, col] += 1
             provenance.setdefault((row, col), Counter())[term_id] += 1
     return coeffs, provenance
@@ -264,9 +405,10 @@ def scalar_hamming_build(n):
     basis = enumerate_basis(n)
     dim = len(basis)
     beta = np.zeros((dim, dim), dtype=np.int64)
-    for col, (word, _) in enumerate(basis):
-        for position in range(1, n + 1):
-            beta[basis.index_of_word(word.flip(position)), col] = 1
+    for col, word in enumerate(basis.words):
+        for site in range(n):
+            flipped = word[:site] + ("Y" if word[site] == "R" else "R") + word[site + 1 :]
+            beta[basis.index_of_word(flipped), col] = 1
     return beta
 
 

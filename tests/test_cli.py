@@ -12,7 +12,7 @@ from crystalchain import CouplingValues, StableHorizonError, build_hamming, buil
 from crystalchain.cli import main
 from crystalchain.dynamics import dense_peak_bytes
 from golden import THREE_SITE_BASIS_LINES, THREE_SITE_DUMP
-from oracles import dense_evaluate, scalar_model_build
+from oracles import dense_evaluate, labels_from_word, reference_enumeration, scalar_model_build
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -47,6 +47,18 @@ class TestBasisCommand:
 
     def test_too_short_chain_is_usage_error(self, capsys):
         assert main(["basis", "--n", "1"]) == 2
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_listing_matches_reference_labels(self, capsys, n):
+        bits, _ = reference_enumeration(n)
+        expected = []
+        for idx, word_bits in enumerate(bits.tolist(), start=1):
+            word = "".join("R" if (word_bits >> (n - 1 - s)) & 1 else "Y" for s in range(n))
+            labels = labels_from_word(word)
+            body = ",".join(f"{q}/2" for q in labels.two_j)
+            expected.append(f"{idx} {word} J3={labels.two_j3}/2; J^2..J^N={body}\n")
+        assert main(["basis", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == "".join(expected)
 
 
 class TestHamiltonianCommand:
@@ -106,6 +118,20 @@ class TestHamiltonianCommand:
         assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps", "1e400", "--mu0", "5"], "coupling eps must be finite"),
+        (["--gamma", "nan"], "coupling gamma must be finite"),
+    ])
+    def test_symbolic_dump_checks_coupling_flags(self, tmp_path, flags, message):
+        proc = run_in_child(
+            ["hamiltonian", "--n", "3", "--symbolic", *flags, "--out", "D"], tmp_path
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestProfileCommand:
     def test_short_horizon_delta_row(self, tmp_path, capsys):
@@ -124,18 +150,13 @@ class TestProfileCommand:
         from crystalchain import crystal
 
         made = []
-        post_init, init = crystal.SpinWord.__post_init__, crystal.CrystalLabels.__init__
+        post_init = crystal.SpinWord.__post_init__
 
         def count_word(self):
             made.append(self.spins)
             post_init(self)
 
-        def count_labels(self, *args):
-            made.append(args)
-            init(self, *args)
-
         monkeypatch.setattr(crystal.SpinWord, "__post_init__", count_word)
-        monkeypatch.setattr(crystal.CrystalLabels, "__init__", count_labels)
         crystal.enumerate_basis(8)
         build_model(8)
         build_hamming(8)
@@ -328,6 +349,13 @@ class TestProfileCommand:
     def test_config_couplings_must_be_numbers(self, tmp_path, capsys, value):
         assert self.run_config(tmp_path, couplings={"mu0": 1.0, "eps": value}) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("typo, value", [("horizn", 5), ("inclde_self", True)])
+    def test_config_refuses_unknown_keys(self, tmp_path, capsys, typo, value):
+        assert self.run_config(tmp_path, **{typo: value}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(typo) in err
         assert not (tmp_path / "x").exists()
 
     def test_config_integers_stand_for_floats(self, tmp_path, capsys):

@@ -3,22 +3,27 @@ import itertools
 import numpy as np
 import pytest
 
-from crystalchain import (
-    CrystalLabels,
-    Spin,
-    SpinWord,
-    enumerate_basis,
+from crystalchain import SpinWord, enumerate_basis
+from crystalchain.cli import main
+from golden import THREE_SITE_CATALOGUE, THREE_SITE_ORDER, TWO_SITE_ORDER
+from oracles import (
+    Labels,
     hamming_distance,
     labels_from_word,
+    reference_enumeration,
     validate_labels,
     word_from_labels,
 )
-from golden import THREE_SITE_CATALOGUE, THREE_SITE_ORDER, TWO_SITE_ORDER
-from oracles import reference_enumeration
 
 
 def labels(two_j3, two_j):
-    return CrystalLabels(two_j3, tuple(two_j))
+    return Labels(two_j3, tuple(two_j))
+
+
+def basis_labels(basis, word):
+    """(2J3, (2J^2, ..., 2J^N)) of `word`, read from the basis label array."""
+    two_j3, *two_j = basis.labels[:, basis.index_of_word(word)].tolist()
+    return two_j3, tuple(two_j)
 
 
 class TestSpinWord:
@@ -37,33 +42,22 @@ class TestSpinWord:
         with pytest.raises(ValueError):
             SpinWord("R" * 15)
 
-    def test_flip_is_one_based(self):
-        assert SpinWord("RRY").flip(1).spins == "YRY"
-        assert SpinWord("RRY").flip(3).spins == "RRR"
-        with pytest.raises(ValueError):
-            SpinWord("RRY").flip(0)
-
-    def test_spin_signs(self):
-        assert Spin.R.sign == 1
-        assert Spin.Y.sign == -1
-        assert Spin.R.flipped() is Spin.Y
-
 
 class TestLabelsFromWord:
+    """The paper's values read from the basis label array; the reference
+    labelling's own properties."""
+
     def test_three_site_catalogue(self):
-        for word, (two_j3, two_j) in THREE_SITE_CATALOGUE.items():
-            got = labels_from_word(word)
-            assert (got.two_j3, got.two_j) == (two_j3, two_j), word
+        basis = enumerate_basis(3)
+        for word, expected in THREE_SITE_CATALOGUE.items():
+            assert basis_labels(basis, word) == expected, word
 
     def test_all_purine_is_highest_weight(self):
         for n in range(2, 10):
-            got = labels_from_word("R" * n)
-            assert got.two_j3 == n
-            assert got.two_j == tuple(range(2, n + 1))
+            assert basis_labels(enumerate_basis(n), "R" * n) == (n, tuple(range(2, n + 1)))
 
     def test_alternating_six_sites(self):
-        got = labels_from_word("RYRYRY")
-        assert (got.two_j3, got.two_j) == (0, (0, 1, 0, 1, 0))
+        assert basis_labels(enumerate_basis(6), "RYRYRY") == (0, (0, 1, 0, 1, 0))
 
     def test_prefix_consistency(self):
         for bits in range(2**6):
@@ -78,18 +72,19 @@ class TestLabelsFromWord:
             for bits in range(2**n):
                 word = "".join("R" if (bits >> s) & 1 else "Y" for s in range(n))
                 got = labels_from_word(word)
-                assert got.two_j_top - abs(got.two_j3) >= 0
-                assert (got.two_j_top - got.two_j3) % 2 == 0
-                couples = n - got.two_j_top
+                top = got.two_j[-1]
+                assert top - abs(got.two_j3) >= 0
+                assert (top - got.two_j3) % 2 == 0
+                couples = n - top
                 assert couples >= 0
                 assert couples % 2 == 0
 
 
 class TestWordFromLabels:
     def test_catalogue_inverse(self):
-        assert word_from_labels(labels(-1, [0, 1])).spins == "RYY"
-        assert word_from_labels(labels(3, [2, 3])).spins == "RRR"
-        assert word_from_labels(labels(1, [2, 1])).spins == "RRY"
+        assert word_from_labels(labels(-1, [0, 1])) == "RYY"
+        assert word_from_labels(labels(3, [2, 3])) == "RRR"
+        assert word_from_labels(labels(1, [2, 1])) == "RRY"
 
     def test_rejects_inadmissible_labels(self):
         with pytest.raises(ValueError):
@@ -100,7 +95,7 @@ class TestWordFromLabels:
     def test_round_trip_exhaustive(self):
         for n in range(2, 9):
             for bits in range(2**n):
-                word = SpinWord("".join("R" if (bits >> s) & 1 else "Y" for s in range(n)))
+                word = "".join("R" if (bits >> s) & 1 else "Y" for s in range(n))
                 assert word_from_labels(labels_from_word(word)) == word
 
 
@@ -171,8 +166,10 @@ class TestEnumerateBasis:
         for n in (2, 4, 7):
             basis = enumerate_basis(n)
             assert len(basis) == 2**n
-            for idx, (word, lab) in enumerate(basis):
-                assert basis.index_of(lab) == idx
+            for idx, (word, (two_j3, *two_j)) in enumerate(
+                zip(basis.words, basis.labels.T.tolist())
+            ):
+                assert word_from_labels(labels(two_j3, two_j)) == word
                 assert basis.index_of_word(word) == idx
 
     def test_order_is_deterministic(self):
@@ -213,8 +210,6 @@ class TestEnumerateBasis:
         for word in ("RRRR", "RY", "RXY"):
             with pytest.raises(ValueError):
                 basis.index_of_word(word)
-        with pytest.raises(ValueError):
-            basis.index_of(labels(3, [2, 3, 4]))
 
 
 class TestHammingDistance:
@@ -236,5 +231,8 @@ class TestHammingDistance:
 
 
 class TestLabelText:
-    def test_format(self):
-        assert labels(-1, [0, 1]).text() == "J3=-1/2; J^2..J^N=0/2,1/2"
+    def test_format(self, capsys):
+        assert main(["basis", "--n", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "1 RYY J3=-1/2; J^2..J^N=0/2,1/2"
+        assert lines[-1] == "8 RRR J3=3/2; J^2..J^N=2/2,3/2"

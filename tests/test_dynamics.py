@@ -15,7 +15,6 @@ from crystalchain import (
     find_stable_T,
     infinite_time_average,
     time_averaged_profile,
-    transition_probability,
 )
 from crystalchain import dynamics
 from crystalchain.cli import FIGURE_PRESETS
@@ -26,6 +25,7 @@ from oracles import (
     exhaustive_find_stable_T,
     expm_unitary,
     reference_eigendecompose,
+    transition_probability,
     trapezoid_profile,
     unblocked_profile,
 )

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -5,7 +7,9 @@ from pathlib import Path
 
 from crystalchain import CouplingValues, build_model, eigendecompose, find_stable_T
 
-MEASURE_PROFILE = Path(__file__).resolve().parent.parent / "tools" / "measure_profile.py"
+ROOT = Path(__file__).resolve().parent.parent
+MEASURE_PROFILE = ROOT / "tools" / "measure_profile.py"
+PERFBENCH_CHILD = ROOT / "perfbench" / "child.py"
 
 
 def test_measure_profile_reports_one_json_line():
@@ -24,3 +28,22 @@ def test_measure_profile_reports_one_json_line():
         sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
     )
     assert report["resolved_T"] == find_stable_T(spec, 0).horizon
+
+
+def test_every_perfbench_trace_target_resolves():
+    """perfbench times each layer by wrapping the (module, attribute) pairs of
+    its TRACE_TARGETS; one that no longer resolves silently zeroes a metric."""
+    tree = ast.parse(PERFBENCH_CHILD.read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACE_TARGETS" for t in node.targets)
+    )
+    assert targets
+    for module_name, attr, _ in targets:
+        owner = importlib.import_module(f"crystalchain.{module_name}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"crystalchain.{module_name}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"crystalchain.{module_name}.{attr}"
