@@ -21,7 +21,6 @@ from .crystal import (
     MAX_CHAIN_LENGTH,
     MIN_CHAIN_LENGTH,
     BasisMap,
-    SpinWord,
     enumerate_basis,
 )
 from .dynamics import (

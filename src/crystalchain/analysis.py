@@ -4,7 +4,8 @@ The rank-size law fitted here is f(R) = a * R^k * b^R; Zipf is the b = 1
 special case.  The primary fit is linear least squares on log f (exact
 linear algebra, deterministic); a damped Gauss-Newton refinement in linear
 space is available on top.  Plateaux diagnostics group ranked values by
-Hamming distance from the initial word.
+Hamming distance from the initial state's word, read from the basis bits
+at the state's index.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crystal import BasisMap, SpinWord
+from .crystal import BasisMap
 from .dynamics import TransitionProfile
 
 _RATIO_FLOOR = 1e-18
@@ -298,19 +299,16 @@ class PlateauxReport:
         return self.consistent and all(g.spread <= _PLATEAU_TOL for g in self.groups)
 
 
-def plateaux_report(
-    ranked: RankedDistribution, basis: BasisMap, initial_word: "SpinWord | str"
-) -> PlateauxReport:
-    """Group ranked values by distance from `initial_word` and check whether
-    that grouping alone explains the ranking (no interleaving between
-    groups once ordered by group mean)."""
-    word = initial_word if isinstance(initial_word, SpinWord) else SpinWord.parse(initial_word)
-    if len(word) != basis.n:
-        raise ValueError(f"length mismatch: {basis.n} vs {len(word)}")
+def plateaux_report(ranked: RankedDistribution, basis: BasisMap, initial: int) -> PlateauxReport:
+    """Group ranked values by Hamming distance from the word of basis state
+    `initial` and check whether that grouping alone explains the ranking
+    (no interleaving between groups once ordered by group mean)."""
+    if not 0 <= initial < basis.dim:
+        raise ValueError(f"initial state {initial} is not a basis index (0..{basis.dim - 1})")
     inside = (ranked.indices >= 0) & (ranked.indices < basis.dim)
     order = np.argsort(ranked.indices[inside])
     indices, values = ranked.indices[inside][order], ranked.values[inside][order]
-    differing = basis.bits[indices] ^ word.bits
+    differing = basis.bits[indices] ^ basis.bits[initial]
     distances = sum((differing >> site) & 1 for site in range(basis.n))
     groups = []
     for distance in range(basis.n + 1):

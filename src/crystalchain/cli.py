@@ -1,12 +1,13 @@
 """Command-line interface: basis and Hamiltonian dumps, transition
 profiles, rank-size fits, figure presets, and coupling sweeps.
 
-Every profile-producing command writes a manifest that fully determines
-the run; feeding that manifest back through ``--config`` reproduces the
-CSV artifacts byte for byte.  Exit codes: 0 success, 2 argument error
-(a chain whose dense eigendecomposition would not fit in physical memory
-included), 3 dynamics failure (no stable horizon, or a failed numeric
-check), 4 fit failure.
+Run inputs are resolved once, here; from then on the library sees the
+initial state as its basis index.  Every profile-producing command writes
+a manifest that fully determines the run; feeding that manifest back
+through ``--config`` reproduces the CSV artifacts byte for byte.  Exit
+codes: 0 success, 2 argument error (a chain whose dense matrices would
+not fit in physical memory included), 3 dynamics failure (no stable
+horizon, or a failed numeric check), 4 fit failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .analysis import (
     plateaux_report,
     rank_order,
 )
-from .crystal import MAX_CHAIN_LENGTH, SpinWord, enumerate_basis
+from .crystal import MAX_CHAIN_LENGTH, BasisMap, check_chain_length, enumerate_basis, parse_word
 from .dynamics import (
     PhaseOverflowError,
     TransitionProfile,
@@ -62,6 +64,12 @@ EXIT_FIT = 4
 COUPLING_NAMES = tuple(field.name for field in dataclasses.fields(CouplingValues))
 GRID_NAMES = COUPLING_NAMES + ("all",)
 
+# Looked up at each call, so that a builder wrapped later (a profiler's span, a test's stub) runs.
+BUILDERS = {
+    "crystal": lambda n: build_model(n),
+    "hamming": lambda n: build_hamming(n),
+}
+
 
 class UsageError(ValueError):
     """Bad arguments or configuration (exit code 2)."""
@@ -81,12 +89,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """What one run computed.  ``resolved_t`` is None for the infinite
+    """What one run computed.  ``profile.horizon`` is inf for the infinite
     average; ``fits`` is the fits.json payload, None when not fitted."""
 
     config: RunConfig
     sym: SymbolicHamiltonian
-    resolved_t: "float | None"
     profile: TransitionProfile
     ranked: RankedDistribution
     fits: "dict | None"
@@ -182,8 +189,8 @@ def _resolve_config(args: argparse.Namespace, base: "dict | None" = None) -> Run
     if not isinstance(initial, str):
         raise UsageError(f"initial word must be a string, got {initial!r}")
     model = pick("model", "crystal")
-    if model not in ("crystal", "hamming"):
-        raise UsageError(f"model must be 'crystal' or 'hamming', got {model!r}")
+    if model not in BUILDERS:
+        raise UsageError(f"model must be {' or '.join(map(repr, BUILDERS))}, got {model!r}")
     coupling_data = base.get("couplings", {})
     if not isinstance(coupling_data, dict):
         raise UsageError("config 'couplings' must be a JSON object")
@@ -192,34 +199,36 @@ def _resolve_config(args: argparse.Namespace, base: "dict | None" = None) -> Run
     include_self = pick("include_self", False)
     if not isinstance(include_self, bool):
         raise UsageError(f"include_self must be true or false, got {include_self!r}")
-    word = SpinWord.parse(initial)
+    word = parse_word(initial)
     if len(word) != n:
         raise UsageError(f"initial word length {len(word)} does not match n = {n}")
-    return RunConfig(n, word.spins, model, couplings, horizon, include_self)
+    return RunConfig(n, word, model, couplings, horizon, include_self)
 
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _build(config: RunConfig) -> SymbolicHamiltonian:
-    need = dense_peak_bytes(2**config.n)
+def _check_memory(n: int, need: int, what: str) -> None:
+    """Refuse (exit 2) a chain whose ``what`` needs more than physical memory."""
     have = _physical_memory_bytes()
     if need > have:
         raise UsageError(
-            f"n = {config.n} needs about {need / 2**20:,.0f} MiB for the dense "
-            f"eigendecomposition, more than the {have / 2**20:,.0f} MiB of physical memory"
+            f"n = {n} needs about {need / 2**20:,.0f} MiB for {what}, "
+            f"more than the {have / 2**20:,.0f} MiB of physical memory"
         )
-    if config.model == "crystal":
-        return build_model(config.n)
-    return build_hamming(config.n)
 
 
-def _fit_bundle(sym: SymbolicHamiltonian, config: RunConfig, ranked: RankedDistribution) -> dict:
+def _build(config: RunConfig) -> SymbolicHamiltonian:
+    _check_memory(config.n, dense_peak_bytes(2**config.n), "the dense eigendecomposition")
+    return BUILDERS[config.model](config.n)
+
+
+def _fit_bundle(ranked: RankedDistribution, basis: BasisMap, initial: int) -> dict:
     """fits.json: log-linear Yule, its linear refinement, Zipf, ratio and plateaux."""
     comparison = compare_models(ranked)
     refined = fit_refine(ranked, comparison.yule)
-    report = plateaux_report(ranked, sym.basis, config.initial)
+    report = plateaux_report(ranked, basis, initial)
     return {
         "fits": [fit.to_json_dict() for fit in (comparison.yule, refined, comparison.zipf)],
         "sse_ratio_zipf_over_yule": comparison.sse_ratio,
@@ -237,20 +246,26 @@ def run(config: RunConfig, sym: SymbolicHamiltonian | None = None, fit: bool = F
     ``fit``.  ``sym`` reuses a structure already built for ``config``'s n
     and model."""
     sym = _build(config) if sym is None else sym
-    initial_index = sym.basis.index_of_word(config.initial)
+    initial = sym.basis.index_of_word(config.initial)
     spec = eigendecompose(sym.evaluate(config.couplings))
     if config.horizon == "auto":
-        profile = find_stable_T(spec, initial_index)
-        resolved = profile.horizon
+        profile = find_stable_T(spec, initial)
     elif config.horizon == "infinite":
-        resolved = None
-        profile = infinite_time_average(spec, initial_index)
+        profile = infinite_time_average(spec, initial)
     else:
-        resolved = float(config.horizon)
-        profile = time_averaged_profile(spec, initial_index, resolved)
+        profile = time_averaged_profile(spec, initial, float(config.horizon))
     ranked = rank_order(profile, include_self=config.include_self)
-    fits = _fit_bundle(sym, config, ranked) if fit else None
-    return RunResult(config, sym, resolved, profile, ranked, fits)
+    fits = _fit_bundle(ranked, sym.basis, profile.initial) if fit else None
+    return RunResult(config, sym, profile, ranked, fits)
+
+
+def _finite_horizon(result: RunResult) -> "float | None":
+    """The horizon a run used, None for the infinite average."""
+    return None if math.isinf(result.profile.horizon) else result.profile.horizon
+
+
+def _report_written(what: str, out: Path, result: RunResult) -> None:
+    print(f"{what} written to {out} (resolved T = {float(result.profile.horizon)!r})")
 
 
 def _profile_csv(sym: SymbolicHamiltonian, profile) -> str:
@@ -276,10 +291,18 @@ def _plot_text(ranked: RankedDistribution) -> str:
     return "".join(f"{rank} {value!r}\n" for rank, value in enumerate(ranked.values.tolist(), 1))
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks: "str | Iterable[str]", echo: bool = False) -> None:
+    """Write ``chunks`` (a string or an iterable of them, each also to stdout
+    when ``echo``) to ``path``, opened before the first chunk is made."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as file:
+            for chunk in [chunks] if isinstance(chunks, str) else chunks:
+                file.write(chunk)
+                if echo:
+                    sys.stdout.write(chunk)
+    except BrokenPipeError:
+        raise  # stdout's reader is gone; no fault of the file
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -301,7 +324,7 @@ def _write_run(out: Path, result: RunResult) -> None:
         "model": config.model,
         "couplings": config.couplings.as_dict(),
         "horizon": config.horizon,
-        "resolved_T": result.resolved_t,
+        "resolved_T": _finite_horizon(result),
         "include_self": config.include_self,
         "fits": [] if result.fits is None else result.fits["fits"],
         "version": __version__,
@@ -319,17 +342,19 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_hamiltonian(args: argparse.Namespace) -> int:
     couplings = _couplings(args, {})  # checked even when --symbolic leaves them unused
-    sym = build_model(args.n) if args.model == "crystal" else build_hamming(args.n)
     if args.symbolic:
-        text = sym.dump() + "\n"
+        chunks = [BUILDERS[args.model](args.n).dump() + "\n"]
     else:
-        matrix = sym.evaluate(couplings)
+        check_chain_length(args.n)
+        _check_memory(args.n, np.dtype(float).itemsize * 4**args.n, "the dense matrix")
+        matrix = BUILDERS[args.model](args.n).evaluate(couplings)
         if not np.isfinite(matrix).all():
             raise RuntimeError("matrix has non-finite entries")
-        text = "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix) + "\n"
-    sys.stdout.write(text)
+        chunks = (" ".join(map(repr, row.tolist())) + "\n" for row in matrix)
     if args.out:
-        _write(Path(args.out) / "hamiltonian.txt", text)
+        _write(Path(args.out) / "hamiltonian.txt", chunks, echo=True)
+    else:
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 
@@ -337,8 +362,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     result = run(_resolve_config(args))
     out = Path(args.out)
     _write_run(out, result)
-    shown = "inf" if result.resolved_t is None else repr(float(result.resolved_t))
-    print(f"profile written to {out} (resolved T = {shown})")
+    _report_written("profile", out, result)
     return EXIT_OK
 
 
@@ -394,16 +418,17 @@ def _int_or_none(text: str) -> "int | None":
 
 def cmd_fit(args: argparse.Namespace) -> int:
     ranked = _read_ranked_csv(Path(args.input))
-    models = ("yule", "zipf") if args.fit_model == "both" else (args.fit_model,)
+    if args.fit_model == "both":
+        comparison = compare_models(ranked)
+        seeds = [comparison.yule, comparison.zipf]
+    else:
+        seeds = [fit_log_linear(ranked, args.fit_model)]
     fits: list[FitResult] = []
-    for model in models:
-        fit = fit_log_linear(ranked, model)
-        fits.append(fit)
-        if args.refine:
-            fits.append(fit_refine(ranked, fit))
+    for fit in seeds:
+        fits += [fit, fit_refine(ranked, fit)] if args.refine else [fit]
     payload: dict = {"fits": [fit.to_json_dict() for fit in fits]}
     if args.fit_model == "both":
-        payload["sse_ratio_zipf_over_yule"] = compare_models(ranked).sse_ratio
+        payload["sse_ratio_zipf_over_yule"] = comparison.sse_ratio
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -417,8 +442,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     out = Path(args.out or args.figure)
     _write_run(out, result)
     _write(out / "plot.dat", _plot_text(result.ranked))
-    shown = "inf" if result.resolved_t is None else repr(float(result.resolved_t))
-    print(f"{args.figure} written to {out} (resolved T = {shown})")
+    _report_written(args.figure, out, result)
     return EXIT_OK
 
 
@@ -495,7 +519,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _write_run(out / f"point_{idx:03d}", result)
             yule, _, zipf = result.fits["fits"]
             row.update(
-                resolved_T=result.resolved_t,
+                resolved_T=_finite_horizon(result),
                 yule_a=yule["a"], yule_k=yule["k"], yule_b=yule["b"], yule_r2=yule["r2"],
                 zipf_a=zipf["a"], zipf_k=zipf["k"], zipf_r2=zipf["r2"],
                 sse_ratio=result.fits["sse_ratio_zipf_over_yule"],
@@ -540,7 +564,7 @@ def _add_horizon_flags(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None, help="chain length")
     parser.add_argument("--initial", default=None, help="initial word (R/Y, 1/0 or +/-)")
-    parser.add_argument("--model", choices=("crystal", "hamming"), default=None)
+    parser.add_argument("--model", choices=BUILDERS, default=None)
     _add_coupling_flags(parser)
     _add_horizon_flags(parser)
     parser.add_argument("--config", default=None, help="JSON config or manifest; flags override")
@@ -567,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ham = sub.add_parser("hamiltonian", help="dump a Hamiltonian, symbolic or numeric")
     p_ham.add_argument("--n", type=int, required=True)
-    p_ham.add_argument("--model", choices=("crystal", "hamming"), default="crystal")
+    p_ham.add_argument("--model", choices=BUILDERS, default="crystal")
     p_ham.add_argument("--symbolic", action="store_true", help="integer structure, no numbers")
     _add_coupling_flags(p_ham)
     p_ham.add_argument("--out", default=None)

@@ -12,15 +12,14 @@ bijection.
 `enumerate_basis` labels all 2^N words at once and fixes the canonical
 state ordering used by the Hamiltonian builders and by every index in
 CSV/JSON artifacts.  Its two arrays, the word bits and the int16 labels,
-are the library's one representation of the states; `SpinWord` is the
-checked form of a word given on input.  The per-state bijection, one word
-at a time, is the reference the tests check the arrays against
-(`tests/oracles.py`).
+are the library's one representation of the states.  A word given on
+input is checked once, by `parse_word`, and from then on a state travels
+as its basis index.  The per-state bijection, one word at a time, is the
+reference the tests check the arrays against (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,52 +29,34 @@ MAX_CHAIN_LENGTH = 14
 
 _CANONICAL_SPIN = {"R": "R", "Y": "Y", "1": "R", "0": "Y", "+": "R", "-": "Y"}
 _BIT_LETTERS = str.maketrans("10", "RY")
+_LETTER_BITS = str.maketrans("RY", "10")
 
 
-@dataclass(frozen=True)
-class SpinWord:
-    """Ordered R/Y sequence, length MIN_CHAIN_LENGTH..MAX_CHAIN_LENGTH."""
+def check_chain_length(n: int) -> None:
+    if not MIN_CHAIN_LENGTH <= n <= MAX_CHAIN_LENGTH:
+        raise ValueError(
+            f"chain length must be in [{MIN_CHAIN_LENGTH}, {MAX_CHAIN_LENGTH}], got {n}"
+        )
 
-    spins: str
 
-    def __post_init__(self) -> None:
-        n = len(self.spins)
-        if not (MIN_CHAIN_LENGTH <= n <= MAX_CHAIN_LENGTH):
-            raise ValueError(
-                f"chain length must be in [{MIN_CHAIN_LENGTH}, {MAX_CHAIN_LENGTH}], got {n}"
-            )
-        bad = set(self.spins) - {"R", "Y"}
-        if bad:
-            raise ValueError(f"word may contain only R/Y, got {sorted(bad)!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "SpinWord":
-        """Accept R/Y, 1/0 or +/- spellings; canonical storage is R/Y."""
-        try:
-            canonical = "".join(_CANONICAL_SPIN[ch] for ch in text.strip().upper())
-        except KeyError as exc:
-            raise ValueError(f"unknown spin symbol {exc.args[0]!r} in {text!r}") from None
-        return cls(canonical)
-
-    def __len__(self) -> int:
-        return len(self.spins)
-
-    def __str__(self) -> str:
-        return self.spins
-
-    @property
-    def bits(self) -> int:
-        """The word as an integer: site 1 is the most significant bit, R = 1."""
-        return int(self.spins.replace("R", "1").replace("Y", "0"), 2)
+def parse_word(text: str) -> str:
+    """The canonical R/Y spelling of a word given as R/Y, 1/0 or +/-, in either case."""
+    try:
+        word = "".join(_CANONICAL_SPIN[ch] for ch in text.strip().upper())
+    except KeyError as exc:
+        raise ValueError(f"unknown spin symbol {exc.args[0]!r} in {text!r}") from None
+    check_chain_length(len(word))
+    return word
 
 
 class BasisMap:
     """Canonically ordered basis as arrays, with word lookup.
 
-    `bits[i]` is state i's word as `SpinWord.bits`, and column i of the
-    int16 `labels` array its labels: row 0 is 2J3, row l-1 is 2J^l.
-    `index_by_bits` maps every word's bits to its basis index.  All three
-    are read-only.  `words` spells the bits as R/Y strings on first use.
+    `bits[i]` is state i's word as an integer (site 1 the most significant
+    bit, R = 1), and column i of the int16 `labels` array its labels: row
+    0 is 2J3, row l-1 is 2J^l.  `index_by_bits` maps every word's bits to
+    its basis index.  All three are read-only.  `words` spells the bits as
+    R/Y strings on first use.
     """
 
     def __init__(self, n: int, bits: np.ndarray, labels: np.ndarray):
@@ -97,11 +78,12 @@ class BasisMap:
         """The R/Y string of every state, in basis order."""
         return tuple(format(b, f"0{self.n}b").translate(_BIT_LETTERS) for b in self.bits.tolist())
 
-    def index_of_word(self, word: "SpinWord | str") -> int:
-        word = word if isinstance(word, SpinWord) else SpinWord.parse(word)
+    def index_of_word(self, text: str) -> int:
+        """The basis index of a word in any spelling `parse_word` accepts."""
+        word = parse_word(text)
         if len(word) != self.n:
             raise ValueError(f"word not in basis: {word}")
-        return int(self.index_by_bits[word.bits])
+        return int(self.index_by_bits[int(word.translate(_LETTER_BITS), 2)])
 
 
 def enumerate_basis(n: int) -> BasisMap:
@@ -111,10 +93,7 @@ def enumerate_basis(n: int) -> BasisMap:
     the word is site s+1 (R = 1), and after each prefix of length l >= 2
     its doubled spin a + b is row l-1 of the label array.
     """
-    if not MIN_CHAIN_LENGTH <= n <= MAX_CHAIN_LENGTH:
-        raise ValueError(
-            f"chain length must be in [{MIN_CHAIN_LENGTH}, {MAX_CHAIN_LENGTH}], got {n}"
-        )
+    check_chain_length(n)
     bits = np.arange(1 << n, dtype=np.int64)
     labels = np.empty((n, 1 << n), dtype=np.int16)
     a = np.zeros(1 << n, dtype=np.int16)  # unmatched Y's

@@ -86,7 +86,6 @@ class SymbolicHamiltonian:
     pair comes from exactly one chain, so every coefficient is 0 or 1.
     """
 
-    n: int
     basis: BasisMap
     diag: np.ndarray
     rows: np.ndarray
@@ -318,7 +317,7 @@ def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.nd
 
 
 def _assemble(
-    n: int, basis: BasisMap, diag: np.ndarray, families: tuple[Family, ...], chains: list
+    basis: BasisMap, diag: np.ndarray, families: tuple[Family, ...], chains: list
 ) -> SymbolicHamiltonian:
     """One tagged pair list from (family, rows, cols) chains, verified.
 
@@ -342,9 +341,9 @@ def _assemble(
     if not (np.array_equal(mirrored[back], keys) and np.array_equal(codes[back], codes)):
         raise AssertionError("coupled pairs not symmetric within each family")
     eta = [code for code, (_, field) in enumerate(families) if field == "eta"]
-    if n == 3 and np.isin(codes, eta).any():
+    if basis.n == 3 and np.isin(codes, eta).any():
         raise AssertionError("eta coefficients must vanish for three-site chains")
-    return SymbolicHamiltonian(n, basis, diag, rows, cols, codes, families)
+    return SymbolicHamiltonian(basis, diag, rows, cols, codes, families)
 
 
 # The term families of the mutation model, in the order `_model_terms` lists them.
@@ -363,7 +362,7 @@ def build_model(n: int) -> SymbolicHamiltonian:
     basis = enumerate_basis(n)
     walks = _Walks(basis.labels)
     chains = [((f, s), *_apply_chain(walks, ops)) for f, s, ops in _model_terms(n)]
-    return _assemble(n, basis, basis.labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
+    return _assemble(basis, basis.labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
 
 
 def build_hamming(n: int) -> SymbolicHamiltonian:
@@ -380,5 +379,5 @@ def build_hamming(n: int) -> SymbolicHamiltonian:
         (family, basis.index_by_bits[bits ^ (1 << (n - position))], cols)
         for position in range(1, n + 1)
     ]
-    return _assemble(n, basis, basis.labels[0].astype(np.int64), (family,), flips)
+    return _assemble(basis, basis.labels[0].astype(np.int64), (family,), flips)
 

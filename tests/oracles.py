@@ -34,7 +34,6 @@ from crystalchain import (
     PlateauxGroup,
     PlateauxReport,
     RankedDistribution,
-    SpinWord,
     StableHorizonError,
     enumerate_basis,
     time_averaged_profile,
@@ -530,10 +529,10 @@ def sorted_ranking(profile, include_self):
     return indices, np.array([v for v, _ in items], dtype=float)
 
 
-def loop_plateaux_report(ranked, basis, initial_word):
+def loop_plateaux_report(ranked, basis, initial):
     """Reference plateaux grouping: one hamming_distance call per word and
-    distance."""
-    word = initial_word if isinstance(initial_word, SpinWord) else SpinWord.parse(initial_word)
+    distance, from the word of basis state `initial`."""
+    word = basis.words[initial]
     value_by_index = dict(zip(ranked.indices.tolist(), ranked.values.tolist()))
     groups = []
     for distance in range(basis.n + 1):

@@ -147,7 +147,7 @@ def test_6_factorized_baseline_plateaux():
             # factorized case: no diagonal field
             spec = eigendecompose(sym.evaluate(CouplingValues(mu0=0.0, beta=beta)))
             ranked = rank_order(time_averaged_profile(spec, initial, horizon), include_self=False)
-            rep = plateaux_report(ranked, sym.basis, initial_word)
+            rep = plateaux_report(ranked, sym.basis, initial)
             assert max(g.spread for g in rep.groups) <= 1e-9
             for group in rep.groups:
                 if group.distance > 0:
@@ -156,7 +156,7 @@ def test_6_factorized_baseline_plateaux():
             # with the diagonal field on, grouping must still explain ranking
             spec = eigendecompose(sym.evaluate(CouplingValues(mu0=1.0, beta=beta)))
             ranked = rank_order(time_averaged_profile(spec, initial, horizon), include_self=False)
-            assert plateaux_report(ranked, sym.basis, initial_word).consistent
+            assert plateaux_report(ranked, sym.basis, initial).consistent
 
 
 FIGURE_RUNS = (
@@ -180,7 +180,7 @@ def test_7_figure_phenomenology():
                 failures.append(f"{tag}: fewer than {2**n - 2} strictly positive values")
             if not (values[:-1] >= values[1:]).all():
                 failures.append(f"{tag}: ranked values not nonincreasing")
-            if plateaux_report(ranked, sym.basis, initial_word).is_exact():
+            if plateaux_report(ranked, sym.basis, profile.initial).is_exact():
                 failures.append(f"{tag}: unexpected exact plateaux")
             yule = fit_log_linear(ranked, "yule")
             comparison = compare_models(ranked)
@@ -218,7 +218,7 @@ def test_9_equal_couplings_still_yule():
             couplings = CouplingValues(1.0, value, value, value, value)
             _, _, _, profile = stable_profile(sym, couplings, initial_word)
             ranked = rank_order(profile, include_self=False)
-            assert not plateaux_report(ranked, sym.basis, initial_word).is_exact()
+            assert not plateaux_report(ranked, sym.basis, profile.initial).is_exact()
             yule = fit_log_linear(ranked, "yule")
             assert yule.k < 0
             assert 0 < yule.b <= 1

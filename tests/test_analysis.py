@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from crystalchain import (
     CouplingValues,
     FitError,
-    SpinWord,
     TransitionProfile,
     UnderdeterminedFitError,
     build_hamming,
@@ -233,7 +232,7 @@ class TestPlateauxReport:
             spec = eigendecompose(sym.evaluate(CouplingValues(mu0=0.0, beta=0.5)))
             initial = sym.basis.index_of_word("R" * n)
             ranked = rank_order(time_averaged_profile(spec, initial, 21.0), include_self=False)
-            report = plateaux_report(ranked, sym.basis, sym.basis.words[initial])
+            report = plateaux_report(ranked, sym.basis, initial)
             assert report.is_exact()
             assert max(g.spread for g in report.groups) <= 1e-9
             for group in report.groups:
@@ -246,7 +245,7 @@ class TestPlateauxReport:
         spec = eigendecompose(sym.evaluate(CouplingValues(mu0=0.0, beta=0.5)))
         initial = sym.basis.index_of_word("RYRY")
         ranked = rank_order(time_averaged_profile(spec, initial, horizon), include_self=False)
-        report = plateaux_report(ranked, sym.basis, sym.basis.words[initial])
+        report = plateaux_report(ranked, sym.basis, initial)
         for group in report.groups:
             if group.distance > 0:
                 oracle = site_product_average(n, group.distance, 0.0, 0.5, horizon)
@@ -257,7 +256,7 @@ class TestPlateauxReport:
         spec = eigendecompose(sym.evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3)))
         initial = sym.basis.index_of_word("RRY")
         ranked = rank_order(infinite_time_average(spec, initial), include_self=False)
-        report = plateaux_report(ranked, sym.basis, "RRY")
+        report = plateaux_report(ranked, sym.basis, initial)
         assert not report.is_exact()
         assert max(g.spread for g in report.groups) > 1e-3
         assert not report.consistent
@@ -267,14 +266,14 @@ class TestPlateauxReport:
         spec = eigendecompose(sym.evaluate(CouplingValues(1.0, 0.2, 0.0, 0.3)))
         initial = sym.basis.index_of_word("RR")
         ranked = rank_order(time_averaged_profile(spec, initial, 30.0), include_self=True)
-        report = plateaux_report(ranked, sym.basis, "RR")
+        report = plateaux_report(ranked, sym.basis, initial)
         assert [g.size for g in report.groups] == [1, 2, 1]
 
     def test_group_sizes_sum_to_dimension(self):
         sym = build_model(3)
         spec = eigendecompose(sym.evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3)))
         ranked = rank_order(time_averaged_profile(spec, 0, 10.0), include_self=False)
-        report = plateaux_report(ranked, sym.basis, sym.basis.words[0])
+        report = plateaux_report(ranked, sym.basis, 0)
         assert sum(g.size for g in report.groups) == 7
         assert report.groups[0].size == 0
 
@@ -293,23 +292,23 @@ class TestPlateauxReport:
             profile = time_averaged_profile(spec, initial, 17.0)
             for include_self in (False, True):
                 ranked = rank_order(profile, include_self=include_self)
-                word = SpinWord(sym.basis.words[initial])
-                report = plateaux_report(ranked, sym.basis, word)
-                oracle = loop_plateaux_report(ranked, sym.basis, word)
+                report = plateaux_report(ranked, sym.basis, initial)
+                oracle = loop_plateaux_report(ranked, sym.basis, initial)
                 assert report == oracle
                 assert report.is_exact() == oracle.is_exact()
-                # the initial word given as text, and one that is not the initial state
-                other = sym.basis.words[(initial + 1) % sym.basis.dim]
-                assert plateaux_report(ranked, sym.basis, str(other)) == loop_plateaux_report(
-                    ranked, sym.basis, str(other)
+                # grouped around a state that is not the profile's initial one
+                other = (initial + 1) % sym.basis.dim
+                assert plateaux_report(ranked, sym.basis, other) == loop_plateaux_report(
+                    ranked, sym.basis, other
                 )
 
-    def test_length_mismatch_rejected(self):
+    def test_index_outside_basis_rejected(self):
         sym = build_model(3)
         spec = eigendecompose(sym.evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3)))
         ranked = rank_order(time_averaged_profile(spec, 0, 10.0))
-        with pytest.raises(ValueError, match="length mismatch"):
-            plateaux_report(ranked, sym.basis, "RRYY")
+        for initial in (-1, sym.basis.dim):
+            with pytest.raises(ValueError, match=f"initial state {initial} is not a basis index"):
+                plateaux_report(ranked, sym.basis, initial)
 
 
 class TestCompareModels:

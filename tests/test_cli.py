@@ -102,6 +102,19 @@ class TestHamiltonianCommand:
         expected = "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix) + "\n"
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("model", ["crystal", "hamming"])
+    @pytest.mark.parametrize("symbolic", [[], ["--symbolic"]], ids=["numeric", "symbolic"])
+    def test_dump_file_equals_stdout(self, tmp_path, capsys, model, symbolic):
+        out = tmp_path / "dump"
+        argv = ["hamiltonian", "--n", "4", "--model", model, "--eps", "0.1", "--beta", "0.5"]
+        assert main([*argv, *symbolic]) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, *symbolic, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+        assert (out / "hamiltonian.txt").read_text() == printed
+        if not symbolic:
+            assert len(printed.splitlines()) == 16  # one line per row
+
     def test_zero_mu0_drops_the_diagonal(self, capsys):
         assert main(["hamiltonian", "--n", "3", "--model", "hamming", "--mu0", "0",
                      "--beta", "0.5"]) == 0
@@ -150,13 +163,14 @@ class TestProfileCommand:
         from crystalchain import crystal
 
         made = []
-        post_init = crystal.SpinWord.__post_init__
+        parse_word = crystal.parse_word
 
-        def count_word(self):
-            made.append(self.spins)
-            post_init(self)
+        def count_word(text):
+            made.append(text)
+            return parse_word(text)
 
-        monkeypatch.setattr(crystal.SpinWord, "__post_init__", count_word)
+        for module in (crystal, cli):
+            monkeypatch.setattr(module, "parse_word", count_word)
         crystal.enumerate_basis(8)
         build_model(8)
         build_hamming(8)
@@ -387,12 +401,34 @@ class TestMemoryPreflight:
         assert not out.exists()
         assert "physical memory" in capsys.readouterr().err
 
+    def test_numeric_dump_beyond_physical_memory_is_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a structure the memory check should refuse")
+
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**20)
+        monkeypatch.setattr(cli, "build_model", no_build)
+        out = tmp_path / "dump"
+        # one float64 matrix: 2 MiB at n = 9
+        assert main(["hamiltonian", "--n", "9", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", (
+            "error: n = 9 needs about 2 MiB for the dense matrix, "
+            "more than the 1 MiB of physical memory\n"
+        ))
+        # 0.5 MiB at n = 8 fits, and the symbolic dump needs no dense matrix
+        monkeypatch.setattr(cli, "build_model", build_model)
+        assert main(["hamiltonian", "--n", "8"]) == 0
+        assert main(["hamiltonian", "--n", "9", "--symbolic"]) == 0
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", [
         ["profile", "--n", "3", "--initial", "RRY", "--horizon", "10"],
         ["sweep", "--n", "3", "--initial", "RRY", "--horizon", "10", "--param", "gamma=0.3,0.5"],
-    ], ids=["profile", "sweep"])
+        ["hamiltonian", "--n", "3", "--eps", "0.1"],
+    ], ids=["profile", "sweep", "hamiltonian"])
     @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["is-file", "under-file"])
     def test_out_naming_a_file_is_usage_error(self, tmp_path, command, out):
         (tmp_path / "taken").write_text("keep me\n")
@@ -422,6 +458,28 @@ class TestFitCommand:
         assert abs(fit["a"] - 1.96) <= 1e-6
         assert abs(fit["k"] + 1.49) <= 1e-6
         assert abs(fit["b"] - 0.24) <= 1e-6
+
+    @pytest.mark.parametrize("refine", [[], ["--refine"]], ids=["log", "refine"])
+    def test_both_fits_each_model_once(self, tmp_path, capsys, monkeypatch, refine):
+        from crystalchain import analysis
+
+        fitted = []
+        fit_log_linear = analysis.fit_log_linear
+
+        def count_fit(ranked, model="yule"):
+            fitted.append(model)
+            return fit_log_linear(ranked, model)
+
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "fit_log_linear", count_fit)
+        ranks = np.arange(1, 9, dtype=float)
+        self.write_ranked(tmp_path / "r.csv", 1.96 * ranks**-1.49 * 0.24**ranks)
+        assert main(["fit", "--input", str(tmp_path / "r.csv"), "--fit-model", "both", *refine]) == 0
+        assert sorted(fitted) == ["yule", "zipf"]
+        fits = json.loads(capsys.readouterr().out)["fits"]
+        assert [fit["model"] for fit in fits] == (
+            ["yule", "yule", "zipf", "zipf"] if refine else ["yule", "zipf"]
+        )
 
     def test_constant_data(self, tmp_path, capsys):
         self.write_ranked(tmp_path / "r.csv", [0.25] * 6)

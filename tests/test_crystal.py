@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from crystalchain import SpinWord, enumerate_basis
+from crystalchain import enumerate_basis
 from crystalchain.cli import main
+from crystalchain.crystal import parse_word
 from golden import THREE_SITE_CATALOGUE, THREE_SITE_ORDER, TWO_SITE_ORDER
 from oracles import (
     Labels,
@@ -27,20 +28,22 @@ def basis_labels(basis, word):
 
 
 class TestSpinWord:
+    """`parse_word`, the one check of a word given on input."""
+
     def test_parse_aliases(self):
-        assert SpinWord.parse("110").spins == "RRY"
-        assert SpinWord.parse("+-+").spins == "RYR"
-        assert SpinWord.parse("ryy").spins == "RYY"
+        assert parse_word("110") == "RRY"
+        assert parse_word("+-+") == "RYR"
+        assert parse_word("ryy") == "RYY"
 
     def test_parse_rejects_unknown_symbols(self):
-        with pytest.raises(ValueError):
-            SpinWord.parse("RXY")
+        with pytest.raises(ValueError, match="unknown spin symbol 'X' in 'RXY'"):
+            parse_word("RXY")
 
     def test_length_bounds(self):
-        with pytest.raises(ValueError):
-            SpinWord("R")
-        with pytest.raises(ValueError):
-            SpinWord("R" * 15)
+        with pytest.raises(ValueError, match=r"chain length must be in \[2, 14\], got 1$"):
+            parse_word("R")
+        with pytest.raises(ValueError, match=r"chain length must be in \[2, 14\], got 15$"):
+            parse_word("R" * 15)
 
 
 class TestLabelsFromWord:
@@ -187,7 +190,8 @@ class TestEnumerateBasis:
         for n in range(2, 13):
             basis = enumerate_basis(n)
             assert basis.bits.dtype == np.int64
-            assert basis.bits.tolist() == [SpinWord(w).bits for w in basis.words]
+            bits = [int(w.replace("R", "1").replace("Y", "0"), 2) for w in basis.words]
+            assert basis.bits.tolist() == bits
             assert not basis.bits.flags.writeable
             with pytest.raises(ValueError):
                 basis.bits[0] = 0
@@ -204,6 +208,11 @@ class TestEnumerateBasis:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[..., 0] = 0
+
+    def test_lookup_accepts_every_spelling(self):
+        basis = enumerate_basis(4)
+        for spelling in ("RRYR", "rryr", "1101", "++-+"):
+            assert basis.index_of_word(spelling) == basis.words.index("RRYR")
 
     def test_unknown_lookups_raise(self):
         basis = enumerate_basis(3)

@@ -306,7 +306,7 @@ class TestWalkFeatures:
             assert rows.tobytes() == want_rows.tobytes(), ops
             assert cols.tobytes() == want_cols.tobytes(), ops
             reference.append(((family, field), want_rows, want_cols))
-        want = _assemble(n, basis, labels[0].astype(np.int64), _MODEL_FAMILIES, reference)
+        want = _assemble(basis, labels[0].astype(np.int64), _MODEL_FAMILIES, reference)
         got = build_model(n)
         for field in ("diag", "rows", "cols", "family"):
             got_array, want_array = getattr(got, field), getattr(want, field)

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from crystalchain import CouplingValues, build_model, eigendecompose, find_stabl
 ROOT = Path(__file__).resolve().parent.parent
 MEASURE_PROFILE = ROOT / "tools" / "measure_profile.py"
 PERFBENCH_CHILD = ROOT / "perfbench" / "child.py"
+README = ROOT / "README.md"
 
 
 def test_measure_profile_reports_one_json_line():
@@ -47,3 +50,19 @@ def test_every_perfbench_trace_target_resolves():
             assert hasattr(owner, part), f"crystalchain.{module_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"crystalchain.{module_name}.{attr}"
+
+
+def test_readme_library_example_runs(tmp_path):
+    """The README's library example, run as written against this checkout's
+    public API."""
+    section = README.read_text().split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("FitResult(model='yule'")
