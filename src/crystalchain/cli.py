@@ -6,8 +6,9 @@ initial state as its basis index.  Every profile-producing command writes
 a manifest that fully determines the run; feeding that manifest back
 through ``--config`` reproduces the CSV artifacts byte for byte.  Exit
 codes: 0 success, 2 argument error (a chain whose dense matrices would
-not fit in physical memory included), 3 dynamics failure (no stable
-horizon, or a failed numeric check), 4 fit failure.
+not fit in physical memory, and a stdout closed by its reader, included),
+3 dynamics failure (no stable horizon, or a failed numeric check), 4 fit
+failure.
 """
 
 from __future__ import annotations
@@ -210,12 +211,17 @@ def _physical_memory_bytes() -> int:
 
 
 def _check_memory(n: int, need: int, what: str) -> None:
-    """Refuse (exit 2) a chain whose ``what`` needs more than physical memory."""
+    """Refuse (exit 2) a chain whose ``what`` needs 3/4 of physical memory
+    or more.  The estimate counts only the dense arrays.  `profile` runs
+    measured 50 MiB above it at N = 12 and 67 MiB above it at N = 13 (the
+    interpreter, the structure and the blocked passes).  The rest of the
+    quarter is not measured: it is room for the rest of the machine, and
+    it keeps N = 14 (6 GiB in place), never run, refused on 8 GiB."""
     have = _physical_memory_bytes()
-    if need > have:
+    if need >= have * 3 / 4:
         raise UsageError(
             f"n = {n} needs about {need / 2**20:,.0f} MiB for {what}, "
-            f"more than the {have / 2**20:,.0f} MiB of physical memory"
+            f"3/4 or more of the {have / 2**20:,.0f} MiB of physical memory"
         )
 
 
@@ -247,7 +253,7 @@ def run(config: RunConfig, sym: SymbolicHamiltonian | None = None, fit: bool = F
     and model."""
     sym = _build(config) if sym is None else sym
     initial = sym.basis.index_of_word(config.initial)
-    spec = eigendecompose(sym.evaluate(config.couplings))
+    spec = eigendecompose(lambda: sym.evaluate(config.couplings))
     if config.horizon == "auto":
         profile = find_stable_T(spec, initial)
     elif config.horizon == "infinite":
@@ -430,9 +436,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.fit_model == "both":
         payload["sse_ratio_zipf_over_yule"] = comparison.sse_ratio
     text = json.dumps(payload, indent=2) + "\n"
-    sys.stdout.write(text)
     if args.out:
-        _write(Path(args.out) / "fits.json", text)
+        _write(Path(args.out) / "fits.json", text, echo=True)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -632,7 +639,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone by now fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so that the final
+        # flush of what is still buffered cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT

@@ -8,8 +8,12 @@ searches and the infinite-horizon limit cheap.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -61,31 +65,105 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
+@functools.cache
+def _dsyevd():
+    """dsyevd (ILP64) from the scipy-openblas library bundled with numpy, the
+    routine np.linalg.eigh calls, or None when this numpy carries none.
+    numpy has loaded that library already; it is looked up on the first
+    solve, not at import."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            dsyevd = ctypes.CDLL(str(path)).scipy_dsyevd_64_
+        except (OSError, AttributeError):
+            continue
+        # Fortran: every argument by reference, then the lengths of the two
+        # character arguments
+        integer = ctypes.POINTER(ctypes.c_int64)
+        pointer = ctypes.c_void_p
+        dsyevd.argtypes = (
+            ctypes.c_char_p, ctypes.c_char_p, integer, pointer, integer, pointer,
+            pointer, integer, pointer, integer, integer, ctypes.c_size_t, ctypes.c_size_t,
+        )
+        dsyevd.restype = None
+        return dsyevd
+    return None
+
+
 def dense_peak_bytes(dim: int) -> int:
     """Estimated peak memory of `eigendecompose` on a dim x dim matrix.
 
-    Five dim x dim float64 arrays, set by eigh itself: H, LAPACK's copy of
-    it, the dsyevd workspace (2 dim^2) and the output vectors.  The checks
-    hold only two of them (H and the vectors) plus O(_KERNEL_BLOCK * dim)
-    of blocks.
+    Three dim x dim float64 arrays when the solve runs in place: H, which
+    becomes the eigenvectors, and the dsyevd workspace (2 dim^2).  Five
+    through the np.linalg.eigh fallback, which adds its own copy of H and
+    the output vectors.  The checks hold only two (H and the vectors) plus
+    O(_KERNEL_BLOCK * dim) of blocks.
     """
-    return 5 * np.dtype(float).itemsize * dim * dim
+    arrays = 3 if _dsyevd() is not None else 5
+    return arrays * np.dtype(float).itemsize * dim * dim
 
 
-def _asymmetry(h: np.ndarray) -> np.floating:
-    """max |h - h.T|, taken over the pairs of _KERNEL_BLOCK-square tiles
-    (I, J) with I <= J: the value np.abs(h - h.T).max() gives, with no
-    dim x dim temporary and no strided pass over the whole matrix."""
+def _symmetrize(h: np.ndarray) -> np.floating:
+    """Copy h's lower triangle onto its upper one, in place, and return
+    max |h - h.T| from before the copy, the value np.abs(h - h.T).max()
+    gives.  It walks the pairs of _KERNEL_BLOCK-square tiles (I, J) with
+    I <= J, with no dim x dim temporary and no strided pass over the whole
+    matrix, and writes only the tiles that differ from their mirror."""
     dim = len(h)
     tile = np.empty((min(_KERNEL_BLOCK, dim),) * 2)
     worst = np.float64(0.0)
     for i in range(0, dim, _KERNEL_BLOCK):
         for j in range(i, dim, _KERNEL_BLOCK):
             upper = h[i : i + _KERNEL_BLOCK, j : j + _KERNEL_BLOCK]
+            mirror = h[j : j + _KERNEL_BLOCK, i : i + _KERNEL_BLOCK].T
             diff = tile[: upper.shape[0], : upper.shape[1]]
-            np.subtract(upper, h[j : j + _KERNEL_BLOCK, i : i + _KERNEL_BLOCK].T, out=diff)
-            worst = np.maximum(worst, np.abs(diff, out=diff).max())
+            np.subtract(upper, mirror, out=diff)
+            change = np.abs(diff, out=diff).max()
+            worst = np.maximum(worst, change)
+            if change and i == j:  # only the tile's strict upper triangle
+                above = np.triu_indices(len(upper), 1)
+                upper[above] = mirror[above]
+            elif change:
+                upper[...] = mirror
     return worst
+
+
+def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and C-ordered eigenvectors of the symmetric h
+    from its lower triangle: np.linalg.eigh(h), bit for bit.
+
+    With numpy's dsyevd the solve runs in place and h is consumed: the same
+    routine with the same workspace query as np.linalg.eigh, but on h's own
+    buffer instead of a copy.  Read column-major, that buffer is h.T, whose
+    lower triangle is h's upper one; `_symmetrize` made the two equal.
+    dsyevd leaves V.T there, copied once into the C-ordered V that
+    np.linalg.eigh returns.
+    """
+    dsyevd = _dsyevd()
+    if dsyevd is None:
+        try:
+            return np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    n = ctypes.c_int64(len(h))
+    eigenvalues = np.empty(len(h))
+    info = ctypes.c_int64()
+
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        dsyevd(
+            b"V", b"L", n, h.ctypes.data, n, eigenvalues.ctypes.data,
+            work.ctypes.data, ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork),
+            info, 1, 1,
+        )
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, -1, iwork, -1)  # the workspace query
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    call(work, len(work), iwork, len(iwork))
+    del work, iwork  # before the copy, so the peak stays the solve's 3 dim^2
+    if info.value:
+        raise RuntimeError(f"eigensolver did not converge: dsyevd info {info.value}")
+    return eigenvalues, h.T.copy()
 
 
 def _decomposition_errors(
@@ -113,31 +191,37 @@ def _decomposition_errors(
     return float(residual), float(ortho)
 
 
-def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
-    """Diagonalize a dense symmetric matrix with checked residuals.
+def eigendecompose(build: Callable[[], np.ndarray]) -> SpectralDecomposition:
+    """Diagonalize the dense symmetric matrix `build()` returns, with checked
+    residuals.
+
+    `build` takes no arguments and must return the same matrix at each
+    call.  It is called twice: once for the solve, which runs in place on
+    a copy of the matrix, and once more for the residual and
+    orthonormality checks, after the solve's workspace is freed.  So the
+    peak is the solve's own (`dense_peak_bytes`).
 
     Non-finite entries (e.g. couplings large enough to overflow) raise
     RuntimeError before anything else is checked.  With
     tol = DEFAULT_DECOMP_TOL, an asymmetry above tol * max(max|h|, 1) raises
-    ValueError; a failed residual (max |h V - V diag(e)| above
+    ValueError; below it, h's lower triangle is solved, as np.linalg.eigh
+    does.  A failed residual (max |h V - V diag(e)| above
     tol * max(max|h|, 1)) or orthonormality (max |V.T V - I| above tol)
     check raises RuntimeError, as does a NaN in either.  The checks run in
     blocks of _KERNEL_BLOCK rows or square tiles, so they hold no
     dim x dim temporary.
     """
-    h = np.asarray(h, dtype=float)
+    h = np.array(build(), dtype=float, order="C")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     high, low = float(h.max()), float(h.min())  # NaN and +-inf reach one of them
     if not (math.isfinite(high) and math.isfinite(low)):
         raise RuntimeError("matrix has non-finite entries")
     scale = max(high, -low, 1.0)
-    if _asymmetry(h) > DEFAULT_DECOMP_TOL * scale:
+    if _symmetrize(h) > DEFAULT_DECOMP_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    try:
-        eigenvalues, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    eigenvalues, vectors = _solve(h)
+    del h
     column_max, column_min = vectors.max(axis=0), vectors.min(axis=0)  # NaN and +-inf reach one
     if not (
         np.isfinite(eigenvalues).all()
@@ -145,6 +229,7 @@ def eigendecompose(h: np.ndarray) -> SpectralDecomposition:
         and np.isfinite(column_min).all()
     ):
         raise RuntimeError("eigensolver returned non-finite values")
+    h = np.asarray(build(), dtype=float)
     residual, ortho = _decomposition_errors(h, eigenvalues, vectors)
     if not (residual <= DEFAULT_DECOMP_TOL * scale and ortho <= DEFAULT_DECOMP_TOL):
         raise RuntimeError(

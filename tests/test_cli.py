@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crystalchain import CouplingValues, StableHorizonError, build_hamming, build_model, cli
+from crystalchain import CouplingValues, StableHorizonError, build_hamming, build_model, cli, dynamics
 from crystalchain.cli import main
 from crystalchain.dynamics import dense_peak_bytes
 from golden import THREE_SITE_BASIS_LINES, THREE_SITE_DUMP
@@ -47,6 +47,22 @@ class TestBasisCommand:
 
     def test_too_short_chain_is_usage_error(self, capsys):
         assert main(["basis", "--n", "1"]) == 2
+
+    def test_stdout_closed_by_its_reader_is_exit_2_without_traceback(self, tmp_path):
+        # 4096 lines, far more than the pipe holds: the CLI is still writing
+        # when the reader goes away after the first line
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crystalchain.cli", "basis", "--n", "12"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"1 ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+        assert "Traceback" not in err
+        assert err == ""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_listing_matches_reference_labels(self, capsys, n):
@@ -383,23 +399,32 @@ class TestMemoryPreflight:
     def test_profile_beyond_physical_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**20)
         out = tmp_path / "run"
-        assert main(["profile", "--n", "8", "--initial", "RRRRYYYY", "--out", str(out)]) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert f"{dense_peak_bytes(2**8) / 2**20:,.0f} MiB" in err
-        assert "1 MiB of physical memory" in err
+        argv = ["profile", "--n", "9", "--initial", "RRRRYYYYY", "--out", str(out)]
+        # 3 float64 matrices of 2 MiB in place, 5 through the eigh fallback
+        in_place = 6 if dynamics._dsyevd() is not None else 10
+        for handle, need in ((dynamics._dsyevd, in_place), (lambda: None, 10)):
+            monkeypatch.setattr(dynamics, "_dsyevd", handle)
+            assert dense_peak_bytes(2**9) == need * 2**20
+            assert main(argv) == 2
+            assert not out.exists()
+            assert capsys.readouterr() == ("", (
+                f"error: n = 9 needs about {need} MiB for the dense eigendecomposition, "
+                "3/4 or more of the 1 MiB of physical memory\n"
+            ))
 
     def test_fourteen_sites_refused_before_any_build(self, tmp_path, monkeypatch, capsys):
         def no_build(*args, **kwargs):
             raise AssertionError("built a structure the memory check should refuse")
 
-        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 7 * 2**30)
         monkeypatch.setattr(cli, "build_model", no_build)
         out = tmp_path / "run"
         argv = ["profile", "--n", "14", "--initial", "RY" * 7, "--out", str(out)]
-        assert main(argv) == 2
-        assert not out.exists()
-        assert "physical memory" in capsys.readouterr().err
+        # at 8 GiB the in-place estimate, 6 GiB, is exactly 3/4: refused too
+        for gib in (7, 8):
+            monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: gib * 2**30)
+            assert main(argv) == 2
+            assert not out.exists()
+            assert "physical memory" in capsys.readouterr().err
 
     def test_numeric_dump_beyond_physical_memory_is_usage_error(
         self, tmp_path, monkeypatch, capsys
@@ -415,9 +440,10 @@ class TestMemoryPreflight:
         assert not out.exists()
         assert capsys.readouterr() == ("", (
             "error: n = 9 needs about 2 MiB for the dense matrix, "
-            "more than the 1 MiB of physical memory\n"
+            "3/4 or more of the 1 MiB of physical memory\n"
         ))
-        # 0.5 MiB at n = 8 fits, and the symbolic dump needs no dense matrix
+        # 0.5 MiB at n = 8 fits in 3/4 MiB, and the symbolic dump needs no
+        # dense matrix
         monkeypatch.setattr(cli, "build_model", build_model)
         assert main(["hamiltonian", "--n", "8"]) == 0
         assert main(["hamiltonian", "--n", "9", "--symbolic"]) == 0
@@ -492,6 +518,16 @@ class TestFitCommand:
     def test_underdetermined_is_exit_4(self, tmp_path, capsys):
         self.write_ranked(tmp_path / "r.csv", [1.0, 0.5, 0.25])
         assert main(["fit", "--input", str(tmp_path / "r.csv"), "--fit-model", "yule"]) == 4
+
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        self.write_ranked(tmp_path / "r.csv", [0.5, 0.25, 0.125, 0.0625, 0.03125])
+        (tmp_path / "taken").write_text("keep me\n")
+        argv = ["fit", "--input", str(tmp_path / "r.csv"), "--out", str(tmp_path / "taken")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {tmp_path / 'taken' / 'fits.json'}")
+        assert (tmp_path / "taken").read_text() == "keep me\n"
 
     def test_bad_input_is_usage_error(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "missing.csv")]) == 2
@@ -740,11 +776,11 @@ class TestSweepCommand:
         real = cli_module.eigendecompose
         calls = []
 
-        def fail_second_point(h):
-            calls.append(h)
+        def fail_second_point(build):
+            calls.append(build)
             if len(calls) == 2:
                 raise RuntimeError("decomposition failed checks")
-            return real(h)
+            return real(build)
 
         monkeypatch.setattr(cli_module, "eigendecompose", fail_second_point)
         out = tmp_path / "sweep"

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,14 +39,14 @@ FIG2_COUPLINGS = CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3)
 
 def fig2_spec():
     sym = build_model(3)
-    return sym, eigendecompose(sym.evaluate(FIG2_COUPLINGS))
+    return sym, eigendecompose(lambda: sym.evaluate(FIG2_COUPLINGS))
 
 
 def preset_spec(name):
     """(spectrum, initial index) of a figure preset."""
     preset = FIGURE_PRESETS[name]
     sym = build_model(preset.n) if preset.model == "crystal" else build_hamming(preset.n)
-    spec = eigendecompose(sym.evaluate(preset.couplings))
+    spec = eigendecompose(lambda: sym.evaluate(preset.couplings))
     return spec, sym.basis.index_of_word(preset.initial)
 
 
@@ -61,23 +65,46 @@ def assert_probe_matches_direct_kernel(spec, initial, horizons):
         assert np.abs(probe - direct).max() <= probe_bound(spec.dim), horizon
 
 
+def solver_paths():
+    """Run a loop's body on both solver paths: in place through numpy's
+    dsyevd, then with that handle forced to None, through the
+    np.linalg.eigh fallback."""
+    yield "in place"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_dsyevd", lambda: None)
+        yield "fallback"
+
+
 def assert_matches_reference(h):
-    """eigendecompose equals the whole-matrix reference bit for bit, or both
-    raise the same exception with the same message."""
+    """On both solver paths, eigendecompose equals the whole-matrix reference
+    bit for bit, or both raise the same exception with the same message.
+    The builder returns a fresh copy of h at each call."""
     try:
         expected = reference_eigendecompose(h)
     except (ValueError, RuntimeError) as exc:
-        with pytest.raises(type(exc)) as info:
-            eigendecompose(h)
-        assert str(info.value) == str(exc)
+        for _ in solver_paths():
+            with pytest.raises(type(exc)) as info:
+                eigendecompose(lambda: h.copy())
+            assert str(info.value) == str(exc)
         return
-    found = eigendecompose(h)
-    assert found.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
-    assert found.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+    for _ in solver_paths():
+        found = eigendecompose(lambda: h.copy())
+        assert found.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+        assert found.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
 
 
-def patch_eigh(monkeypatch, eigenvalues, vectors):
-    """Make np.linalg.eigh return copies of the given decomposition."""
+def patch_solver(monkeypatch, eigenvalues, vectors):
+    """Make the solver seam, dynamics._solve, return copies of the given
+    decomposition once the real solve has run (and consumed its matrix) on
+    the active path; np.linalg.eigh, which the reference calls, returns
+    the same copies."""
+    solve = dynamics._solve
+
+    def patched(h):
+        solve(h)
+        return np.array(eigenvalues), np.array(vectors)
+
+    monkeypatch.setattr(dynamics, "_solve", patched)
     monkeypatch.setattr(
         np.linalg, "eigh", lambda m: (np.array(eigenvalues), np.array(vectors))
     )
@@ -143,7 +170,7 @@ def count_full_probes(monkeypatch):
 
 class TestEigendecompose:
     def test_diagonal_matrix(self):
-        spec = eigendecompose(np.diag([3.0, -1.0, 2.0]))
+        spec = eigendecompose(lambda: np.diag([3.0, -1.0, 2.0]))
         assert spec.eigenvalues.tolist() == [-1.0, 2.0, 3.0]
         # signed permutation columns
         assert np.allclose(np.abs(spec.eigenvectors).sum(axis=0), 1.0)
@@ -151,7 +178,7 @@ class TestEigendecompose:
 
     def test_two_level_mixer(self):
         beta = 0.7
-        spec = eigendecompose(np.array([[0.0, beta], [beta, 0.0]]))
+        spec = eigendecompose(lambda: np.array([[0.0, beta], [beta, 0.0]]))
         assert np.allclose(spec.eigenvalues, [-beta, beta])
         assert np.allclose(np.abs(spec.eigenvectors), 1 / math.sqrt(2))
         # the -beta state is antisymmetric, the +beta state symmetric
@@ -161,7 +188,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(64, 64))
         h = (a + a.T) / 2
-        spec = eigendecompose(h)
+        spec = eigendecompose(lambda: h)
         scale = np.abs(h).max()
         assert np.abs(h @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-10 * scale
         assert np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(64)).max() <= 1e-10
@@ -171,17 +198,20 @@ class TestEigendecompose:
 
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError):
-            eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            eigendecompose(lambda: np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_failed_checks_raise(self, monkeypatch):
         h = np.diag([1.0, 2.0, 3.0])
-        eigh = np.linalg.eigh
+        solve = dynamics._solve
         for shift, scale in ((1e-6, 1.0), (0.0, 1.0 + 1e-6)):
-            monkeypatch.setattr(
-                np.linalg, "eigh", lambda m, s=shift, c=scale: (eigh(m)[0] + s, eigh(m)[1] * c)
-            )
-            with pytest.raises(RuntimeError, match="decomposition failed checks"):
-                eigendecompose(h)
+            def perturbed(m, s=shift, c=scale):
+                eigenvalues, vectors = solve(m)
+                return eigenvalues + s, vectors * c
+
+            monkeypatch.setattr(dynamics, "_solve", perturbed)
+            for _ in solver_paths():
+                with pytest.raises(RuntimeError, match="decomposition failed checks"):
+                    eigendecompose(lambda: h.copy())
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -208,8 +238,9 @@ class TestEigendecompose:
     def test_non_finite_entries_raise_before_symmetry(self, value, dim):
         h = np.zeros((dim, dim))
         h[dim - 1, dim - 2] = value  # also an asymmetric entry
-        with pytest.raises(RuntimeError, match="matrix has non-finite entries"):
-            eigendecompose(h)
+        for _ in solver_paths():
+            with pytest.raises(RuntimeError, match="matrix has non-finite entries"):
+                eigendecompose(lambda: h)
         assert_matches_reference(h)
 
     @pytest.mark.parametrize("row, col", [(290, 299), (299, 290), (10, 290), (290, 10)])
@@ -220,11 +251,11 @@ class TestEigendecompose:
         h = a + a.T
         scale = np.abs(h).max()
         h[row, col] += 2e-10 * scale
-        with pytest.raises(ValueError, match="not symmetric"):
-            eigendecompose(h)
+        for _ in solver_paths():
+            with pytest.raises(ValueError, match="not symmetric"):
+                eigendecompose(lambda: h)
         assert_matches_reference(h)
         h[row, col] -= 1.5e-10 * scale  # within tol * scale again
-        eigendecompose(h)
         assert_matches_reference(h)
 
     @pytest.mark.parametrize("where", ["eigenvalues", "vectors", "vectors_inf"])
@@ -235,9 +266,10 @@ class TestEigendecompose:
             eigenvalues[299] = math.nan
         else:
             vectors[299, 299] = math.nan if where == "vectors" else -math.inf
-        patch_eigh(monkeypatch, eigenvalues, vectors)
-        with pytest.raises(RuntimeError, match="eigensolver returned non-finite values"):
-            eigendecompose(h)
+        patch_solver(monkeypatch, eigenvalues, vectors)
+        for _ in solver_paths():
+            with pytest.raises(RuntimeError, match="eigensolver returned non-finite values"):
+                eigendecompose(lambda: h.copy())
         assert_matches_reference(h)
 
     @pytest.mark.parametrize("column", [0, 299])
@@ -251,27 +283,84 @@ class TestEigendecompose:
         eigenvalues, vectors = np.linalg.eigh(h)
         eigenvalues[column] += shift
         vectors[:, column] *= scale
-        patch_eigh(monkeypatch, eigenvalues, vectors)
-        with pytest.raises(RuntimeError, match="decomposition failed checks"):
-            eigendecompose(h)
+        patch_solver(monkeypatch, eigenvalues, vectors)
+        for _ in solver_paths():
+            with pytest.raises(RuntimeError, match="decomposition failed checks"):
+                eigendecompose(lambda: h.copy())
         assert_matches_reference(h)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflowing_residual_is_nan_and_raises(self, monkeypatch):
         # h V overflows to inf and V diag(e) too: their difference is NaN
         h = np.diag([1e300, 1e300])
-        patch_eigh(monkeypatch, [1e300, 1e300], [[1e10, 0.0], [0.0, 1e10]])
-        with pytest.raises(RuntimeError, match="residual nan"):
-            eigendecompose(h)
+        patch_solver(monkeypatch, [1e300, 1e300], [[1e10, 0.0], [0.0, 1e10]])
+        for _ in solver_paths():
+            with pytest.raises(RuntimeError, match="residual nan"):
+                eigendecompose(lambda: h.copy())
         assert_matches_reference(h)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(16, 16))
         h = a + a.T
-        first = eigendecompose(h)
-        second = eigendecompose(h)
+        first = eigendecompose(lambda: h)
+        second = eigendecompose(lambda: h)
         assert (first.eigenvectors == second.eigenvectors).all()
+
+    def test_builder_array_held_elsewhere_is_copied_not_overwritten(self):
+        # the same object at both calls, and a view of an array kept here;
+        # within tolerance of symmetric, so the solve also symmetrizes
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(300, 300))
+        h = a + a.T
+        h[299, 0] += 1e-12
+        kept = h.copy()
+        expected = reference_eigendecompose(kept)
+        for build in (lambda: h, lambda: h[:]):
+            for _ in solver_paths():
+                found = eigendecompose(build)
+                assert h.tobytes() == kept.tobytes()
+                assert found.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+                assert found.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+
+    def test_in_place_solver_found_with_scipy_openblas(self):
+        # a numpy on scipy-openblas (ILP64) must not fall back to eigh unseen
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        if lapack["name"] == "scipy-openblas" and "USE64BITINT" in lapack.get(
+            "openblas configuration", ""
+        ):
+            assert dynamics._dsyevd() is not None
+
+    def test_dense_peak_bytes_follows_the_solver_path(self, monkeypatch):
+        if dynamics._dsyevd() is not None:
+            assert dynamics.dense_peak_bytes(1024) == 3 * 8 * 1024**2
+        monkeypatch.setattr(dynamics, "_dsyevd", lambda: None)
+        assert dynamics.dense_peak_bytes(1024) == 5 * 8 * 1024**2
+
+    def test_memory_growth_stays_within_one_matrix_of_the_estimate(self, tmp_path):
+        # N = 10, dim 1024.  In place the solve holds H and dsyevd's 2 dim^2
+        # workspace: the growth reads 28.5 MB, against a bound of 4
+        # matrices, 32 MB.  Through np.linalg.eigh it reads 44 MB.
+        dim = 1024
+        code = (
+            "import resource\n"
+            "from crystalchain import CouplingValues, build_model, eigendecompose\n"
+            "sym = build_model(10)\n"
+            "values = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "eigendecompose(lambda: sym.evaluate(values))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        growth = int(proc.stdout) * 1024  # ru_maxrss is in KiB
+        assert growth < dynamics.dense_peak_bytes(dim) + 8 * dim * dim
 
     @pytest.mark.parametrize(
         "build, n",
@@ -282,7 +371,7 @@ class TestEigendecompose:
         # no sign convention is imposed: every profile term is V_fa V_ia or
         # a square, and negating a column is exact
         values = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5, beta=0.5)
-        spec = eigendecompose(build(n).evaluate(values))
+        spec = eigendecompose(lambda: build(n).evaluate(values))
         signs = np.random.default_rng(n).choice([-1.0, 1.0], size=spec.dim)
         flipped = SpectralDecomposition(spec.eigenvalues, spec.eigenvectors * signs)
         initial = spec.dim // 3
@@ -353,7 +442,7 @@ class TestTimeAveragedProfile:
         rng = np.random.default_rng(17)
         sym = build_model(4)
         values = CouplingValues(1.0, *rng.uniform(0, 1, 4))
-        spec = eigendecompose(sym.evaluate(values))
+        spec = eigendecompose(lambda: sym.evaluate(values))
         initial = int(rng.integers(0, 16))
         closed = time_averaged_profile(spec, initial, 9.0).p_avg
         quad = trapezoid_profile(spec.eigenvalues, spec.eigenvectors, initial, 9.0)
@@ -383,7 +472,7 @@ class TestTimeAveragedProfile:
         dim = 300
         assert dim > _KERNEL_BLOCK and dim % _KERNEL_BLOCK != 0
         a = rng.normal(size=(dim, dim))
-        spec = eigendecompose((a + a.T) / 2)
+        spec = eigendecompose(lambda: (a + a.T) / 2)
         for initial, horizon in ((0, 3.0), (123, 40.0), (dim - 1, 1e4)):
             blocked = time_averaged_profile(spec, initial, horizon).p_avg
             reference = unblocked_profile(spec.eigenvalues, spec.eigenvectors, initial, horizon)
@@ -428,7 +517,7 @@ class TestTimeAveragedProfile:
     def test_model_words_match_direct_kernel(self, n, words):
         sym = build_model(n)
         spec = eigendecompose(
-            sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
+            lambda: sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
         )
         for word in words:
             assert_probe_matches_direct_kernel(
@@ -462,7 +551,7 @@ class TestTimeAveragedProfile:
 
 class TestInfiniteTimeAverage:
     def test_zero_hamiltonian_freezes(self):
-        spec = eigendecompose(np.zeros((4, 4)))
+        spec = eigendecompose(lambda: np.zeros((4, 4)))
         profile = infinite_time_average(spec, 2)
         expected = np.zeros(4)
         expected[2] = 1.0
@@ -480,7 +569,7 @@ class TestInfiniteTimeAverage:
     def test_nondegenerate_spectrum_keeps_diagonal_terms(self):
         rng = np.random.default_rng(23)
         a = rng.normal(size=(12, 12))
-        spec = eigendecompose(a + a.T)
+        spec = eigendecompose(lambda: a + a.T)
         gaps = np.diff(spec.eigenvalues)
         assert gaps.min() > 1e-6  # generic draw: spectrum is simple
         manual = ((spec.eigenvectors * spec.eigenvectors[4]) ** 2).sum(axis=1)
@@ -506,7 +595,7 @@ class TestInfiniteTimeAverage:
 
     def test_degenerate_cluster_keeps_cross_terms(self):
         sym = build_hamming(3)
-        spec = eigendecompose(sym.evaluate(CouplingValues(mu0=0.0, beta=0.5)))
+        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=0.0, beta=0.5)))
         limit = infinite_time_average(spec, 0)
         long_avg = time_averaged_profile(spec, 0, 1e7)
         assert np.abs(limit.p_avg - long_avg.p_avg).max() <= 1e-4
@@ -514,7 +603,7 @@ class TestInfiniteTimeAverage:
 
 class TestFindStableT:
     def test_diagonal_returns_start(self):
-        spec = eigendecompose(np.diag([1.0, -1.0, 3.0]))
+        spec = eigendecompose(lambda: np.diag([1.0, -1.0, 3.0]))
         assert find_stable_T(spec, 1).horizon == 10.0
 
     def test_profile_near_infinite_limit(self):
@@ -569,7 +658,7 @@ class TestFindStableT:
     def test_model_words_match_exhaustive_search(self, n, words):
         sym = build_model(n)
         spec = eigendecompose(
-            sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
+            lambda: sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
         )
         for word in words:
             assert_screens_within_bound(spec, sym.basis.index_of_word(word))
@@ -585,7 +674,7 @@ class TestFindStableT:
         # integer entries give (near-)degenerate spectra and long searches
         rng = np.random.default_rng(seed)
         a = rng.integers(-2, 3, size=(dim, dim)) if integer_entries else rng.normal(size=(dim, dim))
-        spec = eigendecompose((a + a.T) / 2)
+        spec = eigendecompose(lambda: (a + a.T) / 2)
         initial = int(rng.integers(0, dim))
         assert_search_matches_oracle(spec, initial)
 

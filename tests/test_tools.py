@@ -28,7 +28,7 @@ def test_measure_profile_reports_one_json_line():
     assert report["wall_s"] > 0 and report["maxrss_mb"] > 0
     sym = build_model(4)
     spec = eigendecompose(
-        sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
+        lambda: sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
     )
     assert report["resolved_T"] == find_stable_T(spec, 0).horizon
 
