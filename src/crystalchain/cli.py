@@ -167,7 +167,7 @@ def _resolve_config(args: argparse.Namespace, base: "dict | None" = None) -> Run
     if config_path:
         try:
             base = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(base, dict):
             raise UsageError(f"config {config_path} must hold a JSON object")
@@ -213,10 +213,11 @@ def _physical_memory_bytes() -> int:
 def _check_memory(n: int, need: int, what: str) -> None:
     """Refuse (exit 2) a chain whose ``what`` needs 3/4 of physical memory
     or more.  The estimate counts only the dense arrays.  `profile` runs
-    measured 50 MiB above it at N = 12 and 67 MiB above it at N = 13 (the
-    interpreter, the structure and the blocked passes).  The rest of the
-    quarter is not measured: it is room for the rest of the machine, and
-    it keeps N = 14 (6 GiB in place), never run, refused on 8 GiB."""
+    measured 47 MiB above it at N = 12, 63 MiB at N = 13 and 98 MiB at
+    N = 14 (the interpreter, the structure and the blocked passes).  The
+    rest of the quarter is not measured: it is room for the rest of the
+    machine.  N = 14 (5 GiB in place) passes on 7.8 GiB, and ran there in
+    5226 MiB."""
     have = _physical_memory_bytes()
     if need >= have * 3 / 4:
         raise UsageError(
@@ -225,8 +226,13 @@ def _check_memory(n: int, need: int, what: str) -> None:
         )
 
 
-def _build(config: RunConfig) -> SymbolicHamiltonian:
-    _check_memory(config.n, dense_peak_bytes(2**config.n), "the dense eigendecomposition")
+def _build(config: RunConfig, solves: int = 1) -> SymbolicHamiltonian:
+    """The structure for ``config``, once ``solves`` dense eigendecompositions
+    at a time pass the memory pre-flight."""
+    what = "the dense eigendecomposition"
+    if solves > 1:
+        what = f"{solves} dense eigendecompositions at once"
+    _check_memory(config.n, solves * dense_peak_bytes(2**config.n), what)
     return BUILDERS[config.model](config.n)
 
 
@@ -482,6 +488,18 @@ def _parse_grid(params: list[str]) -> list[tuple[str, list[float]]]:
     return axes
 
 
+def _check_axes(axes: list[tuple[str, list[float]]], sym: SymbolicHamiltonian, model: str) -> None:
+    """Refuse an axis that sets no coupling the model reads: every point of it
+    would be the same run."""
+    read = {"mu0"} | {field for _, field in sym.families}
+    for name, _ in axes:
+        if read.isdisjoint(_ALL_AXIS if name == "all" else (name,)):
+            raise UsageError(
+                f"sweep parameter {name!r} sets no coupling the {model} model reads "
+                f"({', '.join(sorted(read))})"
+            )
+
+
 def _apply_point(couplings: CouplingValues, point: dict[str, float]) -> CouplingValues:
     updates = {}
     for name, value in point.items():
@@ -506,7 +524,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dict(zip([name for name, _ in axes], combo))
         for combo in itertools.product(*[values for _, values in axes])
     ] if axes else []
-    sym = _build(config)
+    workers = min(args.workers, len(points), os.cpu_count() or 1)
+    sym = _build(config, solves=max(workers, 1))
+    _check_axes(axes, sym, config.model)
 
     def run_point(item: tuple[int, dict[str, float]]) -> dict:
         idx, point = item
@@ -533,7 +553,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         return row
 
-    workers = min(args.workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_point, enumerate(points)))

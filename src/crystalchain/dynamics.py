@@ -65,42 +65,95 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
+# The LAPACK routines `_solve` calls, with their Fortran arguments: c a
+# character, i an int64, d a double, a an array (each by reference), then
+# info, an int64 `_call` adds, and one length per character argument.
+_ROUTINES = {
+    "dsyevd": "cciaiaaiai",  # jobz uplo n a lda w work lwork iwork liwork
+    "dsytrd": "ciaiaaaai",  # uplo n a lda d e tau work lwork
+    "dtrttp": "ciaia",  # uplo n a lda ap
+    "dstedc": "ciaaaiaiai",  # compz n d e z ldz work lwork iwork liwork
+    "dtpttr": "ciaai",  # uplo n ap a lda
+    "dormtr": "ccciiaiaaiai",  # side uplo trans m n a lda tau c ldc work lwork
+    "dlascl": "ciiddiiai",  # type kl ku cfrom cto m n a lda
+}
+# (argtype, conversion of the Python value) by kind; an array's pointer
+# comes from the buffer protocol, faster than ndarray.ctypes
+_KINDS = {
+    "c": (ctypes.c_char_p, bytes),
+    "i": (ctypes.POINTER(ctypes.c_int64), ctypes.c_int64),
+    "d": (ctypes.POINTER(ctypes.c_double), ctypes.c_double),
+    "a": (ctypes.c_void_p, lambda array: ctypes.byref(ctypes.c_char.from_buffer(array))),
+}
+# dsyevd's scaling range (RMIN, RMAX): sqrt(SMLNUM) and sqrt(1/SMLNUM) with
+# SMLNUM = DLAMCH('S') / DLAMCH('P') = 2^-970, both exact powers of two
+_RMIN, _RMAX = 2.0**-485, 2.0**485
+
+
 @functools.cache
-def _dsyevd():
-    """dsyevd (ILP64) from the scipy-openblas library bundled with numpy, the
-    routine np.linalg.eigh calls, or None when this numpy carries none.
-    numpy has loaded that library already; it is looked up on the first
-    solve, not at import."""
+def _lapack() -> "dict[str, Callable] | None":
+    """The `_ROUTINES` (ILP64) of the scipy-openblas library bundled with
+    numpy, the one np.linalg.eigh calls, by name; None when no such
+    library carries them all.  numpy has loaded that library already; it
+    is looked up on the first solve, not at import."""
     libs = Path(np.__file__).parent.with_name("numpy.libs")
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            dsyevd = ctypes.CDLL(str(path)).scipy_dsyevd_64_
+            library = ctypes.CDLL(str(path))
+            routines = {name: getattr(library, f"scipy_{name}_64_") for name in _ROUTINES}
         except (OSError, AttributeError):
             continue
-        # Fortran: every argument by reference, then the lengths of the two
-        # character arguments
-        integer = ctypes.POINTER(ctypes.c_int64)
-        pointer = ctypes.c_void_p
-        dsyevd.argtypes = (
-            ctypes.c_char_p, ctypes.c_char_p, integer, pointer, integer, pointer,
-            pointer, integer, pointer, integer, integer, ctypes.c_size_t, ctypes.c_size_t,
-        )
-        dsyevd.restype = None
-        return dsyevd
+        for name, kinds in _ROUTINES.items():
+            routines[name].argtypes = [_KINDS[kind][0] for kind in kinds + "i"]
+            routines[name].argtypes += [ctypes.c_size_t] * kinds.count("c")
+            routines[name].restype = None
+        return routines
     return None
+
+
+def _call(name: str, *args) -> int:
+    """Run the LAPACK routine `name` on Python values (bytes, ints, floats
+    and arrays, as `_ROUTINES` lists them) and return its info."""
+    kinds = _ROUTINES[name]
+    info = ctypes.c_int64()
+    values = [_KINDS[kind][1](value) for kind, value in zip(kinds, args)]
+    _lapack()[name](*values, info, *(1,) * kinds.count("c"))
+    return info.value
+
+
+@functools.cache
+def _workspace(n: int) -> tuple[int, int]:
+    """(dsytrd's lwork, dormtr's lwork) for an n x n solve.
+
+    dsytrd's is its own query's.  dsyevd hands dormtr what is left of its
+    queried workspace past the tridiagonal and Z.  Below 64 n + 4160 (64
+    columns and their 65 x 64 triangular factor), dormqr derives its block
+    size from that length, which changes its rounding; from there up the
+    block size is its largest, so capping the length there changes only
+    the allocation.
+    """
+    size, isize = np.empty(1), np.empty(1, dtype=np.int64)
+    _call("dsyevd", b"V", b"L", n, size, n, size, size, -1, isize, -1)
+    leftover = int(size[0]) - 2 * n - n * n
+    _call("dsytrd", b"L", n, size, n, size, size, size, size, -1)
+    return int(size[0]), min(leftover, 64 * n + 4160)
 
 
 def dense_peak_bytes(dim: int) -> int:
     """Estimated peak memory of `eigendecompose` on a dim x dim matrix.
 
-    Three dim x dim float64 arrays when the solve runs in place: H, which
-    becomes the eigenvectors, and the dsyevd workspace (2 dim^2).  Five
-    through the np.linalg.eigh fallback, which adds its own copy of H and
-    the output vectors.  The checks hold only two (H and the vectors) plus
-    O(_KERNEL_BLOCK * dim) of blocks.
+    Counted in float64 values: the solve's peak, or the checks' where that
+    is larger, plus 64 dim for the length-dim vectors and small
+    workspaces.  The in-place solve peaks while dstedc runs, holding the
+    packed reflectors (half of H), Z and dstedc's workspace: 2.5 dim^2.
+    The np.linalg.eigh fallback holds five: H, eigh's copy of it, the
+    output vectors and dsyevd's 2 dim^2 workspace.  The checks hold two (H
+    and the vectors) and two blocks of _KERNEL_BLOCK rows, no more than
+    the in-place solve from dim 1024 (N = 10) up.
     """
-    arrays = 3 if _dsyevd() is not None else 5
-    return arrays * np.dtype(float).itemsize * dim * dim
+    solve = 5 * dim * dim // 2 if _lapack() is not None else 5 * dim * dim
+    checks = 2 * dim * dim + 2 * min(_KERNEL_BLOCK, dim) * dim
+    return np.dtype(float).itemsize * (max(solve, checks) + 64 * dim)
 
 
 def _symmetrize(h: np.ndarray) -> np.floating:
@@ -128,42 +181,73 @@ def _symmetrize(h: np.ndarray) -> np.floating:
     return worst
 
 
-def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve(held: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and C-ordered eigenvectors of the symmetric h
     from its lower triangle: np.linalg.eigh(h), bit for bit.
 
-    With numpy's dsyevd the solve runs in place and h is consumed: the same
-    routine with the same workspace query as np.linalg.eigh, but on h's own
-    buffer instead of a copy.  Read column-major, that buffer is h.T, whose
-    lower triangle is h's upper one; `_symmetrize` made the two equal.
-    dsyevd leaves V.T there, copied once into the C-ordered V that
-    np.linalg.eigh returns.
+    `held` is a one-item list with the only reference to h, a C-ordered
+    float64 array; the solve takes it out, so that it can free H while
+    dstedc runs.  With numpy's LAPACK it runs the steps of dsyevd, the
+    routine np.linalg.eigh calls, with the same workspace sizes
+    (`_workspace`), on h's own buffer.  Read column-major, that buffer is
+    h.T, whose lower triangle is h's upper one; `_symmetrize` made the two
+    equal.
+
+    1. When 0 < max|h| < _RMIN or max|h| > _RMAX, dlascl scales the
+       triangle by sigma into that range; the eigenvalues are scaled back
+       by 1/sigma last.
+    2. dsytrd reduces it to tridiagonal form in place, leaving the
+       Householder reflectors below the subdiagonal.
+    3. dtrttp packs that triangle, reflectors included, into
+       n (n + 1) / 2 values, and H is freed.
+    4. dstedc finds the tridiagonal's eigenvalues and eigenvectors Z with a
+       dim^2 + 4 dim + 1 workspace: the peak, 2.5 dim^2.
+    5. With that workspace freed, dtpttr unpacks the reflectors into a
+       fresh dim x dim array, of which it writes half, and dormtr applies
+       them to Z.  That leaves V.T in Z's C buffer, copied once into the
+       C-ordered V that np.linalg.eigh returns.
+
+    n <= 1 and a numpy without these routines take np.linalg.eigh itself.
     """
-    dsyevd = _dsyevd()
-    if dsyevd is None:
+    h = held.pop()
+    n = len(h)
+    if _lapack() is None or n <= 1:
         try:
             return np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    n = ctypes.c_int64(len(h))
-    eigenvalues = np.empty(len(h))
-    info = ctypes.c_int64()
-
-    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
-        dsyevd(
-            b"V", b"L", n, h.ctypes.data, n, eigenvalues.ctypes.data,
-            work.ctypes.data, ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork),
-            info, 1, 1,
-        )
-
-    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    call(work, -1, iwork, -1)  # the workspace query
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
-    call(work, len(work), iwork, len(iwork))
-    del work, iwork  # before the copy, so the peak stays the solve's 3 dim^2
-    if info.value:
-        raise RuntimeError(f"eigensolver did not converge: dsyevd info {info.value}")
-    return eigenvalues, h.T.copy()
+    tridiagonal_lwork, dormtr_lwork = _workspace(n)
+    norm = max(float(h.max()), -float(h.min()))
+    sigma = None
+    if 0.0 < norm < _RMIN:
+        sigma = _RMIN / norm
+    elif norm > _RMAX:
+        sigma = _RMAX / norm
+    if sigma is not None:
+        _call("dlascl", b"L", 0, 0, 1.0, sigma, n, n, h, n)
+    eigenvalues, off_diagonal, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    work = np.empty(tridiagonal_lwork)
+    _call("dsytrd", b"L", n, h, n, eigenvalues, off_diagonal, tau, work, tridiagonal_lwork)
+    packed = np.empty(n * (n + 1) // 2)
+    _call("dtrttp", b"L", n, h, n, packed)
+    del h, work
+    z = np.empty((n, n))
+    work, iwork = np.empty(n * n + 4 * n + 1), np.empty(5 * n + 3, dtype=np.int64)
+    info = _call(
+        "dstedc", b"I", n, eigenvalues, off_diagonal, z, n, work, len(work), iwork, len(iwork)
+    )
+    del work, iwork
+    if info:
+        raise RuntimeError(f"eigensolver did not converge: dstedc info {info}")
+    reflectors = np.empty((n, n))
+    _call("dtpttr", b"L", n, packed, reflectors, n)
+    del packed
+    work = np.empty(dormtr_lwork)
+    _call("dormtr", b"L", b"L", b"N", n, n, reflectors, n, tau, z, n, work, dormtr_lwork)
+    del reflectors, work  # before the copy, so the peak stays dstedc's
+    if sigma is not None:
+        eigenvalues *= 1.0 / sigma
+    return eigenvalues, z.T.copy()
 
 
 def _decomposition_errors(
@@ -198,8 +282,8 @@ def eigendecompose(build: Callable[[], np.ndarray]) -> SpectralDecomposition:
     `build` takes no arguments and must return the same matrix at each
     call.  It is called twice: once for the solve, which runs in place on
     a copy of the matrix, and once more for the residual and
-    orthonormality checks, after the solve's workspace is freed.  So the
-    peak is the solve's own (`dense_peak_bytes`).
+    orthonormality checks, after the solve's arrays are freed.  So the
+    peak is the larger of the two phases (`dense_peak_bytes`).
 
     Non-finite entries (e.g. couplings large enough to overflow) raise
     RuntimeError before anything else is checked.  With
@@ -220,8 +304,9 @@ def eigendecompose(build: Callable[[], np.ndarray]) -> SpectralDecomposition:
     scale = max(high, -low, 1.0)
     if _symmetrize(h) > DEFAULT_DECOMP_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    eigenvalues, vectors = _solve(h)
-    del h
+    held = [h]
+    del h  # the solve holds the only reference
+    eigenvalues, vectors = _solve(held)
     column_max, column_min = vectors.max(axis=0), vectors.min(axis=0)  # NaN and +-inf reach one
     if not (
         np.isfinite(eigenvalues).all()

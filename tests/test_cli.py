@@ -388,6 +388,13 @@ class TestProfileCommand:
         assert err.startswith("error:") and repr(typo) in err
         assert not (tmp_path / "x").exists()
 
+    def test_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"n": 3, "initial": "RRY"\xff}')
+        assert main(["profile", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {config}: ")
+        assert not (tmp_path / "x").exists()
+
     def test_config_integers_stand_for_floats(self, tmp_path, capsys):
         assert self.run_config(tmp_path, horizon=10, couplings={"mu0": 1, "eps": 0}) == 0
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
@@ -400,11 +407,13 @@ class TestMemoryPreflight:
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**20)
         out = tmp_path / "run"
         argv = ["profile", "--n", "9", "--initial", "RRRRYYYYY", "--out", str(out)]
-        # 3 float64 matrices of 2 MiB in place, 5 through the eigh fallback
-        in_place = 6 if dynamics._dsyevd() is not None else 10
-        for handle, need in ((dynamics._dsyevd, in_place), (lambda: None, 10)):
-            monkeypatch.setattr(dynamics, "_dsyevd", handle)
-            assert dense_peak_bytes(2**9) == need * 2**20
+        # float64 matrices of 2 MiB: at dim 512 the checks' 3 outweigh the
+        # in-place solve's 2.5; 5 through the eigh fallback; each plus 64 dim
+        vectors = 64 * 8 * 2**9
+        in_place = 6 if dynamics._lapack() is not None else 10
+        for handle, need in ((dynamics._lapack, in_place), (lambda: None, 10)):
+            monkeypatch.setattr(dynamics, "_lapack", handle)
+            assert dense_peak_bytes(2**9) == need * 2**20 + vectors
             assert main(argv) == 2
             assert not out.exists()
             assert capsys.readouterr() == ("", (
@@ -419,12 +428,19 @@ class TestMemoryPreflight:
         monkeypatch.setattr(cli, "build_model", no_build)
         out = tmp_path / "run"
         argv = ["profile", "--n", "14", "--initial", "RY" * 7, "--out", str(out)]
-        # at 8 GiB the in-place estimate, 6 GiB, is exactly 3/4: refused too
-        for gib in (7, 8):
-            monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: gib * 2**30)
-            assert main(argv) == 2
-            assert not out.exists()
-            assert "physical memory" in capsys.readouterr().err
+        # the in-place estimate, 5 GiB + 8 MiB, is more than 3/4 of 6 GiB
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 6 * 2**30)
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "physical memory" in capsys.readouterr().err
+        if dynamics._lapack() is not None:  # but less than 3/4 of 7 GiB
+            monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 7 * 2**30)
+            with pytest.raises(AssertionError, match="built a structure"):
+                main(argv)
+        # a need of exactly 3/4 is refused too
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 * 2**30)
+        with pytest.raises(cli.UsageError, match="3/4 or more"):
+            cli._check_memory(14, 6 * 2**30, "the dense eigendecomposition")
 
     def test_numeric_dump_beyond_physical_memory_is_usage_error(
         self, tmp_path, monkeypatch, capsys
@@ -756,6 +772,44 @@ class TestSweepCommand:
             "error: sweep parameter 'all' sets eps, gamma, delta, eta; give it alone\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("model, axis, read", [
+        ("crystal", "beta", "delta, eps, eta, gamma, mu0"),
+        ("hamming", "all", "beta, mu0"),
+        ("hamming", "gamma", "beta, mu0"),
+    ])
+    def test_axis_the_model_never_reads_is_usage_error(self, tmp_path, capsys, model, axis, read):
+        out = tmp_path / "s"
+        assert main([
+            "sweep", "--n", "3", "--initial", "RRY", "--model", model,
+            "--param", f"{axis}=0.1,0.2", "--horizon", "160", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep parameter {axis!r} sets no coupling the {model} model reads ({read})\n"
+        )
+        assert not out.exists()
+
+    def test_mu0_axis_counts_on_every_model(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main([
+            "sweep", "--n", "3", "--initial", "RRY", "--model", "hamming", "--beta", "0.5",
+            "--param", "mu0=0,1", "--horizon", "160", "--out", str(out),
+        ]) == 0
+        assert read_csv_column(out / "summary.csv", "status") == ["ok", "ok"]
+
+    def test_workers_count_in_the_memory_preflight(self, tmp_path, monkeypatch, capsys):
+        # one solve fits in 3/4 of the patched memory, two at once do not
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2 * dense_peak_bytes(2**3))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        out = tmp_path / "s"
+        argv = [
+            "sweep", "--n", "3", "--initial", "RRY", "--param", "eps=0.1,0.2",
+            "--horizon", "160", "--out", str(out), "--workers",
+        ]
+        assert main([*argv, "2"]) == 2
+        assert "for 2 dense eigendecompositions at once" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "1"]) == 0
 
     def test_unknown_parameter_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", "--n", "3", "--initial", "RRY", "--param", "zeta=1",

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -67,11 +68,11 @@ def assert_probe_matches_direct_kernel(spec, initial, horizons):
 
 def solver_paths():
     """Run a loop's body on both solver paths: in place through numpy's
-    dsyevd, then with that handle forced to None, through the
+    LAPACK, then with that handle forced to None, through the
     np.linalg.eigh fallback."""
     yield "in place"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_dsyevd", lambda: None)
+        patch.setattr(dynamics, "_lapack", lambda: None)
         yield "fallback"
 
 
@@ -329,18 +330,32 @@ class TestEigendecompose:
         if lapack["name"] == "scipy-openblas" and "USE64BITINT" in lapack.get(
             "openblas configuration", ""
         ):
-            assert dynamics._dsyevd() is not None
+            assert dynamics._lapack() is not None
+
+    def test_a_missing_routine_falls_back_to_eigh(self, monkeypatch):
+        h = np.array([[2.0, 1.0], [1.0, -1.0]])
+        monkeypatch.setitem(dynamics._ROUTINES, "dnosuch", "")
+        dynamics._lapack.cache_clear()
+        try:
+            assert dynamics._lapack() is None
+            assert_matches_reference(h)
+        finally:
+            dynamics._lapack.cache_clear()  # looked up again, unpatched, at the next call
 
     def test_dense_peak_bytes_follows_the_solver_path(self, monkeypatch):
-        if dynamics._dsyevd() is not None:
-            assert dynamics.dense_peak_bytes(1024) == 3 * 8 * 1024**2
-        monkeypatch.setattr(dynamics, "_dsyevd", lambda: None)
-        assert dynamics.dense_peak_bytes(1024) == 5 * 8 * 1024**2
+        # from dim 1024 up the solve's peak is the larger; at 512 the checks'
+        vectors = 64 * 8 * 1024
+        if dynamics._lapack() is not None:
+            assert dynamics.dense_peak_bytes(1024) == 2.5 * 8 * 1024**2 + vectors
+            assert dynamics.dense_peak_bytes(512) == 3 * 8 * 512**2 + vectors // 2
+        monkeypatch.setattr(dynamics, "_lapack", lambda: None)
+        assert dynamics.dense_peak_bytes(1024) == 5 * 8 * 1024**2 + vectors
 
     def test_memory_growth_stays_within_one_matrix_of_the_estimate(self, tmp_path):
-        # N = 10, dim 1024.  In place the solve holds H and dsyevd's 2 dim^2
-        # workspace: the growth reads 28.5 MB, against a bound of 4
-        # matrices, 32 MB.  Through np.linalg.eigh it reads 44 MB.
+        # N = 10, dim 1024.  In place the solve peaks with the packed
+        # reflectors, Z and dstedc's workspace: the growth reads 24.3 MiB,
+        # against a bound of 3.5625 matrices, 28.5 MiB.  Through
+        # np.linalg.eigh it reads 44 MB.
         dim = 1024
         code = (
             "import resource\n"
@@ -380,6 +395,81 @@ class TestEigendecompose:
             want, got = profile(spec, initial), profile(flipped, initial)
             assert got.horizon == want.horizon
             assert got.p_avg.tobytes() == want.p_avg.tobytes()
+
+
+def random_symmetric(dim, seed=0, scale=1.0):
+    a = np.random.default_rng(seed).normal(size=(dim, dim))
+    return (a + a.T) * (scale / 2)
+
+
+def assert_solve_is_eigh(h):
+    """`_solve` on a fresh copy of h gives np.linalg.eigh(h) bit for bit."""
+    expected_values, expected_vectors = np.linalg.eigh(h)
+    eigenvalues, vectors = dynamics._solve([h.copy()])
+    assert eigenvalues.tobytes() == expected_values.tobytes()
+    assert vectors.tobytes() == expected_vectors.tobytes()
+    assert vectors.flags.c_contiguous
+
+
+needs_lapack = pytest.mark.skipif(
+    dynamics._lapack() is None, reason="numpy carries no scipy-openblas LAPACK"
+)
+BASELINE = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_models_bitwise_equal_to_eigh(self, n):
+        crystal = build_model(n)
+        assert_solve_is_eigh(crystal.evaluate(BASELINE))
+        assert_solve_is_eigh(crystal.evaluate(FIG2_COUPLINGS))
+        assert_solve_is_eigh(build_hamming(n).evaluate(CouplingValues(mu0=1.0, beta=0.5)))
+
+    @pytest.mark.parametrize(
+        # below about 80, dsyevd's leftover workspace sets dormtr's block size
+        "dim", [1, 2, 3, 5, 8, 16, 25, 26, 33, *range(63, 82), 128, 257, 512, 1000, 1500],
+    )
+    def test_random_bitwise_equal_to_eigh(self, dim):
+        assert_solve_is_eigh(random_symmetric(dim, seed=dim))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e150, 1e-160, 1e-300])
+    @pytest.mark.parametrize("dim", [1, 2, 50])
+    def test_scaled_matrices_bitwise_equal_to_eigh(self, scale, dim):
+        # max|h| outside [2^-485, 2^485] takes dsyevd's scaling, except at dim 1
+        h = random_symmetric(dim, seed=dim, scale=scale)
+        assert_solve_is_eigh(h)
+        assert_matches_reference(h)
+
+    @needs_lapack
+    def test_unconverged_dstedc_raises(self, monkeypatch):
+        call = dynamics._call
+
+        def failing(name, *args):
+            info = call(name, *args)
+            return 3 if name == "dstedc" else info
+
+        monkeypatch.setattr(dynamics, "_call", failing)
+        with pytest.raises(RuntimeError, match="eigensolver did not converge: dstedc info 3"):
+            eigendecompose(lambda: random_symmetric(40))
+
+    @needs_lapack
+    def test_traced_peaks_at_dim_512(self):
+        # while dstedc runs the solve holds the packed reflectors, Z and
+        # dstedc's workspace; H, allocated while tracing, must be gone by then
+        dim = 512
+        h = random_symmetric(dim)
+        dynamics._solve([h.copy()])  # the workspace sizes, cached
+        tracemalloc.start()
+        try:
+            dynamics._solve([h.copy()])
+            _, solve_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            eigendecompose(lambda: h.copy())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solve_peak <= 2.5 * 8 * dim * dim + 64 * 8 * dim
+        assert peak <= dynamics.dense_peak_bytes(dim)
 
 
 class TestTransitionProbability:

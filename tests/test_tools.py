@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from crystalchain import CouplingValues, build_model, eigendecompose, find_stable_T
+from crystalchain.dynamics import dense_peak_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
 MEASURE_PROFILE = ROOT / "tools" / "measure_profile.py"
@@ -26,6 +27,7 @@ def test_measure_profile_reports_one_json_line():
     report = json.loads(lines[0])
     assert report["n"] == 4 and report["initial"] == "RYRY"
     assert report["wall_s"] > 0 and report["maxrss_mb"] > 0
+    assert report["estimate_mb"] == round(dense_peak_bytes(16) / 2**20, 1)
     sym = build_model(4)
     spec = eigendecompose(
         lambda: sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))

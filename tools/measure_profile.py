@@ -6,8 +6,10 @@ Runs ``crystalchain profile --n N --horizon auto`` from this checkout's
 ``src/`` in a child interpreter, at the baseline couplings (mu0=1,
 eps=0.1, gamma=delta=eta=0.5) and from basis index 0, and prints one JSON
 line: the child's wall time (spawn to exit, imports included), its peak
-resident memory (``ru_maxrss``) and the stable horizon it resolved.  Exits
-with the child's code, after printing its stderr, when the run fails.
+resident memory (``ru_maxrss``), the memory pre-flight's estimate of the
+dense eigendecomposition (``dense_peak_bytes``, so that the two show the
+estimate's margin) and the stable horizon it resolved.  Exits with the
+child's code, after printing its stderr, when the run fails.
 """
 
 from __future__ import annotations
@@ -26,16 +28,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COUPLING_ARGS = ["--mu0", "1", "--eps", "0.1", "--gamma", "0.5", "--delta", "0.5", "--eta", "0.5"]
 
 
-def first_word(n: int) -> str:
-    """The word of basis index 0, from the checkout's own basis enumeration."""
+def first_word_and_estimate(n: int) -> tuple[str, int]:
+    """The word of basis index 0 and the pre-flight's estimate in bytes, from
+    the checkout's own code."""
     sys.path.insert(0, str(SRC))
     from crystalchain import enumerate_basis
+    from crystalchain.dynamics import dense_peak_bytes
 
-    return str(enumerate_basis(n).words[0])
+    return str(enumerate_basis(n).words[0]), dense_peak_bytes(2**n)
 
 
 def measure(n: int) -> dict:
-    word = first_word(n)
+    word, estimate = first_word_and_estimate(n)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as out:
@@ -55,6 +59,7 @@ def measure(n: int) -> dict:
         "initial": word,
         "wall_s": round(wall, 3),
         "maxrss_mb": round(maxrss_kib / 1024, 1),
+        "estimate_mb": round(estimate / 2**20, 1),
         "resolved_T": manifest["resolved_T"],
     }
 
