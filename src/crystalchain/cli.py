@@ -259,7 +259,10 @@ def run(config: RunConfig, sym: SymbolicHamiltonian | None = None, fit: bool = F
     and model."""
     sym = _build(config) if sym is None else sym
     initial = sym.basis.index_of_word(config.initial)
-    spec = eigendecompose(lambda: sym.evaluate(config.couplings))
+    spec = eigendecompose(
+        lambda: sym.evaluate(config.couplings),
+        products=functools.partial(sym.products, config.couplings),
+    )
     if config.horizon == "auto":
         profile = find_stable_T(spec, initial)
     elif config.horizon == "infinite":

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,6 +23,13 @@ PROFILE_SUM_TOL = 1e-8
 # the ladder screens and eigendecompose's checks hold O(_KERNEL_BLOCK * dim)
 # memory instead of O(dim^2).
 _KERNEL_BLOCK = 256
+# Rows (and square tiles) of the passes that stream a dim x dim array once,
+# the magnitude pass over H and the in-place transpose of the eigenvectors,
+# and of the orthonormality band, whose diagonal blocks it always computes.
+_TILE = 64
+# Square tiles of `_symmetrize`, whose four numpy calls per tile pair make
+# smaller tiles slower: 128 takes half the time of 256 at dim 2048.
+_SYMMETRY_TILE = 128
 # Slack of find_stable_T's initial-row screen over rounding; see its docstring.
 _SCREEN_MARGIN = 1e-9
 # Eigenvalue pairs whose gap is at most this fraction of the spectral radius
@@ -147,53 +154,103 @@ def dense_peak_bytes(dim: int) -> int:
     workspaces.  The in-place solve peaks while dstedc runs, holding the
     packed reflectors (half of H), Z and dstedc's workspace: 2.5 dim^2.
     The np.linalg.eigh fallback holds five: H, eigh's copy of it, the
-    output vectors and dsyevd's 2 dim^2 workspace.  The checks hold two (H
-    and the vectors) and two blocks of _KERNEL_BLOCK rows, no more than
-    the in-place solve from dim 1024 (N = 10) up.
+    output vectors and dsyevd's 2 dim^2 workspace.  The dense checks hold
+    two (the second H and the vectors) and two blocks of _KERNEL_BLOCK
+    rows, no more than the in-place solve from dim 1024 (N = 10) up.  The
+    checks through `products` (the CLI's) hold no second H: the vectors,
+    the sector blocks (under dim^2 / 4) and at most five dim x
+    _KERNEL_BLOCK slabs, 2.2 dim^2 at dim 1024 and less above, below both
+    bounds.  Up to dim _KERNEL_BLOCK
+    the checks' H is a copy kept through the solve: one dim^2 more there,
+    at most half a MiB.
     """
     solve = 5 * dim * dim // 2 if _lapack() is not None else 5 * dim * dim
     checks = 2 * dim * dim + 2 * min(_KERNEL_BLOCK, dim) * dim
     return np.dtype(float).itemsize * (max(solve, checks) + 64 * dim)
 
 
-def _symmetrize(h: np.ndarray) -> np.floating:
-    """Copy h's lower triangle onto its upper one, in place, and return
-    max |h - h.T| from before the copy, the value np.abs(h - h.T).max()
-    gives.  It walks the pairs of _KERNEL_BLOCK-square tiles (I, J) with
-    I <= J, with no dim x dim temporary and no strided pass over the whole
-    matrix, and writes only the tiles that differ from their mirror."""
+def _symmetrize(h: np.ndarray) -> tuple[np.floating, float]:
+    """Copy h's lower triangle onto its upper one, in place, and return,
+    from before the copy, max |h - h.T| (the value np.abs(h - h.T).max()
+    gives) and the computed sum of squares of h - h.T, 0 when h is exactly
+    symmetric.  It walks the pairs of _SYMMETRY_TILE-square tiles (I, J)
+    with I <= J, with no dim x dim temporary and no strided pass over the
+    whole matrix, and writes only the tiles that differ from their mirror."""
     dim = len(h)
-    tile = np.empty((min(_KERNEL_BLOCK, dim),) * 2)
+    tile = np.empty((min(_SYMMETRY_TILE, dim),) * 2)
     worst = np.float64(0.0)
-    for i in range(0, dim, _KERNEL_BLOCK):
-        for j in range(i, dim, _KERNEL_BLOCK):
-            upper = h[i : i + _KERNEL_BLOCK, j : j + _KERNEL_BLOCK]
-            mirror = h[j : j + _KERNEL_BLOCK, i : i + _KERNEL_BLOCK].T
+    squares = 0.0
+    for i in range(0, dim, _SYMMETRY_TILE):
+        for j in range(i, dim, _SYMMETRY_TILE):
+            upper = h[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE]
+            mirror = h[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE].T
             diff = tile[: upper.shape[0], : upper.shape[1]]
             np.subtract(upper, mirror, out=diff)
             change = np.abs(diff, out=diff).max()
             worst = np.maximum(worst, change)
-            if change and i == j:  # only the tile's strict upper triangle
+            if not change:
+                continue
+            with np.errstate(over="ignore"):  # an inf widens the band to everything
+                # a tile off the diagonal stands for its mirror too
+                squares += float(np.einsum("ij,ij->", diff, diff)) * (1 if i == j else 2)
+            if i == j:  # only the tile's strict upper triangle
                 above = np.triu_indices(len(upper), 1)
                 upper[above] = mirror[above]
-            elif change:
+            else:
                 upper[...] = mirror
-    return worst
+    return worst, squares
 
 
-def _solve(held: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _magnitudes(h: np.ndarray) -> tuple[float, int]:
+    """(sqrt(R C), the most nonzero entries in a row of h), R and C the
+    largest computed sums of |h| over a row and over a column, in one pass
+    of _TILE-row chunks.  sqrt(R C) bounds the spectral norm of |h|
+    (||A||_2^2 <= ||A||_1 ||A||_inf) but for the rounding of the sums,
+    which `_gap_band` adds."""
+    dim = len(h)
+    chunk = np.empty((min(_TILE, dim), dim))
+    row_sum, terms = 0.0, 0
+    col_sums = np.zeros(dim)
+    with np.errstate(over="ignore"):  # an inf widens the band to everything
+        for start in range(0, dim, _TILE):
+            a = np.abs(h[start : start + _TILE], out=chunk[: min(_TILE, dim - start)])
+            row_sum = max(row_sum, float(a.sum(axis=1).max()))
+            col_sums += a.sum(axis=0)
+            terms = max(terms, int(np.count_nonzero(a, axis=1).max()))
+    return math.sqrt(row_sum * float(col_sums.max())), terms
+
+
+def _transpose(z: np.ndarray) -> None:
+    """Transpose the square C-ordered z in place: swap each pair of
+    _TILE-square tiles (I, J) and (J, I), I < J, transposed, through one
+    tile buffer, and transpose each diagonal tile through it."""
+    n = len(z)
+    tile = np.empty((min(_TILE, n),) * 2)
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = z[i : i + _TILE, j : j + _TILE]
+            lower = z[j : j + _TILE, i : i + _TILE]
+            kept = tile[: upper.shape[0], : upper.shape[1]]
+            kept[...] = upper
+            if i != j:
+                upper[...] = lower.T
+            lower[...] = kept.T
+
+
+def _solve(held: list[np.ndarray], norm: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and C-ordered eigenvectors of the symmetric h
     from its lower triangle: np.linalg.eigh(h), bit for bit.
 
     `held` is a one-item list with the only reference to h, a C-ordered
     float64 array; the solve takes it out, so that it can free H while
-    dstedc runs.  With numpy's LAPACK it runs the steps of dsyevd, the
+    dstedc runs.  `norm` is max |h|, which dsyevd's scaling reads from the
+    lower triangle.  With numpy's LAPACK it runs the steps of dsyevd, the
     routine np.linalg.eigh calls, with the same workspace sizes
     (`_workspace`), on h's own buffer.  Read column-major, that buffer is
     h.T, whose lower triangle is h's upper one; `_symmetrize` made the two
     equal.
 
-    1. When 0 < max|h| < _RMIN or max|h| > _RMAX, dlascl scales the
+    1. When 0 < norm < _RMIN or norm > _RMAX, dlascl scales the
        triangle by sigma into that range; the eigenvalues are scaled back
        by 1/sigma last.
     2. dsytrd reduces it to tridiagonal form in place, leaving the
@@ -204,8 +261,8 @@ def _solve(held: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
        dim^2 + 4 dim + 1 workspace: the peak, 2.5 dim^2.
     5. With that workspace freed, dtpttr unpacks the reflectors into a
        fresh dim x dim array, of which it writes half, and dormtr applies
-       them to Z.  That leaves V.T in Z's C buffer, copied once into the
-       C-ordered V that np.linalg.eigh returns.
+       them to Z.  That leaves V.T in Z's C buffer, which `_transpose`
+       turns into the C-ordered V that np.linalg.eigh returns in place.
 
     n <= 1 and a numpy without these routines take np.linalg.eigh itself.
     """
@@ -217,7 +274,6 @@ def _solve(held: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     tridiagonal_lwork, dormtr_lwork = _workspace(n)
-    norm = max(float(h.max()), -float(h.min()))
     sigma = None
     if 0.0 < norm < _RMIN:
         sigma = _RMIN / norm
@@ -244,46 +300,158 @@ def _solve(held: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     del packed
     work = np.empty(dormtr_lwork)
     _call("dormtr", b"L", b"L", b"N", n, n, reflectors, n, tau, z, n, work, dormtr_lwork)
-    del reflectors, work  # before the copy, so the peak stays dstedc's
+    del reflectors, work
     if sigma is not None:
         eigenvalues *= 1.0 / sigma
-    return eigenvalues, z.T.copy()
+    _transpose(z)
+    return eigenvalues, z
 
 
-def _decomposition_errors(
-    h: np.ndarray, eigenvalues: np.ndarray, vectors: np.ndarray
-) -> tuple[float, float]:
-    """max |h V - V diag(e)| and max |V.T V - I|, one _KERNEL_BLOCK-row block
-    at a time into reused buffers.  V.T V is symmetric, so each block of its
-    rows takes only the columns from the block's first row on.  A NaN in
-    either stays NaN."""
-    dim = len(eigenvalues)
+def _dense_products(h: np.ndarray, vectors: np.ndarray):
+    """Yield (rows, all columns, h[rows] @ vectors) over _KERNEL_BLOCK-row
+    blocks, into one reused buffer."""
+    dim = len(h)
     block = min(_KERNEL_BLOCK, dim)
-    out = np.empty((block, dim))
-    scaled = np.empty((block, dim))
-    diagonal = np.arange(block)
-    residual = ortho = np.float64(0.0)
+    out = np.empty((block, vectors.shape[1]))
     for start in range(0, dim, block):
         rows = slice(start, start + block)
-        n = min(block, dim - start)
-        r = np.matmul(h[rows], vectors, out=out[:n])
-        r -= np.multiply(vectors[rows], eigenvalues, out=scaled[:n])
-        residual = np.maximum(residual, np.abs(r, out=r).max())
-        g = np.matmul(vectors[:, rows].T, vectors[:, start:], out=out[:n, : dim - start])
+        yield rows, slice(None), np.matmul(h[rows], vectors, out=out[: min(block, dim - start)])
+
+
+def _residuals(items, eigenvalues: np.ndarray, vectors: np.ndarray, norms: bool):
+    """max |r| for r = H V - V diag(e), as computed from the `products`
+    items (rows, cols, (H V)[rows][:, cols]), each overwritten by its r,
+    and with `norms` the computed sums over rows of r^2 and of V^2 per
+    column (else None).  A NaN in r stays NaN in max |r|."""
+    residual = np.float64(0.0)
+    r_squares = v_squares = None
+    if norms:
+        r_squares, v_squares = np.zeros(len(eigenvalues)), np.zeros(len(eigenvalues))
+    with np.errstate(over="ignore"):  # an inf widens the band to everything
+        for rows, cols, r in items:
+            v = vectors[rows, cols]
+            r -= v * eigenvalues[cols]
+            if norms:
+                r_squares[cols] += np.einsum("ij,ij->j", r, r)
+                v_squares[cols] += np.einsum("ij,ij->j", v, v)
+            residual = np.maximum(residual, np.abs(r, out=r).max())
+    return float(residual), r_squares, v_squares
+
+
+def _gap_band(
+    eigenvalues: np.ndarray, r_squares: np.ndarray, v_squares: np.ndarray,
+    spread: float, terms: int, skew: float,
+) -> float:
+    """The gap delta past which no pair of eigenvectors can fail the
+    orthonormality check; inf when nothing is certified.
+
+    For the exact residuals r_a = H v_a - e_a v_a of the computed pairs
+    (e_a, v_a) and a != b,
+
+        (e_a - e_b) v_a^T v_b = v_a^T r_b - r_a^T v_b + v_a^T (H^T - H) v_b,
+
+    so |v_a^T v_b| <= (2 rho + sigma (1 + nu)) (1 + nu) / |e_a - e_b| with
+    rho >= every ||r_a||, 1 + nu >= every ||v_a|| and sigma >= ||H - H^T||_2.
+    The computed Gram entry errs by at most tau' = gamma_dim (1 + nu)^2 +
+    dim eta, so a pair with |e_a - e_b| >= delta = (2 rho + sigma (1 + nu))
+    (1 + nu) / tau, tau = tol - tau', passes the check whatever it computes.
+
+    Rounding, with u = eps/2, eta = 2^-1074 the absolute error of an
+    underflowing operation, gamma_n = n u / (1 - n u) <= n eps / 2 * 1.01
+    and c = 1 + 2 (dim + 2) eps:
+
+    - the sums of squares: each term passes at most dim + 2 roundings (its
+      square, the sum over a block's rows, the sum over blocks), so an
+      exact sum is at most (s + (dim + 2) eta) (1 + 1.02 gamma_dim+2); its
+      square root, with the three operations that form the bound, stays
+      below sqrt(s + 2 (dim + 2) eta) c.  That bounds ||v_a|| by 1 + nu
+      from the largest sum over V's columns (the diagonal of V^T V), and
+      the computed ||r_a||;
+    - the products: an entry of r_a sums the products of a row of H with
+      v_a, and e_a v_a.  Adding an exact zero rounds nothing, so whatever
+      the summation order (BLAS blocking, the sector path's partial sums)
+      each term passes one product and at most terms + 1 roundings, with
+      `terms` the most nonzero entries in a row of H.  So the computed r_a
+      is within gamma_terms+3 (|H| |v_a| + |e_a| |v_a|) + (terms + 3) eta
+      of the exact one in every entry, and in 2-norm within
+      (terms + 3) eps (||H||_abs + max|e|) (1 + nu)
+      + sqrt(dim) (terms + 3) eta, with ||H||_abs = spread * c >= || |H| ||_2
+      (`_magnitudes`);
+    - sigma: ||H - H^T||_2 <= ||H - H^T||_F, the root of `_symmetrize`'s
+      sum of squares `skew`, over at most dim^2 terms of three roundings
+      each: sigma = sqrt(skew + 2 dim^2 eta) (1 + (dim^2 + 8) eps), or 0
+      when H is exactly symmetric;
+    - the Gram entry: dim products summed in one GEMM, gamma_dim <= dim eps.
+
+    delta itself and the cut e + delta are rounded on the safe side by the
+    caller's margin.  A NaN or inf anywhere, or tau <= 0, gives inf.
+    """
+    dim = len(eigenvalues)
+    eps = float(np.finfo(float).eps)
+    eta = float(np.finfo(float).smallest_subnormal)
+    c = 1.0 + 2 * (dim + 2) * eps
+    floor = 2 * (dim + 2) * eta
+    length = math.sqrt(float(v_squares.max()) + floor) * c  # 1 + nu
+    rho = (
+        math.sqrt(float(r_squares.max()) + floor) * c
+        + (terms + 3) * eps * (spread * c + float(np.abs(eigenvalues).max())) * length
+        + math.sqrt(dim) * (terms + 3) * eta
+    )
+    sigma = 0.0
+    if skew:
+        sigma = math.sqrt(skew + 2 * dim * dim * eta) * (1.0 + (dim * dim + 8) * eps)
+    tau = DEFAULT_DECOMP_TOL - (dim * eps * length * length + dim * eta)
+    delta = (2 * rho + sigma * length) * length / tau if tau > 0 else math.inf
+    return delta if delta < math.inf else math.inf  # NaN too
+
+
+def _orthonormality(eigenvalues: np.ndarray, vectors: np.ndarray, delta: float) -> float:
+    """max |V.T V - I| over the pairs a <= b whose gap is below delta, one
+    _TILE-row block at a time into a reused buffer: each block's columns
+    run from its first row to the last eigenvalue within delta of its
+    largest one.  The eigenvalues are ascending; delta = inf takes the
+    whole upper triangle.  A NaN stays NaN."""
+    dim = len(eigenvalues)
+    block = min(_TILE, dim)
+    out = np.empty((block, dim))
+    diagonal = np.arange(block)
+    eps = float(np.finfo(float).eps)
+    ortho = np.float64(0.0)
+    for start in range(0, dim, block):
+        stop = min(start + block, dim)
+        end = dim
+        if delta < math.inf:
+            top = float(eigenvalues[stop - 1])
+            # the margin keeps the rounded cut above the exact top + delta
+            cut = top + delta * (1.0 + 16 * eps) + 4 * eps * abs(top)
+            end = max(stop, int(np.searchsorted(eigenvalues, cut, side="right")))
+        n = stop - start
+        g = np.matmul(vectors[:, start:stop].T, vectors[:, start:end], out=out[:n, : end - start])
         g[diagonal[:n], diagonal[:n]] -= 1.0
         ortho = np.maximum(ortho, np.abs(g, out=g).max())
-    return float(residual), float(ortho)
+    return float(ortho)
 
 
-def eigendecompose(build: Callable[[], np.ndarray]) -> SpectralDecomposition:
-    """Diagonalize the dense symmetric matrix `build()` returns, with checked
-    residuals.
+def eigendecompose(
+    build: Callable[[], np.ndarray],
+    products: Callable[[np.ndarray], Iterator[tuple]] | None = None,
+) -> SpectralDecomposition:
+    """Diagonalize the dense symmetric matrix H that `build()` returns, with
+    checked residuals.
 
     `build` takes no arguments and must return the same matrix at each
-    call.  It is called twice: once for the solve, which runs in place on
-    a copy of the matrix, and once more for the residual and
-    orthonormality checks, after the solve's arrays are freed.  So the
-    peak is the larger of the two phases (`dense_peak_bytes`).
+    call.  The solve runs in place on a copy of it.  `products(vectors)`,
+    when given, yields (rows, cols, (H @ vectors)[rows][:, cols]) items
+    that cover H @ vectors once, such as
+    `functools.partial(sym.products, values)` for
+    `build = lambda: sym.evaluate(values)`; then `build` is called once.
+    Without it, `build` is called a second time, after the solve's arrays
+    are freed, and its matrix gives the products in row blocks.  So the
+    peak is the larger of the two phases (`dense_peak_bytes`).  Up to
+    dim _KERNEL_BLOCK, the checks multiply by a copy of the one build kept
+    through the solve instead, and take the whole orthonormality triangle:
+    there the sector products and the band's bounds cost more in per-call
+    overhead than the whole dense products.
 
     Non-finite entries (e.g. couplings large enough to overflow) raise
     RuntimeError before anything else is checked.  With
@@ -292,8 +460,16 @@ def eigendecompose(build: Callable[[], np.ndarray]) -> SpectralDecomposition:
     does.  A failed residual (max |h V - V diag(e)| above
     tol * max(max|h|, 1)) or orthonormality (max |V.T V - I| above tol)
     check raises RuntimeError, as does a NaN in either.  The checks run in
-    blocks of _KERNEL_BLOCK rows or square tiles, so they hold no
+    blocks of at most _KERNEL_BLOCK rows or columns, so they hold no
     dim x dim temporary.
+
+    The orthonormality check computes V.T V only on the band of pairs
+    whose eigenvalue gap is below `_gap_band`'s delta: outside it, the
+    residuals and the norms of the vectors certify that every entry
+    passes.  So it fails exactly where the whole triangle would, and with
+    the same maximum.  Where the residual check fails, or the eigenvalues
+    are not ascending, or a bound is not finite, it takes the whole
+    triangle.
     """
     h = np.array(build(), dtype=float, order="C")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -301,12 +477,21 @@ def eigendecompose(build: Callable[[], np.ndarray]) -> SpectralDecomposition:
     high, low = float(h.max()), float(h.min())  # NaN and +-inf reach one of them
     if not (math.isfinite(high) and math.isfinite(low)):
         raise RuntimeError("matrix has non-finite entries")
-    scale = max(high, -low, 1.0)
-    if _symmetrize(h) > DEFAULT_DECOMP_TOL * scale:
+    norm = max(high, -low)
+    scale = max(norm, 1.0)
+    # up to one residual block, H is small enough to keep, and the band
+    # would save less than its bounds cost
+    banded = len(h) > _KERNEL_BLOCK
+    kept = None if banded else h.copy()
+    spread, terms = _magnitudes(h) if banded else (math.inf, len(h))
+    asymmetry, skew = _symmetrize(h)
+    if asymmetry > DEFAULT_DECOMP_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
+    if asymmetry:  # the copy replaced upper entries; dsyevd scales by the lower
+        norm = max(float(h.max()), -float(h.min()))
     held = [h]
     del h  # the solve holds the only reference
-    eigenvalues, vectors = _solve(held)
+    eigenvalues, vectors = _solve(held, norm)
     column_max, column_min = vectors.max(axis=0), vectors.min(axis=0)  # NaN and +-inf reach one
     if not (
         np.isfinite(eigenvalues).all()
@@ -314,8 +499,20 @@ def eigendecompose(build: Callable[[], np.ndarray]) -> SpectralDecomposition:
         and np.isfinite(column_min).all()
     ):
         raise RuntimeError("eigensolver returned non-finite values")
-    h = np.asarray(build(), dtype=float)
-    residual, ortho = _decomposition_errors(h, eigenvalues, vectors)
+    if kept is not None or products is None:
+        h = kept if kept is not None else np.asarray(build(), dtype=float)
+        products = functools.partial(_dense_products, h)
+        del h, kept
+    residual, r_squares, v_squares = _residuals(products(vectors), eigenvalues, vectors, banded)
+    del products  # the dense path's H
+    delta = math.inf
+    if (
+        banded
+        and residual <= DEFAULT_DECOMP_TOL * scale
+        and (np.diff(eigenvalues) >= 0).all()
+    ):
+        delta = _gap_band(eigenvalues, r_squares, v_squares, spread, terms, skew)
+    ortho = _orthonormality(eigenvalues, vectors, delta)
     if not (residual <= DEFAULT_DECOMP_TOL * scale and ortho <= DEFAULT_DECOMP_TOL):
         raise RuntimeError(
             f"decomposition failed checks: residual {residual:.3e}, orthonormality {ortho:.3e}"

@@ -27,6 +27,11 @@ final row is a table lookup at key + shift.
 
 The baseline builder instead couples words at Hamming distance one with a
 single coupling.
+
+Every chain holds exactly one spin flip J+ or J-, and so does every
+Hamming flip, so each coupled pair changes 2J3 by exactly 2 (verified).
+Ordered by 2J3, H is block tridiagonal with multiples of the identity on
+the diagonal; `products` multiplies by it one block at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .crystal import BasisMap, enumerate_basis
+from .dynamics import _KERNEL_BLOCK
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,13 @@ class SymbolicHamiltonian:
     `family[j]` indexes `families`, the (term family, coupling field) of
     the chain that coupled pair j: H1, H2, H3, H5, H6 or HAMMING.  Each
     pair comes from exactly one chain, so every coefficient is 0 or 1.
+
+    The sector layout groups the states by 2J3: `sector_order` lists the
+    states stably sorted by 2J3, and sector k (2J3 = 2k - N) holds
+    positions `sector_bounds[k]:sector_bounds[k + 1]` of it.  Every pair
+    joins two neighbouring sectors; `block_offsets[j]` is the entry of
+    pair j, or of its transpose, in the row-major blocks
+    B_k = H[S_k, S_k+1] laid end to end.
     """
 
     basis: BasisMap
@@ -92,6 +105,9 @@ class SymbolicHamiltonian:
     cols: np.ndarray
     family: np.ndarray
     families: tuple[Family, ...]
+    sector_order: np.ndarray
+    sector_bounds: np.ndarray
+    block_offsets: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -111,6 +127,45 @@ class SymbolicHamiltonian:
         h = np.diag(diag)
         h[self.rows, self.cols] = np.array(couplings)[self.family] + 0.0
         return h
+
+    def products(self, values: CouplingValues, vectors: np.ndarray):
+        """Yield (rows, cols, (H @ vectors)[rows][:, cols]) over slabs of
+        _KERNEL_BLOCK columns, for H = self.evaluate(values), without H.
+
+        `rows` is `sector_order` and `cols` the slab.  One scatter fills
+        every block B_k; each slab gathers the rows of `vectors` into sector
+        order once as W, scales it by H's diagonal, then adds B_k W_k+1 to
+        the rows of sector k and B_k^T W_k to those of sector k + 1, each
+        product one BLAS call.  The yielded block is a buffer the next slab
+        reuses, which the caller may overwrite.  Besides the
+        sum_k s_k s_k+1 block values (under dim^2 / 4), memory is
+        O(dim * _KERNEL_BLOCK).
+        """
+        couplings = np.array([getattr(values, field) for _, field in self.families])
+        bounds = self.sector_bounds.tolist()
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        ends = list(itertools.accumulate(s * t for s, t in zip(sizes, sizes[1:])))
+        flat = np.zeros(ends[-1])
+        flat[self.block_offsets] = couplings[self.family]
+        blocks = [
+            flat[lo:hi].reshape(s, t)
+            for lo, hi, s, t in zip([0, *ends], ends, sizes, sizes[1:])
+        ]
+        scales = values.mu0 * (2.0 * np.arange(len(sizes)) - self.basis.n)
+        dim, count = vectors.shape
+        width = min(_KERNEL_BLOCK, count)
+        out = np.empty(dim * width)
+        for start in range(0, count, width):
+            cols = slice(start, start + width)
+            w = vectors[self.sector_order, cols]
+            p = out[: w.size].reshape(w.shape)
+            for k, scale in enumerate(scales.tolist()):
+                np.multiply(w[bounds[k] : bounds[k + 1]], scale, out=p[bounds[k] : bounds[k + 1]])
+            for k, block in enumerate(blocks):
+                lo, mid, hi = bounds[k : k + 3]
+                p[lo:mid] += block @ w[mid:hi]
+                p[mid:hi] += block.T @ w[lo:mid]
+            yield self.sector_order, cols, p
 
     def dump(self) -> str:
         """One line per entry: `row col SYMBOL multiplicity`, 1-based.
@@ -316,14 +371,48 @@ def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.nd
     return walks.apply(chain)
 
 
+def _sector_layout(
+    n: int, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, rising: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sector_order, sector_bounds, block_offsets) of `SymbolicHamiltonian`
+    for the pairs (rows, cols), each of which joins neighbouring sectors,
+    the higher one where `rising`.
+
+    Sector k holds the states with 2J3 = diag = 2k - n.  The offsets index
+    one flat buffer of the blocks B_k (s_k x s_k+1, row-major, in k order),
+    so they are int32 unless that buffer has 2^31 entries or more.  The
+    pair-sized temporaries are kept few and narrow: freed, they stay in
+    the heap beneath the solve's peak (5 MiB of it at N = 12).
+    """
+    dim = len(diag)
+    sector = (diag + n) // 2
+    order = np.argsort(sector, kind="stable")
+    sizes = np.bincount(sector, minlength=n + 1)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1] * sizes[1:])))
+    index = np.int32 if starts[-1] <= np.iinfo(np.int32).max else np.int64
+    local = np.empty(dim, dtype=np.int64)  # each state's position within its sector
+    local[order] = np.arange(dim) - bounds[sector[order]]
+    # B_k's entry (i in S_k, j in S_k+1) sits at first[i] + local[j]
+    first = (starts[sector] + local * np.append(sizes[1:], 0)[sector]).astype(index)
+    local = local.astype(index)
+    offsets = first[rows]
+    offsets += local[cols]
+    falling = ~rising
+    offsets[falling] = first[cols[falling]] + local[rows[falling]]
+    return order.astype(np.int32), bounds.astype(np.int32), offsets
+
+
 def _assemble(
     basis: BasisMap, diag: np.ndarray, families: tuple[Family, ...], chains: list
 ) -> SymbolicHamiltonian:
-    """One tagged pair list from (family, rows, cols) chains, verified.
+    """One tagged pair list from (family, rows, cols) chains, verified, with
+    its sector layout.
 
     No two chains may couple the same pair, no chain a state to itself,
     and the transpose of every pair must come from the same family (the
-    adjoint half of its chain).
+    adjoint half of its chain).  `diag` must be 2J3, and every pair must
+    change it by exactly 2.
     """
     dim = len(basis)
     keys = np.concatenate([rows * dim + cols for _, rows, cols in chains])
@@ -343,7 +432,14 @@ def _assemble(
     eta = [code for code, (_, field) in enumerate(families) if field == "eta"]
     if basis.n == 3 and np.isin(codes, eta).any():
         raise AssertionError("eta coefficients must vanish for three-site chains")
-    return SymbolicHamiltonian(basis, diag, rows, cols, codes, families)
+    if not np.array_equal(diag, basis.labels[0]):
+        raise AssertionError("the diagonal is not 2J3")
+    two_j3 = basis.labels[0]  # int16, so the pair-sized step is too
+    step = two_j3[cols] - two_j3[rows]
+    if (np.abs(step) != 2).any():
+        raise AssertionError("a pair does not change 2J3 by exactly 2")
+    layout = _sector_layout(basis.n, diag, rows, cols, step > 0)
+    return SymbolicHamiltonian(basis, diag, rows, cols, codes, families, *layout)
 
 
 # The term families of the mutation model, in the order `_model_terms` lists them.

@@ -11,6 +11,7 @@ import pytest
 from crystalchain import CouplingValues, StableHorizonError, build_hamming, build_model, cli, dynamics
 from crystalchain.cli import main
 from crystalchain.dynamics import dense_peak_bytes
+from crystalchain.hamiltonian import SymbolicHamiltonian
 from golden import THREE_SITE_BASIS_LINES, THREE_SITE_DUMP
 from oracles import dense_evaluate, labels_from_word, reference_enumeration, scalar_model_build
 
@@ -830,11 +831,11 @@ class TestSweepCommand:
         real = cli_module.eigendecompose
         calls = []
 
-        def fail_second_point(build):
+        def fail_second_point(build, **kwargs):
             calls.append(build)
             if len(calls) == 2:
                 raise RuntimeError("decomposition failed checks")
-            return real(build)
+            return real(build, **kwargs)
 
         monkeypatch.setattr(cli_module, "eigendecompose", fail_second_point)
         out = tmp_path / "sweep"
@@ -889,6 +890,22 @@ class TestSweepCommand:
             "--delta", "0.3", "--horizon", "160", "--out", str(tmp_path / "sweep"),
         ]) == 0
         assert calls == {"build": 1, "eigendecompose": 3}
+
+    def test_one_evaluate_per_run_past_one_row_block(self, tmp_path, capsys, monkeypatch):
+        # dim 512: the checks multiply through the sector blocks, not a second H
+        calls = []
+        evaluate = SymbolicHamiltonian.evaluate
+
+        def counted(self, values):
+            calls.append(values)
+            return evaluate(self, values)
+
+        monkeypatch.setattr(SymbolicHamiltonian, "evaluate", counted)
+        assert main([
+            "profile", "--n", "9", "--initial", "RYRYRYRYR", "--eps", "0.1", "--gamma", "0.5",
+            "--delta", "0.5", "--horizon", "infinite", "--out", str(tmp_path / "p"),
+        ]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_grid_value_writes_nothing(self, tmp_path, capsys, value):

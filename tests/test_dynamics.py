@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -101,8 +102,8 @@ def patch_solver(monkeypatch, eigenvalues, vectors):
     the same copies."""
     solve = dynamics._solve
 
-    def patched(h):
-        solve(h)
+    def patched(h, norm):
+        solve(h, norm)
         return np.array(eigenvalues), np.array(vectors)
 
     monkeypatch.setattr(dynamics, "_solve", patched)
@@ -205,8 +206,8 @@ class TestEigendecompose:
         h = np.diag([1.0, 2.0, 3.0])
         solve = dynamics._solve
         for shift, scale in ((1e-6, 1.0), (0.0, 1.0 + 1e-6)):
-            def perturbed(m, s=shift, c=scale):
-                eigenvalues, vectors = solve(m)
+            def perturbed(m, norm, s=shift, c=scale):
+                eigenvalues, vectors = solve(m, norm)
                 return eigenvalues + s, vectors * c
 
             monkeypatch.setattr(dynamics, "_solve", perturbed)
@@ -299,6 +300,97 @@ class TestEigendecompose:
             with pytest.raises(RuntimeError, match="residual nan"):
                 eigendecompose(lambda: h.copy())
         assert_matches_reference(h)
+
+    @pytest.mark.parametrize("a, b", [(255, 256), (10, 250)], ids=["near_pair", "far_pair"])
+    def test_pair_rotated_off_orthogonality_raises(self, monkeypatch, a, b):
+        # dim 300 spans two row blocks, so the check runs on the eigen-gap
+        # band.  A near-degenerate pair across the blocks' border, rotated
+        # by 1e-8, keeps its residuals and must be inside the band; a far
+        # pair fails the residual, which takes the whole triangle.
+        dim = 300
+        spectrum = np.linspace(-100.0, 100.0, dim)
+        spectrum[256] = spectrum[255] + 1e-12
+        q, _ = np.linalg.qr(np.random.default_rng(47).normal(size=(dim, dim)))
+        h = (q * spectrum) @ q.T
+        h = (h + h.T) / 2
+        eigenvalues, vectors = np.linalg.eigh(h)
+        vectors[:, b] += 1e-8 * vectors[:, a]
+        deltas = []
+        band = dynamics._gap_band
+
+        def recorded(*args):
+            deltas.append(band(*args))
+            return deltas[-1]
+
+        monkeypatch.setattr(dynamics, "_gap_band", recorded)
+        patch_solver(monkeypatch, eigenvalues, vectors)
+        with pytest.raises(RuntimeError, match="orthonormality 1.0"):
+            reference_eigendecompose(h)
+        assert_matches_reference(h)
+        if b == 256:  # a band of a few units of a 200-wide spectrum
+            assert len(deltas) == 2 and max(deltas) < 10.0
+        else:
+            assert deltas == []
+
+    @pytest.mark.parametrize("where", ["residual", "norm", "asymmetry", "spread"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_bound_takes_the_whole_triangle(self, where, value):
+        eigenvalues = np.linspace(0.0, 1.0, 4)
+        r_squares, v_squares = np.full(4, 1e-30), np.ones(4)
+        spread, skew = 1.0, 0.0
+        assert dynamics._gap_band(eigenvalues, r_squares, v_squares, spread, 4, skew) < 1e-3
+        if where == "residual":
+            r_squares[2] = value
+        elif where == "norm":
+            v_squares[2] = value
+        elif where == "asymmetry":
+            skew = value
+        else:
+            spread = value
+        assert dynamics._gap_band(eigenvalues, r_squares, v_squares, spread, 4, skew) == math.inf
+
+    @pytest.mark.parametrize(
+        "build, values",
+        [
+            (build_model, CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)),
+            (build_hamming, CouplingValues(mu0=1.0, beta=0.5)),
+        ],
+    )
+    def test_products_path_equals_dense_path_with_one_build(self, build, values):
+        # dim 512: the sector products and the gap band both run
+        sym = build(9)
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return sym.evaluate(values)
+
+        dense = eigendecompose(counted)
+        assert len(calls) == 2
+        found = eigendecompose(counted, products=functools.partial(sym.products, values))
+        assert len(calls) == 3
+        assert found.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+        assert found.eigenvectors.tobytes() == dense.eigenvectors.tobytes()
+
+    def test_products_path_raises_on_a_rotated_pair(self, monkeypatch):
+        # eigenvalues 255 and 256, in two row blocks, are 0.064 apart: a
+        # rotation by 1e-9 leaves a residual of 6.4e-11, within tol * 9
+        sym = build_model(9)
+        values = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)
+        h = sym.evaluate(values)
+        eigenvalues, vectors = np.linalg.eigh(h)
+        vectors[:, 256] += 1e-9 * vectors[:, 255]
+        patch_solver(monkeypatch, eigenvalues, vectors)
+        with pytest.raises(RuntimeError) as expected:
+            reference_eigendecompose(h)
+        with pytest.raises(RuntimeError) as found:
+            eigendecompose(
+                lambda: sym.evaluate(values), products=functools.partial(sym.products, values)
+            )
+        # the residuals differ in rounding between the two products
+        assert str(found.value).split(", ")[1] == str(expected.value).split(", ")[1]
+        assert "orthonormality 1.0" in str(found.value)
+        assert float(str(found.value).split("residual ")[1].split(",")[0]) < 1e-10
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -405,7 +497,7 @@ def random_symmetric(dim, seed=0, scale=1.0):
 def assert_solve_is_eigh(h):
     """`_solve` on a fresh copy of h gives np.linalg.eigh(h) bit for bit."""
     expected_values, expected_vectors = np.linalg.eigh(h)
-    eigenvalues, vectors = dynamics._solve([h.copy()])
+    eigenvalues, vectors = dynamics._solve([h.copy()], float(np.abs(h).max()))
     assert eigenvalues.tobytes() == expected_values.tobytes()
     assert vectors.tobytes() == expected_vectors.tobytes()
     assert vectors.flags.c_contiguous
@@ -427,7 +519,7 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         # below about 80, dsyevd's leftover workspace sets dormtr's block size
-        "dim", [1, 2, 3, 5, 8, 16, 25, 26, 33, *range(63, 82), 128, 257, 512, 1000, 1500],
+        "dim", [1, 2, 3, 5, 8, 16, 25, 26, 33, *range(63, 82), 128, 257, 300, 512, 1000, 1500],
     )
     def test_random_bitwise_equal_to_eigh(self, dim):
         assert_solve_is_eigh(random_symmetric(dim, seed=dim))
@@ -458,10 +550,11 @@ class TestSolve:
         # dstedc's workspace; H, allocated while tracing, must be gone by then
         dim = 512
         h = random_symmetric(dim)
-        dynamics._solve([h.copy()])  # the workspace sizes, cached
+        norm = float(np.abs(h).max())
+        dynamics._solve([h.copy()], norm)  # the workspace sizes, cached
         tracemalloc.start()
         try:
-            dynamics._solve([h.copy()])
+            dynamics._solve([h.copy()], norm)
             _, solve_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             eigendecompose(lambda: h.copy())

@@ -1,12 +1,14 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystalchain import CouplingValues, build_hamming, build_model, enumerate_basis
 from crystalchain import hamiltonian
+from crystalchain.dynamics import _KERNEL_BLOCK
 from crystalchain.hamiltonian import (
     _J_MINUS,
     _J_PLUS,
@@ -190,8 +192,13 @@ class TestModelStructure:
             (lambda terms: terms + terms[:1], "two chains couple the same pair"),
             (lambda terms: terms[:1] + terms[2:], "not symmetric"),
             (lambda terms: terms + [("H2", "delta", ())], "couples a state to itself"),
+            (
+                lambda terms: terms
+                + [("H1", "gamma", (_a_ik(2, 4, -2),)), ("H1", "gamma", (_a_ik(2, 4, 2),))],
+                "does not change 2J3 by exactly 2",
+            ),
         ],
-        ids=["chain_listed_twice", "adjoint_half_dropped", "identity_chain"],
+        ids=["chain_listed_twice", "adjoint_half_dropped", "identity_chain", "no_spin_flip"],
     )
     def test_constructor_refuses_broken_terms(self, monkeypatch, edit, message):
         terms = _model_terms(4)
@@ -205,6 +212,34 @@ class TestModelStructure:
         assert (np.diff(keys) > 0).all()
         for code in range(len(sym.families)):
             assert (np.diff(keys[sym.family == code]) > 0).all()
+
+    def test_constructor_refuses_a_diagonal_other_than_2j3(self):
+        basis = enumerate_basis(3)
+        family = ("HAMMING", "beta")
+        chains = [(family, np.array([0, 1]), np.array([1, 0]))]
+        with pytest.raises(AssertionError, match="not 2J3"):
+            _assemble(basis, basis.labels[0].astype(np.int64) + 2, (family,), chains)
+
+    @pytest.mark.parametrize("build", [build_model, build_hamming])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_sector_layout_indexes_the_blocks(self, build, n):
+        # every pair's offset addresses its entry of B_k = H[S_k, S_k+1]
+        sym = build(n)
+        order, bounds = sym.sector_order, sym.sector_bounds
+        assert order.dtype == bounds.dtype == sym.block_offsets.dtype == np.int32
+        two_j3 = sym.diag[order]
+        assert (np.diff(two_j3) >= 0).all()
+        assert two_j3[bounds[:-1]].tolist() == list(range(-n, n + 1, 2))
+        sizes = np.diff(bounds)
+        ends = np.cumsum(sizes[:-1] * sizes[1:])
+        flat = np.zeros(ends[-1], dtype=np.int64)
+        np.add.at(flat, sym.block_offsets, 1)
+        assert (flat[np.unique(sym.block_offsets)] == 2).all()  # a pair and its transpose
+        pattern = np.zeros((sym.dim, sym.dim), dtype=np.int64)
+        pattern[sym.rows, sym.cols] = 1
+        for k, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
+            block = pattern[np.ix_(order[bounds[k] : bounds[k + 1]], order[bounds[k + 1] : bounds[k + 2]])]
+            assert (flat[lo:hi] == 2 * block.ravel()).all()
 
     def test_build_allocates_no_dense_integer_matrix(self):
         dim = 2**10
@@ -439,6 +474,41 @@ class TestEvaluateBitwise:
             h = sym.evaluate(values)
             assert h.tobytes() == dense_evaluate(diag, matrices, values).tobytes()
             assert (np.copysign(1.0, h[zero_j3, zero_j3]) == sign).all()
+
+
+@functools.cache
+def built(model, n):
+    return (build_model if model == "crystal" else build_hamming)(n)
+
+
+class TestSectorProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=st.sampled_from(["crystal", "hamming"]),
+        n=st.integers(min_value=2, max_value=8),
+        couplings=st.tuples(*[_COUPLING] * 6),
+        width=st.integers(min_value=1, max_value=2 * _KERNEL_BLOCK + 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(model="crystal", n=4, couplings=(0.0, -0.0, -1.5, 0.5, -0.0, 0.0), width=3, seed=0)
+    @example(model="hamming", n=8, couplings=(-2.0, 0.0, 0.0, 0.0, 0.0, -0.0), width=513, seed=1)
+    @example(model="crystal", n=8, couplings=(-0.0, 0.1, -0.5, 0.5, 0.5, 0.0), width=256, seed=2)
+    def test_products_equal_evaluate_times_matrix(self, model, n, couplings, width, seed):
+        # each computed entry is within gamma_(dim+3) (|H| |X|) of the exact
+        # product, whatever the summation order, so the two differ by at
+        # most twice that
+        sym = built(model, n)
+        values = CouplingValues(*couplings)
+        h = sym.evaluate(values)
+        x = np.random.default_rng(seed).normal(size=(sym.dim, width))
+        found = np.zeros((sym.dim, width))
+        covered = np.zeros((sym.dim, width), dtype=np.int64)
+        for rows, cols, block in sym.products(values, x):
+            found[rows, cols] = block
+            covered[rows, cols] += 1
+        assert (covered == 1).all()
+        bound = 2 * (sym.dim + 3) * np.finfo(float).eps * (np.abs(h) @ np.abs(x))
+        assert (np.abs(found - h @ x) <= bound).all()
 
 
 def reachable(sym, state):
