@@ -233,7 +233,21 @@ def _build(config: RunConfig, solves: int = 1) -> SymbolicHamiltonian:
     if solves > 1:
         what = f"{solves} dense eigendecompositions at once"
     _check_memory(config.n, solves * dense_peak_bytes(2**config.n), what)
-    return BUILDERS[config.model](config.n)
+    sym = BUILDERS[config.model](config.n)
+    for name, value in config.couplings.as_dict().items():
+        if value:  # zeros pass: crystal manifests record beta = 0.0
+            _refuse_unread(f"{name} = {value!r}", (name,), sym, config.model)
+    return sym
+
+
+def _refuse_unread(what: str, names: Iterable[str], sym: SymbolicHamiltonian, model: str) -> None:
+    """Refuse (exit 2) ``what``, which sets the couplings ``names``, when
+    ``sym`` reads none of them: the run would ignore it."""
+    read = {"mu0"} | {field for _, field in sym.families}
+    if read.isdisjoint(names):
+        raise UsageError(
+            f"{what} sets no coupling the {model} model reads ({', '.join(sorted(read))})"
+        )
 
 
 def _fit_bundle(ranked: RankedDistribution, basis: BasisMap, initial: int) -> dict:
@@ -388,7 +402,7 @@ _MAX_INDEX = 2**MAX_CHAIN_LENGTH
 def _read_ranked_csv(path: Path) -> RankedDistribution:
     try:
         lines = path.read_text().strip().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0].strip() != "rank,index,word,value":
         raise UsageError(f"{path} is not a ranked CSV (header must be rank,index,word,value)")
@@ -494,13 +508,10 @@ def _parse_grid(params: list[str]) -> list[tuple[str, list[float]]]:
 def _check_axes(axes: list[tuple[str, list[float]]], sym: SymbolicHamiltonian, model: str) -> None:
     """Refuse an axis that sets no coupling the model reads: every point of it
     would be the same run."""
-    read = {"mu0"} | {field for _, field in sym.families}
     for name, _ in axes:
-        if read.isdisjoint(_ALL_AXIS if name == "all" else (name,)):
-            raise UsageError(
-                f"sweep parameter {name!r} sets no coupling the {model} model reads "
-                f"({', '.join(sorted(read))})"
-            )
+        _refuse_unread(
+            f"sweep parameter {name!r}", _ALL_AXIS if name == "all" else (name,), sym, model
+        )
 
 
 def _apply_point(couplings: CouplingValues, point: dict[str, float]) -> CouplingValues:

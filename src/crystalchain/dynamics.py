@@ -308,28 +308,29 @@ def _solve(held: list[np.ndarray], norm: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _dense_products(h: np.ndarray, vectors: np.ndarray):
-    """Yield (rows, all columns, h[rows] @ vectors) over _KERNEL_BLOCK-row
-    blocks, into one reused buffer."""
+    """Yield (rows, all columns, h[rows] @ vectors, vectors[rows]) over
+    _KERNEL_BLOCK-row blocks, the products into one reused buffer."""
     dim = len(h)
     block = min(_KERNEL_BLOCK, dim)
     out = np.empty((block, vectors.shape[1]))
     for start in range(0, dim, block):
         rows = slice(start, start + block)
-        yield rows, slice(None), np.matmul(h[rows], vectors, out=out[: min(block, dim - start)])
+        product = np.matmul(h[rows], vectors, out=out[: min(block, dim - start)])
+        yield rows, slice(None), product, vectors[rows]
 
 
-def _residuals(items, eigenvalues: np.ndarray, vectors: np.ndarray, norms: bool):
+def _residuals(items, eigenvalues: np.ndarray, norms: bool):
     """max |r| for r = H V - V diag(e), as computed from the `products`
-    items (rows, cols, (H V)[rows][:, cols]), each overwritten by its r,
-    and with `norms` the computed sums over rows of r^2 and of V^2 per
-    column (else None).  A NaN in r stays NaN in max |r|."""
+    items (rows, cols, (H V)[rows][:, cols], V[rows][:, cols]), each
+    product overwritten by its r, and with `norms` the computed sums over
+    rows of r^2 and of V^2 per column (else None).  A NaN in r stays NaN
+    in max |r|."""
     residual = np.float64(0.0)
     r_squares = v_squares = None
     if norms:
         r_squares, v_squares = np.zeros(len(eigenvalues)), np.zeros(len(eigenvalues))
     with np.errstate(over="ignore"):  # an inf widens the band to everything
-        for rows, cols, r in items:
-            v = vectors[rows, cols]
+        for _, cols, r, v in items:
             r -= v * eigenvalues[cols]
             if norms:
                 r_squares[cols] += np.einsum("ij,ij->j", r, r)
@@ -441,8 +442,8 @@ def eigendecompose(
 
     `build` takes no arguments and must return the same matrix at each
     call.  The solve runs in place on a copy of it.  `products(vectors)`,
-    when given, yields (rows, cols, (H @ vectors)[rows][:, cols]) items
-    that cover H @ vectors once, such as
+    when given, yields (rows, cols, (H @ vectors)[rows][:, cols],
+    vectors[rows][:, cols]) items that cover H @ vectors once, such as
     `functools.partial(sym.products, values)` for
     `build = lambda: sym.evaluate(values)`; then `build` is called once.
     Without it, `build` is called a second time, after the solve's arrays
@@ -503,7 +504,7 @@ def eigendecompose(
         h = kept if kept is not None else np.asarray(build(), dtype=float)
         products = functools.partial(_dense_products, h)
         del h, kept
-    residual, r_squares, v_squares = _residuals(products(vectors), eigenvalues, vectors, banded)
+    residual, r_squares, v_squares = _residuals(products(vectors), eigenvalues, banded)
     del products  # the dense path's H
     delta = math.inf
     if (

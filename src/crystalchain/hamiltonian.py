@@ -17,7 +17,7 @@ The builder decides each chain from its net label shift m, the sum of
 its ops: the "variation of the labels" that sets a flip's intensity.
 Every product is written in the order that keeps each intermediate state
 admissible whenever the end state is (lower J3 before shrinking the irrep,
-enlarge the irrep before raising J3), so a chain keeps exactly the states
+enlarge the irrep before lowering J3), so a chain keeps exactly the states
 whose labels + m are admissible.  m is even, so every parity holds, and
 the rest is a few boolean tests of the initial state read from features
 computed once per build: the N-1 step bits of the prefix-spin walk
@@ -28,10 +28,14 @@ final row is a table lookup at key + shift.
 The baseline builder instead couples words at Hamming distance one with a
 single coupling.
 
-Every chain holds exactly one spin flip J+ or J-, and so does every
-Hamming flip, so each coupled pair changes 2J3 by exactly 2 (verified).
-Ordered by 2J3, H is block tridiagonal with multiples of the identity on
-the diagonal; `products` multiplies by it one block at a time.
+H is a sum of chains and their adjoints.  The adjoint of a chain (its
+ops reversed, their deltas negated) couples exactly the transposed pairs,
+so only the chain holding the spin flip J- is built, as only the R -> Y
+Hamming flips are, and the assembly appends the transposes: the pair list
+is symmetric within each family by construction.  Every built pair lowers
+2J3 by exactly 2 (verified), so ordered by 2J3, H is block tridiagonal
+with multiples of the identity on the diagonal; `products` multiplies by
+it one block at a time.
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ class SymbolicHamiltonian:
     `family[j]` indexes `families`, the (term family, coupling field) of
     the chain that coupled pair j: H1, H2, H3, H5, H6 or HAMMING.  Each
     pair comes from exactly one chain, so every coefficient is 0 or 1.
+    The transpose of every pair is listed with the same family.
 
     The sector layout groups the states by 2J3: `sector_order` lists the
     states stably sorted by 2J3, and sector k (2J3 = 2k - N) holds
@@ -129,15 +134,16 @@ class SymbolicHamiltonian:
         return h
 
     def products(self, values: CouplingValues, vectors: np.ndarray):
-        """Yield (rows, cols, (H @ vectors)[rows][:, cols]) over slabs of
-        _KERNEL_BLOCK columns, for H = self.evaluate(values), without H.
+        """Yield (rows, cols, (H @ vectors)[rows][:, cols], vectors[rows][:, cols])
+        over slabs of _KERNEL_BLOCK columns, for H = self.evaluate(values),
+        without H.
 
         `rows` is `sector_order` and `cols` the slab.  One scatter fills
         every block B_k; each slab gathers the rows of `vectors` into sector
         order once as W, scales it by H's diagonal, then adds B_k W_k+1 to
         the rows of sector k and B_k^T W_k to those of sector k + 1, each
-        product one BLAS call.  The yielded block is a buffer the next slab
-        reuses, which the caller may overwrite.  Besides the
+        product one BLAS call.  The yielded product is a buffer the next
+        slab reuses, which the caller may overwrite.  Besides the
         sum_k s_k s_k+1 block values (under dim^2 / 4), memory is
         O(dim * _KERNEL_BLOCK).
         """
@@ -165,7 +171,7 @@ class SymbolicHamiltonian:
                 lo, mid, hi = bounds[k : k + 3]
                 p[lo:mid] += block @ w[mid:hi]
                 p[mid:hi] += block.T @ w[lo:mid]
-            yield self.sector_order, cols, p
+            yield self.sector_order, cols, p, w
 
     def dump(self) -> str:
         """One line per entry: `row col SYMBOL multiplicity`, 1-based.
@@ -186,7 +192,6 @@ class SymbolicHamiltonian:
 # per state: row 0 is 2J3, row l-1 is 2J^l (l = 2..N).  Every ladder
 # operator adds `delta` to the rows lo:hi of that array.
 _Op = tuple[int, int, int]
-_J_PLUS: _Op = (0, 1, 2)
 _J_MINUS: _Op = (0, 1, -2)
 
 
@@ -201,36 +206,28 @@ def _a_ik(i: int, k: int, delta: int) -> _Op:
 
 
 def _model_terms(n: int) -> list[tuple[str, str, tuple[_Op, ...]]]:
-    """Interaction chains, each listed in application order (first op first).
+    """The J- chain of every adjoint pair of interaction chains, each in
+    application order (first op first); `_assemble` mirrors the adjoints.
 
     Term families and ranges:
-      H2 (delta): plain spin flips J- and J+.
+      H2 (delta): the plain spin flip.
       H1 (gamma): interior-label shifts, i = 2..N-1, k = i+1..N.
       H3 (eps):   irrep-lowering flips, i = 2..N.
       H5 (eps):   irrep-raising flips, m = 2..N.
       H6 (eta):   raise-then-shift flips, i = 2..N-2, k = i+1..N-1.
     Within every product the spin flip and the label shifts keep the
     written order: lower J3 before shrinking the irrep, and enlarge the
-    irrep before raising J3, otherwise admissible moves would annihilate.
+    irrep before lowering J3, otherwise admissible moves would annihilate.
     """
-    terms: list[tuple[str, str, tuple[_Op, ...]]] = [
-        ("H2", "delta", (_J_MINUS,)),
-        ("H2", "delta", (_J_PLUS,)),
-    ]
+    terms: list[tuple[str, str, tuple[_Op, ...]]] = [("H2", "delta", (_J_MINUS,))]
     for i in range(2, n):
         for k in range(i + 1, n + 1):
             terms.append(("H1", "gamma", (_J_MINUS, _a_ik(i, k, -2))))
-            terms.append(("H1", "gamma", (_a_ik(i, k, 2), _J_PLUS)))
-    for i in range(2, n + 1):
-        terms.append(("H3", "eps", (_J_MINUS, _a(i, n, -2))))
-        terms.append(("H3", "eps", (_a(i, n, 2), _J_PLUS)))
-    for m in range(2, n + 1):
-        terms.append(("H5", "eps", (_a(m, n, 2), _J_MINUS)))
-        terms.append(("H5", "eps", (_J_PLUS, _a(m, n, -2))))
+    terms += [("H3", "eps", (_J_MINUS, _a(i, n, -2))) for i in range(2, n + 1)]
+    terms += [("H5", "eps", (_a(m, n, 2), _J_MINUS)) for m in range(2, n + 1)]
     for i in range(2, n - 1):
         for k in range(i + 1, n):
             terms.append(("H6", "eta", (_a(k + 1, n, 2), _J_MINUS, _a_ik(i, k, -2))))
-            terms.append(("H6", "eta", (_J_PLUS, _a(k + 1, n, -2), _a_ik(i, k, 2))))
     return terms
 
 
@@ -372,11 +369,10 @@ def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.nd
 
 
 def _sector_layout(
-    n: int, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, rising: np.ndarray
+    n: int, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sector_order, sector_bounds, block_offsets) of `SymbolicHamiltonian`
-    for the pairs (rows, cols), each of which joins neighbouring sectors,
-    the higher one where `rising`.
+    for the pairs (rows, cols), each row in the sector just below its col's.
 
     Sector k holds the states with 2J3 = diag = 2k - n.  The offsets index
     one flat buffer of the blocks B_k (s_k x s_k+1, row-major, in k order),
@@ -398,48 +394,45 @@ def _sector_layout(
     local = local.astype(index)
     offsets = first[rows]
     offsets += local[cols]
-    falling = ~rising
-    offsets[falling] = first[cols[falling]] + local[rows[falling]]
     return order.astype(np.int32), bounds.astype(np.int32), offsets
 
 
 def _assemble(
     basis: BasisMap, diag: np.ndarray, families: tuple[Family, ...], chains: list
 ) -> SymbolicHamiltonian:
-    """One tagged pair list from (family, rows, cols) chains, verified, with
-    its sector layout.
+    """One tagged pair list from the (family, rows, cols) chains and their
+    adjoints, verified, with its sector layout.
 
-    No two chains may couple the same pair, no chain a state to itself,
-    and the transpose of every pair must come from the same family (the
-    adjoint half of its chain).  `diag` must be 2J3, and every pair must
-    change it by exactly 2.
+    `diag` must be 2J3, and every listed pair must lower it by exactly 2,
+    so none couples a state to itself or is another's transpose.  Each
+    pair's transpose, which the chain's adjoint couples, joins the list
+    with the same family code and block offset.  No two chains may couple
+    the same pair.
     """
-    dim = len(basis)
-    keys = np.concatenate([rows * dim + cols for _, rows, cols in chains])
+    if not np.array_equal(diag, basis.labels[0]):
+        raise AssertionError("the diagonal is not 2J3")
+    rows = np.concatenate([rows for _, rows, _ in chains])
+    cols = np.concatenate([cols for _, _, cols in chains])
     codes = np.concatenate([np.full(len(rows), families.index(f), np.int8) for f, rows, _ in chains])
-    order = np.argsort(keys)
-    keys, codes = keys[order], codes[order]
-    rows, cols = keys // dim, keys % dim
-    if (keys[1:] == keys[:-1]).any():
-        raise AssertionError("two chains couple the same pair")
-    if (rows == cols).any():
-        raise AssertionError("a chain couples a state to itself")
-    # (cols, rows) sorted row-major is the transpose's pair list
-    mirrored = cols * dim + rows
-    back = np.argsort(mirrored)
-    if not (np.array_equal(mirrored[back], keys) and np.array_equal(codes[back], codes)):
-        raise AssertionError("coupled pairs not symmetric within each family")
+    two_j3 = basis.labels[0]  # int16, so the pair-sized step is too
+    if (two_j3[cols] - two_j3[rows] != 2).any():
+        raise AssertionError("a listed pair does not lower 2J3 by exactly 2")
     eta = [code for code, (_, field) in enumerate(families) if field == "eta"]
     if basis.n == 3 and np.isin(codes, eta).any():
         raise AssertionError("eta coefficients must vanish for three-site chains")
-    if not np.array_equal(diag, basis.labels[0]):
-        raise AssertionError("the diagonal is not 2J3")
-    two_j3 = basis.labels[0]  # int16, so the pair-sized step is too
-    step = two_j3[cols] - two_j3[rows]
-    if (np.abs(step) != 2).any():
-        raise AssertionError("a pair does not change 2J3 by exactly 2")
-    layout = _sector_layout(basis.n, diag, rows, cols, step > 0)
-    return SymbolicHamiltonian(basis, diag, rows, cols, codes, families, *layout)
+    order, bounds, offsets = _sector_layout(basis.n, diag, rows, cols)
+    dim = len(basis)
+    keys = np.concatenate((rows * dim + cols, cols * dim + rows))
+    del rows, cols
+    sort = np.argsort(keys)
+    keys = keys[sort]
+    if (keys[1:] == keys[:-1]).any():
+        raise AssertionError("two chains couple the same pair")
+    codes = np.concatenate((codes, codes))[sort]
+    offsets = np.concatenate((offsets, offsets))[sort]
+    return SymbolicHamiltonian(
+        basis, diag, keys // dim, keys % dim, codes, families, order, bounds, offsets
+    )
 
 
 # The term families of the mutation model, in the order `_model_terms` lists them.
@@ -451,9 +444,8 @@ _MODEL_FAMILIES: tuple[Family, ...] = (
 def build_model(n: int) -> SymbolicHamiltonian:
     """Assemble the mutation-model Hamiltonian structure for n sites.
 
-    Every chain is applied to every basis state; each surviving chain
-    couples (final, initial).  Adjoint halves make the pair list
-    symmetric by construction (verified).
+    Every listed chain is applied to every basis state; each surviving
+    chain couples (final, initial), and its adjoint the transpose.
     """
     basis = enumerate_basis(n)
     walks = _Walks(basis.labels)
@@ -465,15 +457,15 @@ def build_hamming(n: int) -> SymbolicHamiltonian:
     """Baseline structure: unit coupling between words one flip apart.
 
     Not a parameter choice of the mutation model; the connectivity pattern
-    itself differs.  mu0 = 0 drops the 2*J3 diagonal for the factorized,
+    itself differs.  The R -> Y flips are listed, the Y -> R flips are
+    their transposes.  mu0 = 0 drops the 2*J3 diagonal for the factorized,
     exactly-plateaued variant.
     """
     basis = enumerate_basis(n)
-    bits, cols = basis.bits, np.arange(len(basis))
+    bits = basis.bits
     family = ("HAMMING", "beta")
-    flips = [
-        (family, basis.index_by_bits[bits ^ (1 << (n - position))], cols)
-        for position in range(1, n + 1)
-    ]
+    flips = []
+    for mask in (1 << site for site in range(n)):
+        cols = np.flatnonzero(bits & mask)
+        flips.append((family, basis.index_by_bits[bits[cols] ^ mask], cols))
     return _assemble(basis, basis.labels[0].astype(np.int64), (family,), flips)
-

@@ -322,6 +322,12 @@ def moved_admissible(labels, lo, hi):
     return keep
 
 
+def adjoint(ops):
+    """The adjoint of a chain of (lo, hi, delta) ops: the ops reversed, each
+    delta negated."""
+    return tuple((lo, hi, -delta) for lo, hi, delta in reversed(ops))
+
+
 def walk_chain(labels, row_table, ops):
     """(final row, initial col) of every state the chain does not annihilate.
 

@@ -396,6 +396,34 @@ class TestProfileCommand:
         assert capsys.readouterr().err.startswith(f"error: cannot read config {config}: ")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["profile", "--n", "4", "--initial", "RRYY", "--model", "hamming",
+             "--beta", "0.5", "--eps", "0.3"],
+            "eps = 0.3 sets no coupling the hamming model reads (beta, mu0)",
+        ),
+        (
+            ["profile", "--n", "3", "--initial", "RRY", "--eps", "0.1", "--beta", "0.7"],
+            "beta = 0.7 sets no coupling the crystal model reads (delta, eps, eta, gamma, mu0)",
+        ),
+        (
+            ["sweep", "--n", "3", "--initial", "RRY", "--model", "hamming", "--eps", "0.2",
+             "--param", "beta=0.1,0.2", "--horizon", "160"],
+            "eps = 0.2 sets no coupling the hamming model reads (beta, mu0)",
+        ),
+    ], ids=["hamming-eps", "crystal-beta", "hamming-sweep-base-eps"])
+    def test_coupling_the_model_never_reads_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_zero_coupling_the_model_never_reads_passes(self, tmp_path, capsys):
+        assert main([
+            "profile", "--n", "3", "--initial", "RRY", "--eps", "0.1", "--beta", "-0.0",
+            "--horizon", "160", "--out", str(tmp_path / "x"),
+        ]) == 0
+
     def test_config_integers_stand_for_floats(self, tmp_path, capsys):
         assert self.run_config(tmp_path, horizon=10, couplings={"mu0": 1, "eps": 0}) == 0
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
@@ -550,6 +578,15 @@ class TestFitCommand:
         assert main(["fit", "--input", str(tmp_path / "missing.csv")]) == 2
         (tmp_path / "bad.csv").write_text("nope\n1,2,3\n")
         assert main(["fit", "--input", str(tmp_path / "bad.csv")]) == 2
+
+    def test_input_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        ranked = tmp_path / "r.csv"
+        ranked.write_bytes(b"\xff\xfe")
+        assert main(["fit", "--input", str(ranked), "--out", str(tmp_path / "fits")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {ranked}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "fits").exists()
 
     @pytest.mark.parametrize("spelling", ["inf", "nan"])
     def test_non_finite_value_is_usage_error(self, tmp_path, capsys, spelling):

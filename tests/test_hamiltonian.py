@@ -11,7 +11,6 @@ from crystalchain import hamiltonian
 from crystalchain.dynamics import _KERNEL_BLOCK
 from crystalchain.hamiltonian import (
     _J_MINUS,
-    _J_PLUS,
     _MODEL_FAMILIES,
     _Chain,
     _Walks,
@@ -35,6 +34,7 @@ from golden import (
 )
 from oracles import (
     Labels,
+    adjoint,
     admissible_columns,
     apply_a,
     apply_a_dagger,
@@ -153,18 +153,18 @@ class TestModelStructure:
         for matrix in coupling_matrices(build_model(3)).values():
             assert set(np.unique(matrix)) <= {0, 1}
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_forward_half_transposes_to_adjoint_half(self, n):
-        walks = _Walks(enumerate_basis(n).labels)
-        dim = walks.labels.shape[1]
-        forward = np.zeros((dim, dim), dtype=np.int64)
-        adjoint = np.zeros((dim, dim), dtype=np.int64)
+        # the adjoint of each listed chain, walked op by op, couples exactly
+        # the transposes of the chain's pairs: the ones the builder mirrors
+        walks, labels, table = reference_walk(n)
         for _, _, ops in _model_terms(n):
-            lowering = _J_MINUS in ops
             rows, cols = _apply_chain(walks, ops)
-            target = forward if lowering else adjoint
-            np.add.at(target, (rows, cols), 1)
-        assert (forward == adjoint.T).all()
+            back_rows, back_cols = walk_chain(labels, table, adjoint(ops))
+            forward = np.lexsort((rows, cols))
+            backward = np.lexsort((back_cols, back_rows))
+            assert cols[forward].tobytes() == back_rows[backward].tobytes(), ops
+            assert rows[forward].tobytes() == back_cols[backward].tobytes(), ops
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_provenance_multiplicities_sum_to_coefficients(self, n):
@@ -190,15 +190,18 @@ class TestModelStructure:
         "edit, message",
         [
             (lambda terms: terms + terms[:1], "two chains couple the same pair"),
-            (lambda terms: terms[:1] + terms[2:], "not symmetric"),
-            (lambda terms: terms + [("H2", "delta", ())], "couples a state to itself"),
+            (
+                lambda terms: terms + [("H2", "delta", adjoint(terms[0][2]))],
+                "does not lower 2J3 by exactly 2",
+            ),
+            (lambda terms: terms + [("H2", "delta", ())], "does not lower 2J3 by exactly 2"),
             (
                 lambda terms: terms
                 + [("H1", "gamma", (_a_ik(2, 4, -2),)), ("H1", "gamma", (_a_ik(2, 4, 2),))],
-                "does not change 2J3 by exactly 2",
+                "does not lower 2J3 by exactly 2",
             ),
         ],
-        ids=["chain_listed_twice", "adjoint_half_dropped", "identity_chain", "no_spin_flip"],
+        ids=["chain_listed_twice", "raising_chain_listed", "identity_chain", "no_spin_flip"],
     )
     def test_constructor_refuses_broken_terms(self, monkeypatch, edit, message):
         terms = _model_terms(4)
@@ -295,10 +298,11 @@ class TestScalarOracle:
             return state[:, keep]
 
         labels = enumerate_basis(n).labels
-        terms = _model_terms(n)
-        for op in {op for _, _, ops in terms for op in ops}:
+        chains = [ops for _, _, ops in _model_terms(n)]
+        chains += [adjoint(ops) for ops in chains]
+        for op in {op for ops in chains for op in ops}:
             shifted(labels, op)
-        for _, _, ops in terms:
+        for ops in chains:
             state = labels
             for op in ops:
                 state = shifted(state, op)
@@ -314,11 +318,31 @@ def reference_walk(n):
     return walks, labels, table
 
 
+def assert_pairs_are(sym, reference, families):
+    """`sym` holds the 2J3 diagonal and exactly the (rows, cols, family
+    code) pairs of `reference`, sorted row-major by numpy alone."""
+    rows = np.concatenate([rows for rows, _, _ in reference])
+    cols = np.concatenate([cols for _, cols, _ in reference])
+    codes = np.concatenate([np.full(len(rows), code, np.int8) for rows, _, code in reference])
+    order = np.lexsort((cols, rows))
+    want = {
+        "diag": enumerate_basis(sym.basis.n).labels[0].astype(np.int64),
+        "rows": rows[order],
+        "cols": cols[order],
+        "family": codes[order],
+    }
+    for field, want_array in want.items():
+        got_array = getattr(sym, field)
+        assert got_array.dtype == want_array.dtype, field
+        assert got_array.tobytes() == want_array.tobytes(), field
+    assert sym.families == families
+
+
 @st.composite
 def chains(draw):
     """(n, ops): 0-3 ops drawn from J+-, A_i and A_ik with delta = +-2."""
     n = draw(st.integers(min_value=2, max_value=9))
-    alphabet = [_J_PLUS, _J_MINUS]
+    alphabet = [_J_MINUS, *adjoint((_J_MINUS,))]
     alphabet += [_a(i, n, delta) for i in range(2, n + 1) for delta in (-2, 2)]
     alphabet += [
         _a_ik(i, k, delta) for i in range(2, n) for k in range(i + 1, n + 1) for delta in (-2, 2)
@@ -332,22 +356,18 @@ _WALKS = {n: reference_walk(n) for n in range(2, 10)}
 class TestWalkFeatures:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_builder_equals_reference_walk(self, n):
+        # the reference walks every listed chain and its adjoint op by op
         walks, labels, table = reference_walk(n)
-        basis = enumerate_basis(n)
         reference = []
         for family, field, ops in _model_terms(n):
             rows, cols = _apply_chain(walks, ops)
             want_rows, want_cols = walk_chain(labels, table, ops)
             assert rows.tobytes() == want_rows.tobytes(), ops
             assert cols.tobytes() == want_cols.tobytes(), ops
-            reference.append(((family, field), want_rows, want_cols))
-        want = _assemble(basis, labels[0].astype(np.int64), _MODEL_FAMILIES, reference)
-        got = build_model(n)
-        for field in ("diag", "rows", "cols", "family"):
-            got_array, want_array = getattr(got, field), getattr(want, field)
-            assert got_array.dtype == want_array.dtype, field
-            assert got_array.tobytes() == want_array.tobytes(), field
-        assert got.families == want.families
+            code = _MODEL_FAMILIES.index((family, field))
+            back_rows, back_cols = walk_chain(labels, table, adjoint(ops))
+            reference += [(want_rows, want_cols, code), (back_rows, back_cols, code)]
+        assert_pairs_are(build_model(n), reference, _MODEL_FAMILIES)
 
     @settings(max_examples=400, deadline=None)
     @given(chain=chains())
@@ -376,6 +396,14 @@ class TestWalkFeatures:
 
 
 class TestHammingStructure:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_builder_equals_every_flip(self, n):
+        # each of the n flips from every state: R -> Y and Y -> R
+        basis = enumerate_basis(n)
+        cols = np.arange(len(basis))
+        reference = [(basis.index_by_bits[basis.bits ^ (1 << site)], cols, 0) for site in range(n)]
+        assert_pairs_are(build_hamming(n), reference, (("HAMMING", "beta"),))
+
     def test_two_site_edges(self):
         beta = coupling_matrices(build_hamming(2))["beta"]
         assert int(beta.sum()) == 8
@@ -503,7 +531,8 @@ class TestSectorProducts:
         x = np.random.default_rng(seed).normal(size=(sym.dim, width))
         found = np.zeros((sym.dim, width))
         covered = np.zeros((sym.dim, width), dtype=np.int64)
-        for rows, cols, block in sym.products(values, x):
+        for rows, cols, block, v in sym.products(values, x):
+            assert (v == x[rows, cols]).all()
             found[rows, cols] = block
             covered[rows, cols] += 1
         assert (covered == 1).all()
