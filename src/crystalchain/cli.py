@@ -233,10 +233,15 @@ def _build(config: RunConfig, solves: int = 1) -> SymbolicHamiltonian:
     if solves > 1:
         what = f"{solves} dense eigendecompositions at once"
     _check_memory(config.n, solves * dense_peak_bytes(2**config.n), what)
-    sym = BUILDERS[config.model](config.n)
-    for name, value in config.couplings.as_dict().items():
+    return _build_reading(config.model, config.n, config.couplings)
+
+
+def _build_reading(model: str, n: int, couplings: CouplingValues) -> SymbolicHamiltonian:
+    """``BUILDERS[model](n)``, refused (exit 2) if it never reads a nonzero coupling."""
+    sym = BUILDERS[model](n)
+    for name, value in couplings.as_dict().items():
         if value:  # zeros pass: crystal manifests record beta = 0.0
-            _refuse_unread(f"{name} = {value!r}", (name,), sym, config.model)
+            _refuse_unread(f"{name} = {value!r}", (name,), sym, model)
     return sym
 
 
@@ -376,7 +381,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     else:
         check_chain_length(args.n)
         _check_memory(args.n, np.dtype(float).itemsize * 4**args.n, "the dense matrix")
-        matrix = BUILDERS[args.model](args.n).evaluate(couplings)
+        matrix = _build_reading(args.model, args.n, couplings).evaluate(couplings)
         if not np.isfinite(matrix).all():
             raise RuntimeError("matrix has non-finite entries")
         chunks = (" ".join(map(repr, row.tolist())) + "\n" for row in matrix)

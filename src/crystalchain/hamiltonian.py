@@ -31,11 +31,11 @@ single coupling.
 H is a sum of chains and their adjoints.  The adjoint of a chain (its
 ops reversed, their deltas negated) couples exactly the transposed pairs,
 so only the chain holding the spin flip J- is built, as only the R -> Y
-Hamming flips are, and the assembly appends the transposes: the pair list
-is symmetric within each family by construction.  Every built pair lowers
-2J3 by exactly 2 (verified), so ordered by 2J3, H is block tridiagonal
-with multiples of the identity on the diagonal; `products` multiplies by
-it one block at a time.
+Hamming flips are, and the structure stores that lowering half alone:
+`evaluate` and `dump` write each pair and its transpose, and `products`
+multiplies by each block and its transpose.  Every stored pair lowers 2J3
+by exactly 2 (verified), so ordered by 2J3, H is block tridiagonal with
+multiples of the identity on the diagonal.
 """
 
 from __future__ import annotations
@@ -87,25 +87,24 @@ Family = tuple[str, str]
 
 @dataclass(frozen=True)
 class SymbolicHamiltonian:
-    """Exact Hamiltonian structure: the 2*J3 diagonal and one tagged pair list.
+    """Exact Hamiltonian structure: the lowering half of one tagged pair list.
 
-    `diag` holds 2*J3 per state (the mu0 multiplier).  (`rows`, `cols`)
-    lists every coupled off-diagonal pair once, sorted row-major, and
-    `family[j]` indexes `families`, the (term family, coupling field) of
-    the chain that coupled pair j: H1, H2, H3, H5, H6 or HAMMING.  Each
-    pair comes from exactly one chain, so every coefficient is 0 or 1.
-    The transpose of every pair is listed with the same family.
+    The diagonal's mu0 multiplier is 2*J3, `basis.labels[0]`.  (`rows`,
+    `cols`) lists once, sorted row-major, every coupled pair whose row has
+    2J3 two below its col's, and `family[j]` indexes `families`, the (term
+    family, coupling field) of the chain that coupled pair j: H1, H2, H3,
+    H5, H6 or HAMMING.  Its adjoint couples the unstored transpose with
+    the same family.  Each pair comes from exactly one chain, so every
+    coefficient is 0 or 1.
 
     The sector layout groups the states by 2J3: `sector_order` lists the
     states stably sorted by 2J3, and sector k (2J3 = 2k - N) holds
     positions `sector_bounds[k]:sector_bounds[k + 1]` of it.  Every pair
-    joins two neighbouring sectors; `block_offsets[j]` is the entry of
-    pair j, or of its transpose, in the row-major blocks
-    B_k = H[S_k, S_k+1] laid end to end.
+    joins sector k to sector k + 1; `block_offsets[j]` is the entry of
+    pair j in the row-major blocks B_k = H[S_k, S_k+1] laid end to end.
     """
 
     basis: BasisMap
-    diag: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     family: np.ndarray
@@ -119,10 +118,10 @@ class SymbolicHamiltonian:
         return len(self.basis)
 
     def evaluate(self, values: CouplingValues) -> np.ndarray:
-        """Dense symmetric matrix mu0*diag(2J3) + sum of coupling * structure."""
+        """Dense symmetric matrix mu0*diag(2J3) + sum of coupling * both halves."""
         couplings = [getattr(values, field) for _, field in self.families]
         with np.errstate(over="ignore"):  # an inf is the caller's to refuse
-            diag = values.mu0 * self.diag.astype(float)
+            diag = values.mu0 * self.basis.labels[0].astype(float)
         # H equals the dense sum mu0*diag(2J3) + sum_v v*C_v bit for bit.  In
         # that sum each entry gains v*0.0 per coupling it lacks; a positive v
         # turns a -0.0 diagonal entry (as mu0 < 0 gives at 2J3 = 0) into
@@ -130,7 +129,7 @@ class SymbolicHamiltonian:
         if any(v > 0 for v in couplings):
             diag += 0.0
         h = np.diag(diag)
-        h[self.rows, self.cols] = np.array(couplings)[self.family] + 0.0
+        h[self.rows, self.cols] = h[self.cols, self.rows] = np.array(couplings)[self.family] + 0.0
         return h
 
     def products(self, values: CouplingValues, vectors: np.ndarray):
@@ -138,14 +137,14 @@ class SymbolicHamiltonian:
         over slabs of _KERNEL_BLOCK columns, for H = self.evaluate(values),
         without H.
 
-        `rows` is `sector_order` and `cols` the slab.  One scatter fills
-        every block B_k; each slab gathers the rows of `vectors` into sector
-        order once as W, scales it by H's diagonal, then adds B_k W_k+1 to
-        the rows of sector k and B_k^T W_k to those of sector k + 1, each
-        product one BLAS call.  The yielded product is a buffer the next
-        slab reuses, which the caller may overwrite.  Besides the
-        sum_k s_k s_k+1 block values (under dim^2 / 4), memory is
-        O(dim * _KERNEL_BLOCK).
+        `rows` is `sector_order` and `cols` the slab.  One scatter of the
+        stored half fills every block B_k; each slab gathers the rows of
+        `vectors` into sector order once as W, scales it by H's diagonal,
+        then adds B_k W_k+1 to the rows of sector k and B_k^T W_k (the
+        mirrored half) to those of sector k + 1, each product one BLAS
+        call.  The yielded product is a buffer the next slab reuses, which
+        the caller may overwrite.  Besides the sum_k s_k s_k+1 block values
+        (under dim^2 / 4), memory is O(dim * _KERNEL_BLOCK).
         """
         couplings = np.array([getattr(values, field) for _, field in self.families])
         bounds = self.sector_bounds.tolist()
@@ -176,14 +175,15 @@ class SymbolicHamiltonian:
     def dump(self) -> str:
         """One line per entry: `row col SYMBOL multiplicity`, 1-based.
 
-        The diagonal is emitted as `row row MU0 <2J3>`; lines are sorted by
-        (row, col, symbol).  Every off-diagonal multiplicity is 1.  This
-        text is the exact comparison surface.
+        The diagonal is emitted as `row row MU0 <2J3>`, each stored pair
+        and its transpose once each; lines are sorted by (row, col, symbol).
+        Every off-diagonal multiplicity is 1.  This text is the exact
+        comparison surface.
         """
         names = [field.upper() for _, field in self.families]
-        entries = [(r + 1, r + 1, "MU0", d) for r, d in enumerate(self.diag.tolist())]
+        entries = [(r + 1, r + 1, "MU0", d) for r, d in enumerate(self.basis.labels[0].tolist())]
         for r, c, f in zip(self.rows.tolist(), self.cols.tolist(), self.family.tolist()):
-            entries.append((r + 1, c + 1, names[f], 1))
+            entries += [(r + 1, c + 1, names[f], 1), (c + 1, r + 1, names[f], 1)]
         entries.sort()
         return "\n".join(f"{r} {c} {s} {m}" for r, c, s, m in entries)
 
@@ -207,7 +207,7 @@ def _a_ik(i: int, k: int, delta: int) -> _Op:
 
 def _model_terms(n: int) -> list[tuple[str, str, tuple[_Op, ...]]]:
     """The J- chain of every adjoint pair of interaction chains, each in
-    application order (first op first); `_assemble` mirrors the adjoints.
+    application order (first op first); the adjoints couple the transposes.
 
     Term families and ranges:
       H2 (delta): the plain spin flip.
@@ -369,19 +369,19 @@ def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.nd
 
 
 def _sector_layout(
-    n: int, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    n: int, two_j3: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sector_order, sector_bounds, block_offsets) of `SymbolicHamiltonian`
     for the pairs (rows, cols), each row in the sector just below its col's.
 
-    Sector k holds the states with 2J3 = diag = 2k - n.  The offsets index
+    Sector k holds the states with 2J3 = 2k - n.  The offsets index
     one flat buffer of the blocks B_k (s_k x s_k+1, row-major, in k order),
     so they are int32 unless that buffer has 2^31 entries or more.  The
     pair-sized temporaries are kept few and narrow: freed, they stay in
     the heap beneath the solve's peak (5 MiB of it at N = 12).
     """
-    dim = len(diag)
-    sector = (diag + n) // 2
+    dim = len(two_j3)
+    sector = (two_j3 + n) // 2
     order = np.argsort(sector, kind="stable")
     sizes = np.bincount(sector, minlength=n + 1)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -398,19 +398,15 @@ def _sector_layout(
 
 
 def _assemble(
-    basis: BasisMap, diag: np.ndarray, families: tuple[Family, ...], chains: list
+    basis: BasisMap, families: tuple[Family, ...], chains: list
 ) -> SymbolicHamiltonian:
-    """One tagged pair list from the (family, rows, cols) chains and their
-    adjoints, verified, with its sector layout.
+    """The lowering half of one tagged pair list from the (family, rows,
+    cols) chains, verified, with its sector layout.
 
-    `diag` must be 2J3, and every listed pair must lower it by exactly 2,
-    so none couples a state to itself or is another's transpose.  Each
-    pair's transpose, which the chain's adjoint couples, joins the list
-    with the same family code and block offset.  No two chains may couple
-    the same pair.
+    Every listed pair must lower 2J3 by exactly 2, so none couples a state
+    to itself or is another's transpose, and no two chains may couple the
+    same pair.
     """
-    if not np.array_equal(diag, basis.labels[0]):
-        raise AssertionError("the diagonal is not 2J3")
     rows = np.concatenate([rows for _, rows, _ in chains])
     cols = np.concatenate([cols for _, _, cols in chains])
     codes = np.concatenate([np.full(len(rows), families.index(f), np.int8) for f, rows, _ in chains])
@@ -420,18 +416,16 @@ def _assemble(
     eta = [code for code, (_, field) in enumerate(families) if field == "eta"]
     if basis.n == 3 and np.isin(codes, eta).any():
         raise AssertionError("eta coefficients must vanish for three-site chains")
-    order, bounds, offsets = _sector_layout(basis.n, diag, rows, cols)
+    order, bounds, offsets = _sector_layout(basis.n, two_j3, rows, cols)
     dim = len(basis)
-    keys = np.concatenate((rows * dim + cols, cols * dim + rows))
+    keys = rows * dim + cols
     del rows, cols
     sort = np.argsort(keys)
     keys = keys[sort]
     if (keys[1:] == keys[:-1]).any():
         raise AssertionError("two chains couple the same pair")
-    codes = np.concatenate((codes, codes))[sort]
-    offsets = np.concatenate((offsets, offsets))[sort]
     return SymbolicHamiltonian(
-        basis, diag, keys // dim, keys % dim, codes, families, order, bounds, offsets
+        basis, keys // dim, keys % dim, codes[sort], families, order, bounds, offsets[sort]
     )
 
 
@@ -450,7 +444,7 @@ def build_model(n: int) -> SymbolicHamiltonian:
     basis = enumerate_basis(n)
     walks = _Walks(basis.labels)
     chains = [((f, s), *_apply_chain(walks, ops)) for f, s, ops in _model_terms(n)]
-    return _assemble(basis, basis.labels[0].astype(np.int64), _MODEL_FAMILIES, chains)
+    return _assemble(basis, _MODEL_FAMILIES, chains)
 
 
 def build_hamming(n: int) -> SymbolicHamiltonian:
@@ -468,4 +462,4 @@ def build_hamming(n: int) -> SymbolicHamiltonian:
     for mask in (1 << site for site in range(n)):
         cols = np.flatnonzero(bits & mask)
         flips.append((family, basis.index_by_bits[bits[cols] ^ mask], cols))
-    return _assemble(basis, basis.labels[0].astype(np.int64), (family,), flips)
+    return _assemble(basis, (family,), flips)

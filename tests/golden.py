@@ -94,7 +94,8 @@ def pairs_matrix(dim, pairs):
 
 def coupling_matrices(sym):
     """{coupling field: dense 0/1 int64 matrix of its pairs} for every
-    coupling of the structure's families, in the order they first appear."""
+    coupling of the structure's families, in the order they first appear;
+    both the stored half and its transposes."""
     import numpy as np
 
     matrices = {}
@@ -102,12 +103,13 @@ def coupling_matrices(sym):
         matrix = matrices.setdefault(field, np.zeros((sym.dim, sym.dim), dtype=np.int64))
         keep = sym.family == code
         matrix[sym.rows[keep], sym.cols[keep]] = 1
+        matrix[sym.cols[keep], sym.rows[keep]] = 1
     return matrices
 
 
 def family_matrices(sym):
     """{term family: dense 0/1 int64 matrix of its pairs} for every family
-    that couples some pair."""
+    that couples some pair; both the stored half and its transposes."""
     import numpy as np
 
     matrices = {}
@@ -116,4 +118,5 @@ def family_matrices(sym):
         if keep.any():
             matrices[name] = np.zeros((sym.dim, sym.dim), dtype=np.int64)
             matrices[name][sym.rows[keep], sym.cols[keep]] = 1
+            matrices[name][sym.cols[keep], sym.rows[keep]] = 1
     return matrices

@@ -67,7 +67,9 @@ def test_2_allowed_transition_sets():
         words = sym.basis.words
 
         def reachable(word):
-            return {words[f] for f in sym.rows[sym.cols == sym.basis.index_of_word(word)]}
+            state = sym.basis.index_of_word(word)
+            finals = [*sym.rows[sym.cols == state], *sym.cols[sym.rows == state]]
+            return {words[f] for f in finals}
 
         assert reachable("RYR") == {"RRR", "YYR", "RYY"}
         assert reachable("RYY") == {"YRR", "YYY", "RRY", "RYR"}

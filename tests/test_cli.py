@@ -114,7 +114,7 @@ class TestHamiltonianCommand:
         flags = [arg for name, value in couplings.items() for arg in (f"--{name}", str(value))]
         assert main(["hamiltonian", "--n", str(n), *flags]) == 0
         matrix = dense_evaluate(
-            build_model(n).diag, scalar_model_build(n)[0], CouplingValues(**couplings)
+            build_model(n).basis.labels[0], scalar_model_build(n)[0], CouplingValues(**couplings)
         )
         expected = "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix) + "\n"
         assert capsys.readouterr().out == expected
@@ -123,7 +123,8 @@ class TestHamiltonianCommand:
     @pytest.mark.parametrize("symbolic", [[], ["--symbolic"]], ids=["numeric", "symbolic"])
     def test_dump_file_equals_stdout(self, tmp_path, capsys, model, symbolic):
         out = tmp_path / "dump"
-        argv = ["hamiltonian", "--n", "4", "--model", model, "--eps", "0.1", "--beta", "0.5"]
+        coupling = {"crystal": ["--eps", "0.1"], "hamming": ["--beta", "0.5"]}[model]
+        argv = ["hamiltonian", "--n", "4", "--model", model, *coupling]
         assert main([*argv, *symbolic]) == 0
         printed = capsys.readouterr().out
         assert main([*argv, *symbolic, "--out", str(out)]) == 0
@@ -131,6 +132,24 @@ class TestHamiltonianCommand:
         assert (out / "hamiltonian.txt").read_text() == printed
         if not symbolic:
             assert len(printed.splitlines()) == 16  # one line per row
+
+    @pytest.mark.parametrize("model, reads, unread, message", [
+        ("hamming", ["--beta", "0.5"], "--eps",
+         "eps = 0.3 sets no coupling the hamming model reads (beta, mu0)"),
+        ("crystal", ["--eps", "0.1"], "--beta",
+         "beta = 0.3 sets no coupling the crystal model reads (delta, eps, eta, gamma, mu0)"),
+    ], ids=["hamming-eps", "crystal-beta"])
+    def test_numeric_dump_refuses_a_coupling_the_model_never_reads(
+        self, tmp_path, capsys, model, reads, unread, message
+    ):
+        argv = ["hamiltonian", "--n", "3", "--model", model, *reads]
+        out = tmp_path / "x"
+        assert main([*argv, unread, "0.3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert main([*argv, unread, "0.3", "--symbolic"]) == 0
+        for zero in ("0", "-0.0"):
+            assert main([*argv, unread, zero]) == 0
 
     def test_zero_mu0_drops_the_diagonal(self, capsys):
         assert main(["hamiltonian", "--n", "3", "--model", "hamming", "--mu0", "0",

@@ -17,7 +17,6 @@ from crystalchain.hamiltonian import (
     _a,
     _a_ik,
     _apply_chain,
-    _assemble,
     _model_terms,
 )
 from golden import (
@@ -114,7 +113,7 @@ class TestShiftOperators:
 class TestModelStructure:
     def test_three_site_matches_catalogue(self):
         sym = build_model(3)
-        assert sym.diag.tolist() == THREE_SITE_DIAG
+        assert sym.basis.labels[0].tolist() == THREE_SITE_DIAG
         matrices = coupling_matrices(sym)
         assert (matrices["delta"] == pairs_matrix(8, THREE_SITE_DELTA_PAIRS)).all()
         assert (matrices["gamma"] == pairs_matrix(8, THREE_SITE_GAMMA_PAIRS)).all()
@@ -123,7 +122,7 @@ class TestModelStructure:
 
     def test_two_site_matches_derivation(self):
         sym = build_model(2)
-        assert sym.diag.tolist() == TWO_SITE_DIAG
+        assert sym.basis.labels[0].tolist() == TWO_SITE_DIAG
         matrices = coupling_matrices(sym)
         assert (matrices["delta"] == pairs_matrix(4, TWO_SITE_DELTA_PAIRS)).all()
         assert (matrices["eps"] == pairs_matrix(4, TWO_SITE_EPS_PAIRS)).all()
@@ -138,7 +137,7 @@ class TestModelStructure:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_symmetry_and_selection_rule(self, n):
         sym = build_model(n)
-        two_j3 = sym.diag
+        two_j3 = sym.basis.labels[0]
         for field, matrix in coupling_matrices(sym).items():
             assert (matrix == matrix.T).all()
             assert not np.diag(matrix).any()
@@ -216,13 +215,6 @@ class TestModelStructure:
         for code in range(len(sym.families)):
             assert (np.diff(keys[sym.family == code]) > 0).all()
 
-    def test_constructor_refuses_a_diagonal_other_than_2j3(self):
-        basis = enumerate_basis(3)
-        family = ("HAMMING", "beta")
-        chains = [(family, np.array([0, 1]), np.array([1, 0]))]
-        with pytest.raises(AssertionError, match="not 2J3"):
-            _assemble(basis, basis.labels[0].astype(np.int64) + 2, (family,), chains)
-
     @pytest.mark.parametrize("build", [build_model, build_hamming])
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_sector_layout_indexes_the_blocks(self, build, n):
@@ -230,19 +222,22 @@ class TestModelStructure:
         sym = build(n)
         order, bounds = sym.sector_order, sym.sector_bounds
         assert order.dtype == bounds.dtype == sym.block_offsets.dtype == np.int32
-        two_j3 = sym.diag[order]
+        two_j3 = sym.basis.labels[0][order]
         assert (np.diff(two_j3) >= 0).all()
         assert two_j3[bounds[:-1]].tolist() == list(range(-n, n + 1, 2))
         sizes = np.diff(bounds)
         ends = np.cumsum(sizes[:-1] * sizes[1:])
         flat = np.zeros(ends[-1], dtype=np.int64)
         np.add.at(flat, sym.block_offsets, 1)
-        assert (flat[np.unique(sym.block_offsets)] == 2).all()  # a pair and its transpose
+        assert (flat[sym.block_offsets] == 1).all()  # each pair once
         pattern = np.zeros((sym.dim, sym.dim), dtype=np.int64)
         pattern[sym.rows, sym.cols] = 1
+        pattern[sym.cols, sym.rows] = 1
+        # the blocks and their transposes hold every entry of both halves
+        assert pattern.sum() == 2 * flat.sum()
         for k, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
             block = pattern[np.ix_(order[bounds[k] : bounds[k + 1]], order[bounds[k + 1] : bounds[k + 2]])]
-            assert (flat[lo:hi] == 2 * block.ravel()).all()
+            assert (flat[lo:hi] == block.ravel()).all()
 
     def test_build_allocates_no_dense_integer_matrix(self):
         dim = 2**10
@@ -318,23 +313,31 @@ def reference_walk(n):
     return walks, labels, table
 
 
-def assert_pairs_are(sym, reference, families):
-    """`sym` holds the 2J3 diagonal and exactly the (rows, cols, family
-    code) pairs of `reference`, sorted row-major by numpy alone."""
+def sorted_pairs(reference):
+    """(rows, cols, family codes) of the (rows, cols, code) parts of
+    `reference`, sorted row-major by numpy alone."""
     rows = np.concatenate([rows for rows, _, _ in reference])
     cols = np.concatenate([cols for _, cols, _ in reference])
     codes = np.concatenate([np.full(len(rows), code, np.int8) for rows, _, code in reference])
     order = np.lexsort((cols, rows))
-    want = {
-        "diag": enumerate_basis(sym.basis.n).labels[0].astype(np.int64),
-        "rows": rows[order],
-        "cols": cols[order],
-        "family": codes[order],
-    }
+    return rows[order], cols[order], codes[order]
+
+
+def assert_pairs_are(sym, half, adjoints, families):
+    """`sym` has the 2J3 diagonal and stores exactly the pairs of `half`,
+    and those with their transposes are exactly the pairs of `half` and
+    `adjoints`."""
+    words = sym.basis.words
+    two_j3 = np.array([word.count("R") - word.count("Y") for word in words], dtype=np.int16)
+    assert sym.basis.labels[0].tobytes() == two_j3.tobytes()  # the diagonal H reads
+    want = dict(zip(("rows", "cols", "family"), sorted_pairs(half)))
     for field, want_array in want.items():
         got_array = getattr(sym, field)
         assert got_array.dtype == want_array.dtype, field
         assert got_array.tobytes() == want_array.tobytes(), field
+    mirrored = sorted_pairs([(sym.rows, sym.cols, sym.family), (sym.cols, sym.rows, sym.family)])
+    for got_array, want_array in zip(mirrored, sorted_pairs(half + adjoints)):
+        assert got_array.tobytes() == want_array.tobytes()
     assert sym.families == families
 
 
@@ -358,7 +361,7 @@ class TestWalkFeatures:
     def test_builder_equals_reference_walk(self, n):
         # the reference walks every listed chain and its adjoint op by op
         walks, labels, table = reference_walk(n)
-        reference = []
+        half, adjoints = [], []
         for family, field, ops in _model_terms(n):
             rows, cols = _apply_chain(walks, ops)
             want_rows, want_cols = walk_chain(labels, table, ops)
@@ -366,8 +369,9 @@ class TestWalkFeatures:
             assert cols.tobytes() == want_cols.tobytes(), ops
             code = _MODEL_FAMILIES.index((family, field))
             back_rows, back_cols = walk_chain(labels, table, adjoint(ops))
-            reference += [(want_rows, want_cols, code), (back_rows, back_cols, code)]
-        assert_pairs_are(build_model(n), reference, _MODEL_FAMILIES)
+            half.append((want_rows, want_cols, code))
+            adjoints.append((back_rows, back_cols, code))
+        assert_pairs_are(build_model(n), half, adjoints, _MODEL_FAMILIES)
 
     @settings(max_examples=400, deadline=None)
     @given(chain=chains())
@@ -398,11 +402,17 @@ class TestWalkFeatures:
 class TestHammingStructure:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_builder_equals_every_flip(self, n):
-        # each of the n flips from every state: R -> Y and Y -> R
+        # each of the n flips from every state: R -> Y stored, Y -> R mirrored
         basis = enumerate_basis(n)
         cols = np.arange(len(basis))
-        reference = [(basis.index_by_bits[basis.bits ^ (1 << site)], cols, 0) for site in range(n)]
-        assert_pairs_are(build_hamming(n), reference, (("HAMMING", "beta"),))
+        letters = np.array([list(word) for word in basis.words])
+        half, adjoints = [], []
+        for site in range(n):  # bit `site` is letter n - 1 - site
+            rows = basis.index_by_bits[basis.bits ^ (1 << site)]
+            r_to_y = letters[:, n - 1 - site] == "R"
+            half.append((rows[r_to_y], cols[r_to_y], 0))
+            adjoints.append((rows[~r_to_y], cols[~r_to_y], 0))
+        assert_pairs_are(build_hamming(n), half, adjoints, (("HAMMING", "beta"),))
 
     def test_two_site_edges(self):
         beta = coupling_matrices(build_hamming(2))["beta"]
@@ -430,7 +440,7 @@ class TestEvaluate:
     def test_zero_couplings_leave_diagonal(self):
         sym = build_model(4)
         h = sym.evaluate(CouplingValues(mu0=1.0))
-        assert (h == np.diag(sym.diag.astype(float))).all()
+        assert (h == np.diag(sym.basis.labels[0].astype(float))).all()
 
     def test_numeric_three_site_instance(self):
         sym = build_model(3)
@@ -452,7 +462,8 @@ class TestEvaluate:
         fields = ("eps", "gamma", "delta", "eta", "beta")
         summed = CouplingValues(mu0, *(getattr(first, f) + getattr(second, f) for f in fields))
         lhs = sym.evaluate(summed)
-        rhs = sym.evaluate(first) + sym.evaluate(second) - mu0 * np.diag(sym.diag.astype(float))
+        diagonal = mu0 * np.diag(sym.basis.labels[0].astype(float))
+        rhs = sym.evaluate(first) + sym.evaluate(second) - diagonal
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_couplings_must_be_finite(self):
@@ -475,9 +486,9 @@ def structures():
     built = {}
     for n in range(2, 8):
         model = build_model(n)
-        built["crystal", n] = (model, model.diag, scalar_model_build(n)[0])
+        built["crystal", n] = (model, model.basis.labels[0], scalar_model_build(n)[0])
         hamming = build_hamming(n)
-        built["hamming", n] = (hamming, hamming.diag, {"beta": scalar_hamming_build(n)})
+        built["hamming", n] = (hamming, hamming.basis.labels[0], {"beta": scalar_hamming_build(n)})
     return built
 
 
@@ -541,8 +552,8 @@ class TestSectorProducts:
 
 
 def reachable(sym, state):
-    """Basis indices of the pairs whose initial state is `state`."""
-    return sym.rows[sym.cols == state].tolist()
+    """Basis indices of the pairs, in either half, whose initial state is `state`."""
+    return [*sym.rows[sym.cols == state].tolist(), *sym.cols[sym.rows == state].tolist()]
 
 
 class TestAllowedTransitions:
@@ -580,3 +591,16 @@ class TestDumpFormat:
                 assert int(mult) > 0
         assert keys == sorted(keys)
         assert seen_diag == 16
+
+    @pytest.mark.parametrize("build", [build_model, build_hamming])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_dump_rebuilds_evaluate(self, build, n):
+        # dump and evaluate each write the stored half's transposes: one
+        # value per coupling, the dense sum of the dump's lines is H bit for bit
+        sym = build(n)
+        values = CouplingValues(mu0=1.0, eps=0.1, gamma=0.2, delta=0.3, eta=0.4, beta=0.5)
+        h = np.zeros((sym.dim, sym.dim))
+        for line in sym.dump().splitlines():
+            row, col, symbol, mult = line.split()
+            h[int(row) - 1, int(col) - 1] += getattr(values, symbol.lower()) * int(mult)
+        assert h.tobytes() == sym.evaluate(values).tobytes()

@@ -8,13 +8,16 @@ eps=0.1, gamma=delta=eta=0.5) and from basis index 0, and prints one JSON
 line: the child's wall time (spawn to exit, imports included), its peak
 resident memory (``ru_maxrss``), the memory pre-flight's estimate of the
 dense eigendecomposition (``dense_peak_bytes``, so that the two show the
-estimate's margin) and the stable horizon it resolved.  Exits with the
-child's code, after printing its stderr, when the run fails.
+estimate's margin), the stable horizon it resolved and the summed
+``nbytes`` of the array fields of the ``SymbolicHamiltonian`` it builds
+(``structure_bytes``).  Exits with the child's code, after printing its
+stderr, when the run fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -24,22 +27,27 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 COUPLING_ARGS = ["--mu0", "1", "--eps", "0.1", "--gamma", "0.5", "--delta", "0.5", "--eta", "0.5"]
 
 
-def first_word_and_estimate(n: int) -> tuple[str, int]:
-    """The word of basis index 0 and the pre-flight's estimate in bytes, from
-    the checkout's own code."""
+def from_checkout(n: int) -> tuple[str, int, int]:
+    """The word of basis index 0, the pre-flight's estimate and the built
+    structure's array bytes, from the checkout's own code."""
     sys.path.insert(0, str(SRC))
-    from crystalchain import enumerate_basis
+    from crystalchain import build_model
     from crystalchain.dynamics import dense_peak_bytes
 
-    return str(enumerate_basis(n).words[0]), dense_peak_bytes(2**n)
+    sym = build_model(n)
+    arrays = [getattr(sym, field.name) for field in dataclasses.fields(sym)]
+    structure = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    return str(sym.basis.words[0]), dense_peak_bytes(2**n), structure
 
 
 def measure(n: int) -> dict:
-    word, estimate = first_word_and_estimate(n)
+    word, estimate, structure = from_checkout(n)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as out:
@@ -61,6 +69,7 @@ def measure(n: int) -> dict:
         "maxrss_mb": round(maxrss_kib / 1024, 1),
         "estimate_mb": round(estimate / 2**20, 1),
         "resolved_T": manifest["resolved_T"],
+        "structure_bytes": structure,
     }
 
 
