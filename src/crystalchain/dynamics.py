@@ -556,8 +556,16 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 
 def _shifted(eigenvalues: np.ndarray) -> tuple[np.ndarray, float]:
     """(e - mean(e), max |e - mean(e)|): the eigenvalues the phases are
-    taken from, and the spectral radius about the mean."""
-    shifted = eigenvalues - eigenvalues.mean()
+    taken from, and the spectral radius about the mean.
+
+    Where the sum in mean() overflows, the mean is summed from e / dim
+    instead; an e - mean(e) that overflows gives an infinite radius.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = eigenvalues.mean()
+        if not math.isfinite(mean):
+            mean = (eigenvalues / len(eigenvalues)).sum()
+        shifted = eigenvalues - mean
     return shifted, float(np.abs(shifted).max())
 
 
@@ -568,12 +576,15 @@ def _pair_blocks(eigenvalues: np.ndarray, gap: float):
     g holds G_ab = 1/(e_a - e_b) on its far pairs b > a and 0 everywhere
     else (the diagonal, b < a and the near pairs); (rows, others) index its
     near pairs b > a, |e_a - e_b| <= gap, in g, and gaps holds their
-    e_a - e_b.
+    e_a - e_b.  A gap of at most 1/DBL_MAX, whose G would overflow, is
+    always near; one that overflows is far, with G = 0.
     """
     dim = len(eigenvalues)
+    gap = max(gap, 1.0 / np.finfo(float).max)
     for start in range(0, dim, _KERNEL_BLOCK):
         stop = min(start + _KERNEL_BLOCK, dim)
-        d = np.subtract.outer(eigenvalues[start:stop], eigenvalues[start:])
+        with np.errstate(over="ignore"):
+            d = np.subtract.outer(eigenvalues[start:stop], eigenvalues[start:])
         d[:, : stop - start][np.tri(stop - start, dtype=bool)] = np.inf  # keep b > a
         rows, others = np.nonzero(np.abs(d) <= gap)
         gaps = d[rows, others]
@@ -670,8 +681,9 @@ def _ladder_screens(spec: SpectralDecomposition, initial: int) -> list[tuple[flo
     shifted, radius = _shifted(spec.eigenvalues)
     diagonal = float(w @ w)
     bound_weights = np.stack((w, w * np.abs(shifted)), axis=1)
-    phase = np.multiply.outer(shifted, t)
-    cols = np.concatenate((np.cos(phase), np.sin(phase)), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN screens get full probes
+        phase = np.multiply.outer(shifted, t)
+        cols = np.concatenate((np.cos(phase), np.sin(phase)), axis=1)
     cols *= w[:, None]
     far = np.zeros(size)
     near = np.zeros(size)
@@ -727,7 +739,8 @@ def find_stable_T(spec: SpectralDecomposition, initial: int) -> TransitionProfil
     T that differs from the profile at 2T by at most _REL_TOL = 1e-3 in max
     norm is returned, with T as its `horizon`.  No such T up to
     _T_CAP = 1e9 raises StableHorizonError; callers should fall back to the
-    infinite-horizon average.
+    infinite-horizon average.  So does a full probe whose phases e*T
+    overflow, naming the pair it probed.
 
     Each pair (T, 2T) is screened first on the initial state alone:
     the max norm is at least |p_i(T) - p_i(2T)|.  `_ladder_screens`
@@ -787,9 +800,15 @@ def find_stable_T(spec: SpectralDecomposition, initial: int) -> TransitionProfil
             current = None
             diff, kind = screen_diff, "initial-row screen, a lower bound"
         else:
-            if current is None:
-                current = time_averaged_profile(spec, initial, horizon)
-            longer = time_averaged_profile(spec, initial, longer_horizon)
+            try:
+                if current is None:
+                    current = time_averaged_profile(spec, initial, horizon)
+                longer = time_averaged_profile(spec, initial, longer_horizon)
+            except PhaseOverflowError:
+                raise StableHorizonError(
+                    f"no stable horizon: the pair T={horizon:g} vs {longer_horizon:g} "
+                    "overflows the phases e*T of this spectrum"
+                ) from None
             diff = float(np.abs(current.p_avg - longer.p_avg).max())
             if diff <= _REL_TOL:
                 return current

@@ -32,10 +32,11 @@ H is a sum of chains and their adjoints.  The adjoint of a chain (its
 ops reversed, their deltas negated) couples exactly the transposed pairs,
 so only the chain holding the spin flip J- is built, as only the R -> Y
 Hamming flips are, and the structure stores that lowering half alone:
-`evaluate` and `dump` write each pair and its transpose, and `products`
-multiplies by each block and its transpose.  Every stored pair lowers 2J3
-by exactly 2 (verified), so ordered by 2J3, H is block tridiagonal with
-multiples of the identity on the diagonal.
+`evaluate` and `dump` write each pair and its transpose.  Every stored
+pair lowers 2J3 by exactly 2 (verified), so ordered by 2J3, H is block
+tridiagonal with multiples of the identity on the diagonal; `products`
+derives that sector layout from the pair list on each call and
+multiplies by each block and its transpose.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ class SymbolicHamiltonian:
     H5, H6 or HAMMING.  Its adjoint couples the unstored transpose with
     the same family.  Each pair comes from exactly one chain, so every
     coefficient is 0 or 1.
-
-    The sector layout groups the states by 2J3: `sector_order` lists the
-    states stably sorted by 2J3, and sector k (2J3 = 2k - N) holds
-    positions `sector_bounds[k]:sector_bounds[k + 1]` of it.  Every pair
-    joins sector k to sector k + 1; `block_offsets[j]` is the entry of
-    pair j in the row-major blocks B_k = H[S_k, S_k+1] laid end to end.
     """
 
     basis: BasisMap
@@ -109,9 +104,6 @@ class SymbolicHamiltonian:
     cols: np.ndarray
     family: np.ndarray
     families: tuple[Family, ...]
-    sector_order: np.ndarray
-    sector_bounds: np.ndarray
-    block_offsets: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -137,8 +129,10 @@ class SymbolicHamiltonian:
         over slabs of _KERNEL_BLOCK columns, for H = self.evaluate(values),
         without H.
 
-        `rows` is `sector_order` and `cols` the slab.  One scatter of the
-        stored half fills every block B_k; each slab gathers the rows of
+        Each call first derives the sector layout from the pair list
+        (`_sector_layout`).  `rows` lists the states sorted by 2J3, sector
+        by sector, and `cols` is the slab.  One scatter of the stored half
+        fills every block B_k = H[S_k, S_k+1]; each slab gathers the rows of
         `vectors` into sector order once as W, scales it by H's diagonal,
         then adds B_k W_k+1 to the rows of sector k and B_k^T W_k (the
         mirrored half) to those of sector k + 1, each product one BLAS
@@ -146,12 +140,15 @@ class SymbolicHamiltonian:
         the caller may overwrite.  Besides the sum_k s_k s_k+1 block values
         (under dim^2 / 4), memory is O(dim * _KERNEL_BLOCK).
         """
+        order, bounds, offsets = _sector_layout(
+            self.basis.n, self.basis.labels[0], self.rows, self.cols
+        )
         couplings = np.array([getattr(values, field) for _, field in self.families])
-        bounds = self.sector_bounds.tolist()
+        bounds = bounds.tolist()
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         ends = list(itertools.accumulate(s * t for s, t in zip(sizes, sizes[1:])))
         flat = np.zeros(ends[-1])
-        flat[self.block_offsets] = couplings[self.family]
+        flat[offsets] = couplings[self.family]
         blocks = [
             flat[lo:hi].reshape(s, t)
             for lo, hi, s, t in zip([0, *ends], ends, sizes, sizes[1:])
@@ -162,7 +159,7 @@ class SymbolicHamiltonian:
         out = np.empty(dim * width)
         for start in range(0, count, width):
             cols = slice(start, start + width)
-            w = vectors[self.sector_order, cols]
+            w = vectors[order, cols]
             p = out[: w.size].reshape(w.shape)
             for k, scale in enumerate(scales.tolist()):
                 np.multiply(w[bounds[k] : bounds[k + 1]], scale, out=p[bounds[k] : bounds[k + 1]])
@@ -170,7 +167,7 @@ class SymbolicHamiltonian:
                 lo, mid, hi = bounds[k : k + 3]
                 p[lo:mid] += block @ w[mid:hi]
                 p[mid:hi] += block.T @ w[lo:mid]
-            yield self.sector_order, cols, p, w
+            yield order, cols, p, w
 
     def dump(self) -> str:
         """One line per entry: `row col SYMBOL multiplicity`, 1-based.
@@ -371,14 +368,16 @@ def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.nd
 def _sector_layout(
     n: int, two_j3: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sector_order, sector_bounds, block_offsets) of `SymbolicHamiltonian`
+    """(order, bounds, offsets): the sector layout `products` multiplies by,
     for the pairs (rows, cols), each row in the sector just below its col's.
 
-    Sector k holds the states with 2J3 = 2k - n.  The offsets index
-    one flat buffer of the blocks B_k (s_k x s_k+1, row-major, in k order),
-    so they are int32 unless that buffer has 2^31 entries or more.  The
-    pair-sized temporaries are kept few and narrow: freed, they stay in
-    the heap beneath the solve's peak (5 MiB of it at N = 12).
+    Sector k holds the states with 2J3 = 2k - n: positions
+    bounds[k]:bounds[k + 1] of `order`, the states stably sorted by 2J3.
+    offsets[j] is the entry of pair j in one flat buffer of the blocks
+    B_k = H[S_k, S_k+1] (s_k x s_k+1, row-major, in k order), so the
+    offsets are int32 unless that buffer has 2^31 entries or more.  The
+    pair-sized temporaries are kept few and narrow: `products` runs after
+    the solve, far beneath its peak.
     """
     dim = len(two_j3)
     sector = (two_j3 + n) // 2
@@ -401,7 +400,7 @@ def _assemble(
     basis: BasisMap, families: tuple[Family, ...], chains: list
 ) -> SymbolicHamiltonian:
     """The lowering half of one tagged pair list from the (family, rows,
-    cols) chains, verified, with its sector layout.
+    cols) chains, verified and sorted row-major.
 
     Every listed pair must lower 2J3 by exactly 2, so none couples a state
     to itself or is another's transpose, and no two chains may couple the
@@ -416,7 +415,6 @@ def _assemble(
     eta = [code for code, (_, field) in enumerate(families) if field == "eta"]
     if basis.n == 3 and np.isin(codes, eta).any():
         raise AssertionError("eta coefficients must vanish for three-site chains")
-    order, bounds, offsets = _sector_layout(basis.n, two_j3, rows, cols)
     dim = len(basis)
     keys = rows * dim + cols
     del rows, cols
@@ -424,9 +422,7 @@ def _assemble(
     keys = keys[sort]
     if (keys[1:] == keys[:-1]).any():
         raise AssertionError("two chains couple the same pair")
-    return SymbolicHamiltonian(
-        basis, keys // dim, keys % dim, codes[sort], families, order, bounds, offsets[sort]
-    )
+    return SymbolicHamiltonian(basis, keys // dim, keys % dim, codes[sort], families)
 
 
 # The term families of the mutation model, in the order `_model_terms` lists them.

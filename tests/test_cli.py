@@ -340,6 +340,36 @@ class TestProfileCommand:
         assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_extreme_coupling_scales_succeed_or_fail_cleanly(self, tmp_path, capsys, recwarn):
+        # phases that overflow on the ladder, a mean whose sum overflows, and
+        # gaps so small that 1/(e_a - e_b) would overflow
+        couplings = [
+            ["--delta", "1e308"],
+            ["--delta", "1e300"],
+            ["--mu0", "0", "--delta", "1e-300"],
+            ["--mu0", "0", "--delta", "1e-310"],
+        ]
+        for run, (flags, horizon) in enumerate(
+            (flags, horizon) for flags in couplings for horizon in ("auto", "infinite", "10")
+        ):
+            out = tmp_path / str(run)
+            code = main(["profile", "--n", "3", "--initial", "RRY", *flags,
+                         "--horizon", horizon, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert [str(w.message) for w in recwarn] == [], (flags, horizon)
+            assert code in (0, 2, 3), (flags, horizon)
+            if code == 0:
+                assert err == "", (flags, horizon)
+                for name in ("profile.csv", "ranked.csv"):
+                    header, *lines = (out / name).read_text().splitlines()
+                    numeric = [at for at, col in enumerate(header.split(",")) if col != "word"]
+                    for line in lines:
+                        values = [float(line.split(",")[at]) for at in numeric]
+                        assert all(map(math.isfinite, values)), (flags, horizon)
+            else:
+                assert err.startswith("error:") and err.count("\n") == 1, (flags, horizon)
+                assert not out.exists(), (flags, horizon)
+
     @pytest.mark.parametrize("stage", ["eigendecompose", "time_averaged_profile"])
     def test_numeric_check_failure_maps_to_exit_3(self, tmp_path, capsys, monkeypatch, stage):
         import crystalchain.cli as cli_module

@@ -18,6 +18,7 @@ from crystalchain.hamiltonian import (
     _a_ik,
     _apply_chain,
     _model_terms,
+    _sector_layout,
 )
 from golden import (
     THREE_SITE_DELTA_PAIRS,
@@ -220,16 +221,16 @@ class TestModelStructure:
     def test_sector_layout_indexes_the_blocks(self, build, n):
         # every pair's offset addresses its entry of B_k = H[S_k, S_k+1]
         sym = build(n)
-        order, bounds = sym.sector_order, sym.sector_bounds
-        assert order.dtype == bounds.dtype == sym.block_offsets.dtype == np.int32
+        order, bounds, offsets = _sector_layout(n, sym.basis.labels[0], sym.rows, sym.cols)
+        assert order.dtype == bounds.dtype == offsets.dtype == np.int32
         two_j3 = sym.basis.labels[0][order]
         assert (np.diff(two_j3) >= 0).all()
         assert two_j3[bounds[:-1]].tolist() == list(range(-n, n + 1, 2))
         sizes = np.diff(bounds)
         ends = np.cumsum(sizes[:-1] * sizes[1:])
         flat = np.zeros(ends[-1], dtype=np.int64)
-        np.add.at(flat, sym.block_offsets, 1)
-        assert (flat[sym.block_offsets] == 1).all()  # each pair once
+        np.add.at(flat, offsets, 1)
+        assert (flat[offsets] == 1).all()  # each pair once
         pattern = np.zeros((sym.dim, sym.dim), dtype=np.int64)
         pattern[sym.rows, sym.cols] = 1
         pattern[sym.cols, sym.rows] = 1

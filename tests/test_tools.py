@@ -33,9 +33,8 @@ def test_measure_profile_reports_one_json_line():
         lambda: sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
     )
     assert report["resolved_T"] == find_stable_T(spec, 0).horizon
-    pairs = (sym.rows, sym.cols, sym.family, sym.block_offsets)
-    layout = (sym.sector_order, sym.sector_bounds)
-    assert report["structure_bytes"] == sum(array.nbytes for array in (*pairs, *layout))
+    pairs = (sym.rows, sym.cols, sym.family)
+    assert report["structure_bytes"] == sum(array.nbytes for array in pairs)
 
 
 def test_every_perfbench_trace_target_resolves():
