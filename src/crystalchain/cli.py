@@ -278,10 +278,7 @@ def run(config: RunConfig, sym: SymbolicHamiltonian | None = None, fit: bool = F
     and model."""
     sym = _build(config) if sym is None else sym
     initial = sym.basis.index_of_word(config.initial)
-    spec = eigendecompose(
-        lambda: sym.evaluate(config.couplings),
-        products=functools.partial(sym.products, config.couplings),
-    )
+    spec = eigendecompose(sym, config.couplings)
     if config.horizon == "auto":
         profile = find_stable_T(spec, initial)
     elif config.horizon == "infinite":
@@ -673,9 +670,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: "list[str]") -> "list[str]":
+    """argv with each negative number that follows a `--flag` joined onto
+    it as `--flag=value`.  argparse takes only -1 and -.5 forms for numbers,
+    and reads -1e-3 or -inf as a flag with its value missing."""
+    joined: list[str] = []
+    for arg in argv:
+        flag = joined[-1] if joined else ""
+        if arg.startswith("-") and flag.startswith("--") and len(flag) > 2 and "=" not in flag:
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{flag}={arg}"
+                continue
+        joined.append(arg)
+    return joined
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader gone by now fails here, not at exit

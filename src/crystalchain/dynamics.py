@@ -13,9 +13,12 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .hamiltonian import CouplingValues, SymbolicHamiltonian
 
 DEFAULT_DECOMP_TOL = 1e-10
 PROFILE_SUM_TOL = 1e-8
@@ -23,13 +26,9 @@ PROFILE_SUM_TOL = 1e-8
 # the ladder screens and eigendecompose's checks hold O(_KERNEL_BLOCK * dim)
 # memory instead of O(dim^2).
 _KERNEL_BLOCK = 256
-# Rows (and square tiles) of the passes that stream a dim x dim array once,
-# the magnitude pass over H and the in-place transpose of the eigenvectors,
-# and of the orthonormality band, whose diagonal blocks it always computes.
+# Square tiles of the in-place transpose of the eigenvectors, and rows of
+# the orthonormality band, whose diagonal blocks it always computes.
 _TILE = 64
-# Square tiles of `_symmetrize`, whose four numpy calls per tile pair make
-# smaller tiles slower: 128 takes half the time of 256 at dim 2048.
-_SYMMETRY_TILE = 128
 # Slack of find_stable_T's initial-row screen over rounding; see its docstring.
 _SCREEN_MARGIN = 1e-9
 # Eigenvalue pairs whose gap is at most this fraction of the spectral radius
@@ -147,77 +146,28 @@ def _workspace(n: int) -> tuple[int, int]:
 
 
 def dense_peak_bytes(dim: int) -> int:
-    """Estimated peak memory of `eigendecompose` on a dim x dim matrix.
+    """Estimated peak memory of `eigendecompose` on a dim x dim H.
 
     Counted in float64 values: the solve's peak, or the checks' where that
-    is larger, plus 64 dim for the length-dim vectors and small
-    workspaces.  The in-place solve peaks while dstedc runs, holding the
-    packed reflectors (half of H), Z and dstedc's workspace: 2.5 dim^2.
-    The np.linalg.eigh fallback holds five: H, eigh's copy of it, the
-    output vectors and dsyevd's 2 dim^2 workspace.  The dense checks hold
-    two (the second H and the vectors) and two blocks of _KERNEL_BLOCK
-    rows, no more than the in-place solve from dim 1024 (N = 10) up.  The
-    checks through `products` (the CLI's) hold no second H: the vectors,
-    the sector blocks (under dim^2 / 4) and at most five dim x
-    _KERNEL_BLOCK slabs, 2.2 dim^2 at dim 1024 and less above, below both
-    bounds.  Up to dim _KERNEL_BLOCK
-    the checks' H is a copy kept through the solve: one dim^2 more there,
-    at most half a MiB.
+    is larger, plus 64 dim for the length-dim vectors, the pair-sized
+    arrays and small workspaces, plus 2048 (16 KiB) for the objects of one
+    call whose size does not grow with dim: array headers of 112 bytes and
+    more, each LAPACK call's ctypes arguments, the sector blocks' views.
+    The in-place solve peaks while dstedc runs, holding the packed
+    reflectors (half of H), Z and dstedc's workspace: 2.5 dim^2.  The
+    np.linalg.eigh fallback holds five: H, eigh's copy of it, the output
+    vectors and dsyevd's 2 dim^2 workspace.  The checks hold no H: the
+    vectors, the sector blocks of `SymbolicHamiltonian.products` (under
+    dim^2 / 4) and four slabs of dim x min(_KERNEL_BLOCK, dim): the rows
+    of V in sector order, the product, the residual's V diag(e), and
+    either the last slab's rows, which `_residuals` holds while the next
+    are gathered, or a temporary of numpy's (a sector's product, an
+    iterator's buffer), each at most a slab.  From dim 1024 (N = 10) up
+    that is less than the in-place solve; below, the checks set the peak.
     """
     solve = 5 * dim * dim // 2 if _lapack() is not None else 5 * dim * dim
-    checks = 2 * dim * dim + 2 * min(_KERNEL_BLOCK, dim) * dim
-    return np.dtype(float).itemsize * (max(solve, checks) + 64 * dim)
-
-
-def _symmetrize(h: np.ndarray) -> tuple[np.floating, float]:
-    """Copy h's lower triangle onto its upper one, in place, and return,
-    from before the copy, max |h - h.T| (the value np.abs(h - h.T).max()
-    gives) and the computed sum of squares of h - h.T, 0 when h is exactly
-    symmetric.  It walks the pairs of _SYMMETRY_TILE-square tiles (I, J)
-    with I <= J, with no dim x dim temporary and no strided pass over the
-    whole matrix, and writes only the tiles that differ from their mirror."""
-    dim = len(h)
-    tile = np.empty((min(_SYMMETRY_TILE, dim),) * 2)
-    worst = np.float64(0.0)
-    squares = 0.0
-    for i in range(0, dim, _SYMMETRY_TILE):
-        for j in range(i, dim, _SYMMETRY_TILE):
-            upper = h[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE]
-            mirror = h[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE].T
-            diff = tile[: upper.shape[0], : upper.shape[1]]
-            np.subtract(upper, mirror, out=diff)
-            change = np.abs(diff, out=diff).max()
-            worst = np.maximum(worst, change)
-            if not change:
-                continue
-            with np.errstate(over="ignore"):  # an inf widens the band to everything
-                # a tile off the diagonal stands for its mirror too
-                squares += float(np.einsum("ij,ij->", diff, diff)) * (1 if i == j else 2)
-            if i == j:  # only the tile's strict upper triangle
-                above = np.triu_indices(len(upper), 1)
-                upper[above] = mirror[above]
-            else:
-                upper[...] = mirror
-    return worst, squares
-
-
-def _magnitudes(h: np.ndarray) -> tuple[float, int]:
-    """(sqrt(R C), the most nonzero entries in a row of h), R and C the
-    largest computed sums of |h| over a row and over a column, in one pass
-    of _TILE-row chunks.  sqrt(R C) bounds the spectral norm of |h|
-    (||A||_2^2 <= ||A||_1 ||A||_inf) but for the rounding of the sums,
-    which `_gap_band` adds."""
-    dim = len(h)
-    chunk = np.empty((min(_TILE, dim), dim))
-    row_sum, terms = 0.0, 0
-    col_sums = np.zeros(dim)
-    with np.errstate(over="ignore"):  # an inf widens the band to everything
-        for start in range(0, dim, _TILE):
-            a = np.abs(h[start : start + _TILE], out=chunk[: min(_TILE, dim - start)])
-            row_sum = max(row_sum, float(a.sum(axis=1).max()))
-            col_sums += a.sum(axis=0)
-            terms = max(terms, int(np.count_nonzero(a, axis=1).max()))
-    return math.sqrt(row_sum * float(col_sums.max())), terms
+    checks = dim * dim + dim * dim // 4 + 4 * min(_KERNEL_BLOCK, dim) * dim
+    return np.dtype(float).itemsize * (max(solve, checks) + 64 * dim + 2048)
 
 
 def _transpose(z: np.ndarray) -> None:
@@ -230,11 +180,11 @@ def _transpose(z: np.ndarray) -> None:
         for j in range(i, n, _TILE):
             upper = z[i : i + _TILE, j : j + _TILE]
             lower = z[j : j + _TILE, i : i + _TILE]
-            kept = tile[: upper.shape[0], : upper.shape[1]]
-            kept[...] = upper
+            saved = tile[: upper.shape[0], : upper.shape[1]]
+            saved[...] = upper
             if i != j:
                 upper[...] = lower.T
-            lower[...] = kept.T
+            lower[...] = saved.T
 
 
 def _solve(held: list[np.ndarray], norm: float) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +197,8 @@ def _solve(held: list[np.ndarray], norm: float) -> tuple[np.ndarray, np.ndarray]
     lower triangle.  With numpy's LAPACK it runs the steps of dsyevd, the
     routine np.linalg.eigh calls, with the same workspace sizes
     (`_workspace`), on h's own buffer.  Read column-major, that buffer is
-    h.T, whose lower triangle is h's upper one; `_symmetrize` made the two
-    equal.
+    h.T, whose lower triangle is h's upper one: the same values, as h is
+    symmetric.
 
     1. When 0 < norm < _RMIN or norm > _RMAX, dlascl scales the
        triangle by sigma into that range; the eigenvalues are scaled back
@@ -307,55 +257,55 @@ def _solve(held: list[np.ndarray], norm: float) -> tuple[np.ndarray, np.ndarray]
     return eigenvalues, z
 
 
-def _dense_products(h: np.ndarray, vectors: np.ndarray):
-    """Yield (rows, all columns, h[rows] @ vectors, vectors[rows]) over
-    _KERNEL_BLOCK-row blocks, the products into one reused buffer."""
-    dim = len(h)
-    block = min(_KERNEL_BLOCK, dim)
-    out = np.empty((block, vectors.shape[1]))
-    for start in range(0, dim, block):
-        rows = slice(start, start + block)
-        product = np.matmul(h[rows], vectors, out=out[: min(block, dim - start)])
-        yield rows, slice(None), product, vectors[rows]
-
-
-def _residuals(items, eigenvalues: np.ndarray, norms: bool):
+def _residuals(items, eigenvalues: np.ndarray):
     """max |r| for r = H V - V diag(e), as computed from the `products`
     items (rows, cols, (H V)[rows][:, cols], V[rows][:, cols]), each
-    product overwritten by its r, and with `norms` the computed sums over
-    rows of r^2 and of V^2 per column (else None).  A NaN in r stays NaN
-    in max |r|."""
+    product overwritten by its r, and the computed sums over rows of r^2
+    and of V^2 per column.  A NaN in r stays NaN in max |r|."""
     residual = np.float64(0.0)
-    r_squares = v_squares = None
-    if norms:
-        r_squares, v_squares = np.zeros(len(eigenvalues)), np.zeros(len(eigenvalues))
+    r_squares, v_squares = np.zeros(len(eigenvalues)), np.zeros(len(eigenvalues))
     with np.errstate(over="ignore"):  # an inf widens the band to everything
         for _, cols, r, v in items:
             r -= v * eigenvalues[cols]
-            if norms:
-                r_squares[cols] += np.einsum("ij,ij->j", r, r)
-                v_squares[cols] += np.einsum("ij,ij->j", v, v)
+            r_squares[cols] += np.einsum("ij,ij->j", r, r)
+            v_squares[cols] += np.einsum("ij,ij->j", v, v)
             residual = np.maximum(residual, np.abs(r, out=r).max())
     return float(residual), r_squares, v_squares
 
 
+def _row_bounds(
+    sym: SymbolicHamiltonian, values: CouplingValues, diagonal: np.ndarray
+) -> tuple[float, int]:
+    """(spread, terms) of H = sym.evaluate(values), whose diagonal is
+    `diagonal`, for `_gap_band`, from the pair list: the largest computed
+    row sum of |H|, and one more than the most pairs a row takes part in.
+    A stored pair is an entry of its row and, mirrored, of its col's."""
+    dim = len(diagonal)
+    weights = np.abs([getattr(values, field) for _, field in sym.families])[sym.family]
+    with np.errstate(over="ignore"):  # an inf widens the band to everything
+        sums = np.abs(diagonal) + np.bincount(sym.rows, weights, dim)
+        sums += np.bincount(sym.cols, weights, dim)
+    counts = np.bincount(sym.rows, minlength=dim) + np.bincount(sym.cols, minlength=dim)
+    return float(sums.max()), 1 + int(counts.max())
+
+
 def _gap_band(
     eigenvalues: np.ndarray, r_squares: np.ndarray, v_squares: np.ndarray,
-    spread: float, terms: int, skew: float,
+    spread: float, terms: int,
 ) -> float:
     """The gap delta past which no pair of eigenvectors can fail the
     orthonormality check; inf when nothing is certified.
 
     For the exact residuals r_a = H v_a - e_a v_a of the computed pairs
-    (e_a, v_a) and a != b,
+    (e_a, v_a) of the symmetric H and a != b,
 
-        (e_a - e_b) v_a^T v_b = v_a^T r_b - r_a^T v_b + v_a^T (H^T - H) v_b,
+        (e_a - e_b) v_a^T v_b = v_a^T r_b - r_a^T v_b,
 
-    so |v_a^T v_b| <= (2 rho + sigma (1 + nu)) (1 + nu) / |e_a - e_b| with
-    rho >= every ||r_a||, 1 + nu >= every ||v_a|| and sigma >= ||H - H^T||_2.
-    The computed Gram entry errs by at most tau' = gamma_dim (1 + nu)^2 +
-    dim eta, so a pair with |e_a - e_b| >= delta = (2 rho + sigma (1 + nu))
-    (1 + nu) / tau, tau = tol - tau', passes the check whatever it computes.
+    so |v_a^T v_b| <= 2 rho (1 + nu) / |e_a - e_b| with rho >= every
+    ||r_a|| and 1 + nu >= every ||v_a||.  The computed Gram entry errs by
+    at most tau' = gamma_dim (1 + nu)^2 + dim eta, so a pair with
+    |e_a - e_b| >= delta = 2 rho (1 + nu) / tau, tau = tol - tau', passes
+    the check whatever it computes.
 
     Rounding, with u = eps/2, eta = 2^-1074 the absolute error of an
     underflowing operation, gamma_n = n u / (1 - n u) <= n eps / 2 * 1.01
@@ -370,18 +320,24 @@ def _gap_band(
       the computed ||r_a||;
     - the products: an entry of r_a sums the products of a row of H with
       v_a, and e_a v_a.  Adding an exact zero rounds nothing, so whatever
-      the summation order (BLAS blocking, the sector path's partial sums)
-      each term passes one product and at most terms + 1 roundings, with
-      `terms` the most nonzero entries in a row of H.  So the computed r_a
-      is within gamma_terms+3 (|H| |v_a| + |e_a| |v_a|) + (terms + 3) eta
-      of the exact one in every entry, and in 2-norm within
-      (terms + 3) eps (||H||_abs + max|e|) (1 + nu)
-      + sqrt(dim) (terms + 3) eta, with ||H||_abs = spread * c >= || |H| ||_2
-      (`_magnitudes`);
-    - sigma: ||H - H^T||_2 <= ||H - H^T||_F, the root of `_symmetrize`'s
-      sum of squares `skew`, over at most dim^2 terms of three roundings
-      each: sigma = sqrt(skew + 2 dim^2 eta) (1 + (dim^2 + 8) eps), or 0
-      when H is exactly symmetric;
+      the summation order (the sector blocks' BLAS calls and partial
+      sums) each term passes one product and at most terms + 1 roundings,
+      with `terms` at least the most nonzero entries in a row of H.  So the
+      computed r_a is within gamma_terms+3 (|H| |v_a| + |e_a| |v_a|) +
+      (terms + 3) eta of the exact one in every entry, and in 2-norm
+      within (terms + 3) eps (||H||_abs + max|e|) (1 + nu)
+      + sqrt(dim) (terms + 3) eta, with ||H||_abs = spread * c >= || |H| ||_2;
+    - `spread` and `terms`, which `eigendecompose` takes from the pair
+      list: || |H| ||_2^2 <= || |H| ||_1 || |H| ||_inf, and for the
+      symmetric H both are its largest row sum of |H|.  A row's sum is
+      |H_ii| plus |coupling| once for each stored pair the row is the row
+      or the col of, each an exact entry of H, summed by np.bincount.  A
+      sum of at most dim nonnegative terms, in any order, is at least
+      (1 - gamma_dim) times the exact one, so spread * c, rounded once
+      more, stays above the exact sum; an overflowing sum gives inf.  `terms`
+      is one (the diagonal) plus the most pairs a row takes part in,
+      those with a zero coupling included, which over-counts its nonzero
+      entries, and rho grows with terms;
     - the Gram entry: dim products summed in one GEMM, gamma_dim <= dim eps.
 
     delta itself and the cut e + delta are rounded on the safe side by the
@@ -398,11 +354,8 @@ def _gap_band(
         + (terms + 3) * eps * (spread * c + float(np.abs(eigenvalues).max())) * length
         + math.sqrt(dim) * (terms + 3) * eta
     )
-    sigma = 0.0
-    if skew:
-        sigma = math.sqrt(skew + 2 * dim * dim * eta) * (1.0 + (dim * dim + 8) * eps)
     tau = DEFAULT_DECOMP_TOL - (dim * eps * length * length + dim * eta)
-    delta = (2 * rho + sigma * length) * length / tau if tau > 0 else math.inf
+    delta = 2 * rho * length / tau if tau > 0 else math.inf
     return delta if delta < math.inf else math.inf  # NaN too
 
 
@@ -433,63 +386,37 @@ def _orthonormality(eigenvalues: np.ndarray, vectors: np.ndarray, delta: float) 
     return float(ortho)
 
 
-def eigendecompose(
-    build: Callable[[], np.ndarray],
-    products: Callable[[np.ndarray], Iterator[tuple]] | None = None,
-) -> SpectralDecomposition:
-    """Diagonalize the dense symmetric matrix H that `build()` returns, with
-    checked residuals.
+def eigendecompose(sym: SymbolicHamiltonian, values: CouplingValues) -> SpectralDecomposition:
+    """Diagonalize H = sym.evaluate(values), with checked residuals.
 
-    `build` takes no arguments and must return the same matrix at each
-    call.  The solve runs in place on a copy of it.  `products(vectors)`,
-    when given, yields (rows, cols, (H @ vectors)[rows][:, cols],
-    vectors[rows][:, cols]) items that cover H @ vectors once, such as
-    `functools.partial(sym.products, values)` for
-    `build = lambda: sym.evaluate(values)`; then `build` is called once.
-    Without it, `build` is called a second time, after the solve's arrays
-    are freed, and its matrix gives the products in row blocks.  So the
-    peak is the larger of the two phases (`dense_peak_bytes`).  Up to
-    dim _KERNEL_BLOCK, the checks multiply by a copy of the one build kept
-    through the solve instead, and take the whole orthonormality triangle:
-    there the sector products and the band's bounds cost more in per-call
-    overhead than the whole dense products.
+    H is evaluated once, exactly symmetric, and `_solve` runs in place on
+    that array, so H is gone when the checks run: they take H V from the
+    pair list, through `sym.products(values, V)`, in slabs of at most
+    _KERNEL_BLOCK columns, with no dim x dim temporary.  So the peak is
+    the solve's or the checks', whichever is larger (`dense_peak_bytes`).
 
     Non-finite entries (e.g. couplings large enough to overflow) raise
-    RuntimeError before anything else is checked.  With
-    tol = DEFAULT_DECOMP_TOL, an asymmetry above tol * max(max|h|, 1) raises
-    ValueError; below it, h's lower triangle is solved, as np.linalg.eigh
-    does.  A failed residual (max |h V - V diag(e)| above
-    tol * max(max|h|, 1)) or orthonormality (max |V.T V - I| above tol)
-    check raises RuntimeError, as does a NaN in either.  The checks run in
-    blocks of at most _KERNEL_BLOCK rows or columns, so they hold no
-    dim x dim temporary.
+    RuntimeError before the solve.  With tol = DEFAULT_DECOMP_TOL, a
+    failed residual (max |H V - V diag(e)| above tol * max(max|H|, 1)) or
+    orthonormality (max |V.T V - I| above tol) check raises RuntimeError,
+    as does a NaN in either.
 
     The orthonormality check computes V.T V only on the band of pairs
     whose eigenvalue gap is below `_gap_band`'s delta: outside it, the
     residuals and the norms of the vectors certify that every entry
     passes.  So it fails exactly where the whole triangle would, and with
-    the same maximum.  Where the residual check fails, or the eigenvalues
-    are not ascending, or a bound is not finite, it takes the whole
-    triangle.
+    the same maximum.  The band's bound on || |H| ||_2 and its count of
+    entries per row come from the pair list.  Where the residual check
+    fails, or the eigenvalues are not ascending, or a bound is not
+    finite, it takes the whole triangle.
     """
-    h = np.array(build(), dtype=float, order="C")
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    h = sym.evaluate(values)
     high, low = float(h.max()), float(h.min())  # NaN and +-inf reach one of them
     if not (math.isfinite(high) and math.isfinite(low)):
         raise RuntimeError("matrix has non-finite entries")
     norm = max(high, -low)
     scale = max(norm, 1.0)
-    # up to one residual block, H is small enough to keep, and the band
-    # would save less than its bounds cost
-    banded = len(h) > _KERNEL_BLOCK
-    kept = None if banded else h.copy()
-    spread, terms = _magnitudes(h) if banded else (math.inf, len(h))
-    asymmetry, skew = _symmetrize(h)
-    if asymmetry > DEFAULT_DECOMP_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    if asymmetry:  # the copy replaced upper entries; dsyevd scales by the lower
-        norm = max(float(h.max()), -float(h.min()))
+    spread, terms = _row_bounds(sym, values, h.diagonal())
     held = [h]
     del h  # the solve holds the only reference
     eigenvalues, vectors = _solve(held, norm)
@@ -500,19 +427,10 @@ def eigendecompose(
         and np.isfinite(column_min).all()
     ):
         raise RuntimeError("eigensolver returned non-finite values")
-    if kept is not None or products is None:
-        h = kept if kept is not None else np.asarray(build(), dtype=float)
-        products = functools.partial(_dense_products, h)
-        del h, kept
-    residual, r_squares, v_squares = _residuals(products(vectors), eigenvalues, banded)
-    del products  # the dense path's H
+    residual, r_squares, v_squares = _residuals(sym.products(values, vectors), eigenvalues)
     delta = math.inf
-    if (
-        banded
-        and residual <= DEFAULT_DECOMP_TOL * scale
-        and (np.diff(eigenvalues) >= 0).all()
-    ):
-        delta = _gap_band(eigenvalues, r_squares, v_squares, spread, terms, skew)
+    if residual <= DEFAULT_DECOMP_TOL * scale and (np.diff(eigenvalues) >= 0).all():
+        delta = _gap_band(eigenvalues, r_squares, v_squares, spread, terms)
     ortho = _orthonormality(eigenvalues, vectors, delta)
     if not (residual <= DEFAULT_DECOMP_TOL * scale and ortho <= DEFAULT_DECOMP_TOL):
         raise RuntimeError(

@@ -127,7 +127,8 @@ class SymbolicHamiltonian:
     def products(self, values: CouplingValues, vectors: np.ndarray):
         """Yield (rows, cols, (H @ vectors)[rows][:, cols], vectors[rows][:, cols])
         over slabs of _KERNEL_BLOCK columns, for H = self.evaluate(values),
-        without H.
+        without H: the products `eigendecompose` checks its residuals by,
+        once the solve has consumed H.
 
         Each call first derives the sector layout from the pair list
         (`_sector_layout`).  `rows` lists the states sorted by 2J3, sector
@@ -153,16 +154,14 @@ class SymbolicHamiltonian:
             flat[lo:hi].reshape(s, t)
             for lo, hi, s, t in zip([0, *ends], ends, sizes, sizes[1:])
         ]
-        scales = values.mu0 * (2.0 * np.arange(len(sizes)) - self.basis.n)
+        diagonal = values.mu0 * self.basis.labels[0][order, None].astype(float)  # in sector order
         dim, count = vectors.shape
         width = min(_KERNEL_BLOCK, count)
         out = np.empty(dim * width)
         for start in range(0, count, width):
             cols = slice(start, start + width)
             w = vectors[order, cols]
-            p = out[: w.size].reshape(w.shape)
-            for k, scale in enumerate(scales.tolist()):
-                np.multiply(w[bounds[k] : bounds[k + 1]], scale, out=p[bounds[k] : bounds[k + 1]])
+            p = np.multiply(w, diagonal, out=out[: w.size].reshape(w.shape))
             for k, block in enumerate(blocks):
                 lo, mid, hi = bounds[k : k + 3]
                 p[lo:mid] += block @ w[mid:hi]

@@ -428,11 +428,20 @@ def dense_evaluate(diag, coeffs, values):
     return h
 
 
+def dense_row_bounds(h):
+    """(largest sum of |h| over a row, most nonzero entries in a row) by
+    whole-matrix reductions: the dense counterparts of the bounds
+    `eigendecompose` takes from the pair list."""
+    return float(np.abs(h).sum(axis=1).max()), int(np.count_nonzero(h, axis=1).max())
+
+
 def reference_eigendecompose(h):
-    """Checked eigendecomposition with whole-matrix checks: finiteness by
-    np.isfinite, symmetry by np.abs(h - h.T).max(), and the residual
-    h V - V diag(e) and V.T V - I as dense products.  `eigendecompose` must
-    match it bit for bit and raise where it raises."""
+    """Checked eigendecomposition of any dense matrix h, with whole-matrix
+    checks: finiteness by np.isfinite, symmetry by np.abs(h - h.T).max(),
+    and the residual h V - V diag(e) and V.T V - I as dense products.
+    `eigendecompose(sym, values)` must match it on sym.evaluate(values) bit
+    for bit and raise where it raises; the tests decompose every other
+    matrix with it."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")

@@ -46,7 +46,7 @@ def report(index, description):
 
 
 def stable_profile(sym, couplings, initial_word):
-    spec = eigendecompose(lambda: sym.evaluate(couplings))
+    spec = eigendecompose(sym, couplings)
     initial = sym.basis.index_of_word(initial_word)
     profile = find_stable_T(spec, initial)
     return spec, initial, profile.horizon, profile
@@ -111,7 +111,7 @@ def test_4_unitarity_and_normalization():
         for n in (3, 8):
             sym = build_model(n)
             couplings = CouplingValues(1.0, *rng.uniform(0.0, 1.0, 4))
-            spec = eigendecompose(lambda: sym.evaluate(couplings))
+            spec = eigendecompose(sym, couplings)
             initial = int(rng.integers(0, sym.dim))
             for t in rng.uniform(0.0, 40.0, 5):
                 total = sum(
@@ -129,7 +129,7 @@ def test_5_closed_form_matches_quadrature():
         for n, horizon in ((3, 20.0), (4, 11.0), (6, 7.3)):
             sym = build_model(n)
             couplings = CouplingValues(1.0, *rng.uniform(0.0, 1.0, 4))
-            spec = eigendecompose(lambda: sym.evaluate(couplings))
+            spec = eigendecompose(sym, couplings)
             initial = int(rng.integers(0, sym.dim))
             closed = time_averaged_profile(spec, initial, horizon).p_avg
             quadrature = trapezoid_profile(
@@ -147,7 +147,7 @@ def test_6_factorized_baseline_plateaux():
             initial_word = ("RY" * n)[:n]
             initial = sym.basis.index_of_word(initial_word)
             # factorized case: no diagonal field
-            spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=0.0, beta=beta)))
+            spec = eigendecompose(sym, CouplingValues(mu0=0.0, beta=beta))
             ranked = rank_order(time_averaged_profile(spec, initial, horizon), include_self=False)
             rep = plateaux_report(ranked, sym.basis, initial)
             assert max(g.spread for g in rep.groups) <= 1e-9
@@ -156,7 +156,7 @@ def test_6_factorized_baseline_plateaux():
                     oracle = site_product_average(n, group.distance, 0.0, beta, horizon)
                     assert abs(group.mean - oracle) <= 1e-6
             # with the diagonal field on, grouping must still explain ranking
-            spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=1.0, beta=beta)))
+            spec = eigendecompose(sym, CouplingValues(mu0=1.0, beta=beta))
             ranked = rank_order(time_averaged_profile(spec, initial, horizon), include_self=False)
             assert plateaux_report(ranked, sym.basis, initial).consistent
 

@@ -40,7 +40,7 @@ def yule_values(a, k, b, count):
 class TestRankOrder:
     def test_delta_row_without_self(self):
         sym = build_model(3)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=1.0)))
+        spec = eigendecompose(sym, CouplingValues(mu0=1.0))
         profile = time_averaged_profile(spec, 3, 5.0)
         ranked = rank_order(profile, include_self=False)
         assert all(v == 0.0 for v in ranked.values.tolist())
@@ -48,14 +48,14 @@ class TestRankOrder:
 
     def test_delta_row_with_self(self):
         sym = build_model(3)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=1.0)))
+        spec = eigendecompose(sym, CouplingValues(mu0=1.0))
         ranked = rank_order(time_averaged_profile(spec, 3, 5.0), include_self=True)
         assert ranked.indices[0] == 3
         assert ranked.values[0] == pytest.approx(1.0)
 
     def test_sorting_is_permutation(self):
         sym = build_model(3)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3)))
+        spec = eigendecompose(sym, CouplingValues(1.0, 0.1, 0.3, 0.3))
         profile = time_averaged_profile(spec, 3, 77.0)
         ranked = rank_order(profile, include_self=True)
         assert sorted(ranked.values.tolist()) == sorted(profile.p_avg.tolist())
@@ -76,14 +76,14 @@ class TestRankOrder:
     def test_figures_match_sort_oracle(self, figure):
         preset = FIGURE_PRESETS[figure]
         sym = build_model(preset.n) if preset.model == "crystal" else build_hamming(preset.n)
-        spec = eigendecompose(lambda: sym.evaluate(preset.couplings))
+        spec = eigendecompose(sym, preset.couplings)
         initial = sym.basis.index_of_word(preset.initial)
         self.assert_matches_sort_oracle(find_stable_T(spec, initial))
         self.assert_matches_sort_oracle(infinite_time_average(spec, initial))
 
     def test_delta_row_matches_sort_oracle(self):
         sym = build_model(3)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=1.0)))
+        spec = eigendecompose(sym, CouplingValues(mu0=1.0))
         self.assert_matches_sort_oracle(time_averaged_profile(spec, 3, 5.0))
 
     @settings(max_examples=80, deadline=None)
@@ -189,7 +189,7 @@ class TestFitRefine:
 
     def test_four_site_profile_refines_to_finite_parameters(self):
         sym = build_model(4)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(1.0, 0.1, 0.5, 0.5, 0.5)))
+        spec = eigendecompose(sym, CouplingValues(1.0, 0.1, 0.5, 0.5, 0.5))
         profile = infinite_time_average(spec, sym.basis.index_of_word("YYRY"))
         ranked = rank_order(profile, include_self=False)
         seed = fit_log_linear(ranked, "yule")
@@ -229,7 +229,7 @@ class TestPlateauxReport:
     def test_factorized_baseline_has_exact_plateaux(self):
         for n in (3, 5):
             sym = build_hamming(n)
-            spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=0.0, beta=0.5)))
+            spec = eigendecompose(sym, CouplingValues(mu0=0.0, beta=0.5))
             initial = sym.basis.index_of_word("R" * n)
             ranked = rank_order(time_averaged_profile(spec, initial, 21.0), include_self=False)
             report = plateaux_report(ranked, sym.basis, initial)
@@ -242,7 +242,7 @@ class TestPlateauxReport:
     def test_factorized_baseline_matches_site_oracle(self):
         n, horizon = 4, 13.0
         sym = build_hamming(n)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=0.0, beta=0.5)))
+        spec = eigendecompose(sym, CouplingValues(mu0=0.0, beta=0.5))
         initial = sym.basis.index_of_word("RYRY")
         ranked = rank_order(time_averaged_profile(spec, initial, horizon), include_self=False)
         report = plateaux_report(ranked, sym.basis, initial)
@@ -253,7 +253,7 @@ class TestPlateauxReport:
 
     def test_model_profile_is_not_plateaued(self):
         sym = build_model(3)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3)))
+        spec = eigendecompose(sym, CouplingValues(1.0, 0.1, 0.3, 0.3))
         initial = sym.basis.index_of_word("RRY")
         ranked = rank_order(infinite_time_average(spec, initial), include_self=False)
         report = plateaux_report(ranked, sym.basis, initial)
@@ -263,7 +263,7 @@ class TestPlateauxReport:
 
     def test_two_site_group_sizes(self):
         sym = build_model(2)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(1.0, 0.2, 0.0, 0.3)))
+        spec = eigendecompose(sym, CouplingValues(1.0, 0.2, 0.0, 0.3))
         initial = sym.basis.index_of_word("RR")
         ranked = rank_order(time_averaged_profile(spec, initial, 30.0), include_self=True)
         report = plateaux_report(ranked, sym.basis, initial)
@@ -271,7 +271,7 @@ class TestPlateauxReport:
 
     def test_group_sizes_sum_to_dimension(self):
         sym = build_model(3)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3)))
+        spec = eigendecompose(sym, CouplingValues(1.0, 0.1, 0.3, 0.3))
         ranked = rank_order(time_averaged_profile(spec, 0, 10.0), include_self=False)
         report = plateaux_report(ranked, sym.basis, 0)
         assert sum(g.size for g in report.groups) == 7
@@ -287,7 +287,7 @@ class TestPlateauxReport:
             else:
                 sym = build_hamming(n)
                 values = CouplingValues(mu0=0.0 if n % 2 == 0 else 1.0, beta=0.5)
-            spec = eigendecompose(lambda: sym.evaluate(values))
+            spec = eigendecompose(sym, values)
             initial = int(rng.integers(0, sym.basis.dim))
             profile = time_averaged_profile(spec, initial, 17.0)
             for include_self in (False, True):
@@ -304,7 +304,7 @@ class TestPlateauxReport:
 
     def test_index_outside_basis_rejected(self):
         sym = build_model(3)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(1.0, 0.1, 0.3, 0.3)))
+        spec = eigendecompose(sym, CouplingValues(1.0, 0.1, 0.3, 0.3))
         ranked = rank_order(time_averaged_profile(spec, 0, 10.0))
         for initial in (-1, sym.basis.dim):
             with pytest.raises(ValueError, match=f"initial state {initial} is not a basis index"):

@@ -485,17 +485,18 @@ class TestMemoryPreflight:
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**20)
         out = tmp_path / "run"
         argv = ["profile", "--n", "9", "--initial", "RRRRYYYYY", "--out", str(out)]
-        # float64 matrices of 2 MiB: at dim 512 the checks' 3 outweigh the
-        # in-place solve's 2.5; 5 through the eigh fallback; each plus 64 dim
-        vectors = 64 * 8 * 2**9
-        in_place = 6 if dynamics._lapack() is not None else 10
-        for handle, need in ((dynamics._lapack, in_place), (lambda: None, 10)):
+        # float64 matrices of 2 MiB: at dim 512 the checks' 3.25 outweigh
+        # the in-place solve's 2.5; 5 through the eigh fallback; each plus
+        # 64 dim and 16 KiB
+        small = 64 * 8 * 2**9 + 2048 * 8
+        in_place = (6.5, 7) if dynamics._lapack() is not None else (10, 10)
+        for handle, (need, shown) in ((dynamics._lapack, in_place), (lambda: None, (10, 10))):
             monkeypatch.setattr(dynamics, "_lapack", handle)
-            assert dense_peak_bytes(2**9) == need * 2**20 + vectors
+            assert dense_peak_bytes(2**9) == need * 2**20 + small
             assert main(argv) == 2
             assert not out.exists()
             assert capsys.readouterr() == ("", (
-                f"error: n = 9 needs about {need} MiB for the dense eigendecomposition, "
+                f"error: n = 9 needs about {shown} MiB for the dense eigendecomposition, "
                 "3/4 or more of the 1 MiB of physical memory\n"
             ))
 
@@ -917,11 +918,11 @@ class TestSweepCommand:
         real = cli_module.eigendecompose
         calls = []
 
-        def fail_second_point(build, **kwargs):
-            calls.append(build)
+        def fail_second_point(sym, values):
+            calls.append(values)
             if len(calls) == 2:
                 raise RuntimeError("decomposition failed checks")
-            return real(build, **kwargs)
+            return real(sym, values)
 
         monkeypatch.setattr(cli_module, "eigendecompose", fail_second_point)
         out = tmp_path / "sweep"
@@ -978,7 +979,7 @@ class TestSweepCommand:
         assert calls == {"build": 1, "eigendecompose": 3}
 
     def test_one_evaluate_per_run_past_one_row_block(self, tmp_path, capsys, monkeypatch):
-        # dim 512: the checks multiply through the sector blocks, not a second H
+        # the checks multiply through the sector blocks, not a second H
         calls = []
         evaluate = SymbolicHamiltonian.evaluate
 
@@ -1111,3 +1112,26 @@ class TestParserReuse:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize("command", [
+        ["profile", "--n", "3", "--initial", "RRY", "--delta", "0.3", "--horizon", "40"],
+        ["hamiltonian", "--n", "3"],
+    ], ids=["profile", "hamiltonian"])
+    def test_spaced_exponent_form_equals_joined(self, tmp_path, capsys, command):
+        # argparse alone reads `--eps -1e-3` as --eps with its value missing
+        runs = []
+        for name, flags in (("spaced", ["--eps", "-1e-3"]), ("joined", ["--eps=-1e-3"])):
+            out = tmp_path / name
+            assert main([*command, *flags, "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out.replace(str(out), ""), artifact_bytes(out)))
+        assert runs[0] == runs[1]
+        assert runs[0][1]
+
+    def test_spaced_negative_infinity_is_one_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["hamiltonian", "--n", "3", "--eps", "-inf", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,9 @@ from crystalchain import (
 from crystalchain import dynamics
 from crystalchain.cli import FIGURE_PRESETS
 from crystalchain.dynamics import _KERNEL_BLOCK, _NEAR_GAP, SpectralDecomposition
+from crystalchain.hamiltonian import SymbolicHamiltonian
 from oracles import (
+    dense_row_bounds,
     direct_profile,
     direct_return_probability,
     exhaustive_find_stable_T,
@@ -37,18 +40,25 @@ from oracles import (
 )
 
 FIG2_COUPLINGS = CouplingValues(mu0=1.0, eps=0.1, gamma=0.3, delta=0.3)
+BASELINE = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)
+# couplings for the reference comparison: signed zeros give degenerate
+# spectra, the extremes dsyevd's scaling
+COUPLINGS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
 
 
 def fig2_spec():
     sym = build_model(3)
-    return sym, eigendecompose(lambda: sym.evaluate(FIG2_COUPLINGS))
+    return sym, eigendecompose(sym, FIG2_COUPLINGS)
 
 
 def preset_spec(name):
     """(spectrum, initial index) of a figure preset."""
     preset = FIGURE_PRESETS[name]
     sym = build_model(preset.n) if preset.model == "crystal" else build_hamming(preset.n)
-    spec = eigendecompose(lambda: sym.evaluate(preset.couplings))
+    spec = eigendecompose(sym, preset.couplings)
     return spec, sym.basis.index_of_word(preset.initial)
 
 
@@ -67,6 +77,11 @@ def assert_probe_matches_direct_kernel(spec, initial, horizons):
         assert np.abs(probe - direct).max() <= probe_bound(spec.dim), horizon
 
 
+@functools.cache
+def built(build, n):
+    return build(n)
+
+
 def solver_paths():
     """Run a loop's body on both solver paths: in place through numpy's
     LAPACK, then with that handle forced to None, through the
@@ -77,20 +92,26 @@ def solver_paths():
         yield "fallback"
 
 
-def assert_matches_reference(h):
-    """On both solver paths, eigendecompose equals the whole-matrix reference
-    bit for bit, or both raise the same exception with the same message.
-    The builder returns a fresh copy of h at each call."""
+def failure(exc):
+    """An exception's type and message, with a failed check's residual cut
+    out: the sector products round it differently from a dense product."""
+    return type(exc), re.sub(r"residual [^,]*,", "residual _,", str(exc))
+
+
+def assert_matches_reference(sym, values):
+    """On both solver paths, eigendecompose(sym, values) equals the
+    whole-matrix reference on sym.evaluate(values) bit for bit, or both
+    raise the same exception with the same message (`failure`)."""
     try:
-        expected = reference_eigendecompose(h)
+        expected = reference_eigendecompose(sym.evaluate(values))
     except (ValueError, RuntimeError) as exc:
         for _ in solver_paths():
             with pytest.raises(type(exc)) as info:
-                eigendecompose(lambda: h.copy())
-            assert str(info.value) == str(exc)
+                eigendecompose(sym, values)
+            assert failure(info.value) == failure(exc)
         return
     for _ in solver_paths():
-        found = eigendecompose(lambda: h.copy())
+        found = eigendecompose(sym, values)
         assert found.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
         assert found.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
 
@@ -110,6 +131,19 @@ def patch_solver(monkeypatch, eigenvalues, vectors):
     monkeypatch.setattr(
         np.linalg, "eigh", lambda m: (np.array(eigenvalues), np.array(vectors))
     )
+
+
+def record_bands(monkeypatch):
+    """Record every delta `_gap_band` returns."""
+    deltas = []
+    band = dynamics._gap_band
+
+    def recorded(*args):
+        deltas.append(band(*args))
+        return deltas[-1]
+
+    monkeypatch.setattr(dynamics, "_gap_band", recorded)
+    return deltas
 
 
 def decade_gap_spec(seed):
@@ -172,25 +206,28 @@ def count_full_probes(monkeypatch):
 
 class TestEigendecompose:
     def test_diagonal_matrix(self):
-        spec = eigendecompose(lambda: np.diag([3.0, -1.0, 2.0]))
-        assert spec.eigenvalues.tolist() == [-1.0, 2.0, 3.0]
+        # no couplings: H = diag(2J3), 2J3 in {-2, 0, 0, 2}
+        spec = eigendecompose(build_hamming(2), CouplingValues(mu0=1.5))
+        assert spec.eigenvalues.tolist() == [-3.0, 0.0, 0.0, 3.0]
         # signed permutation columns
-        assert np.allclose(np.abs(spec.eigenvectors).sum(axis=0), 1.0)
+        assert (np.abs(spec.eigenvectors).sum(axis=0) == 1.0).all()
         assert np.abs(spec.eigenvectors).max() == 1.0
 
     def test_two_level_mixer(self):
+        # beta times the hypercube's adjacency, a sum of n two-level mixers:
+        # eigenvalues beta (n - 2k), C(n, k) times each, and the all-ones
+        # vector at the top
         beta = 0.7
-        spec = eigendecompose(lambda: np.array([[0.0, beta], [beta, 0.0]]))
-        assert np.allclose(spec.eigenvalues, [-beta, beta])
-        assert np.allclose(np.abs(spec.eigenvectors), 1 / math.sqrt(2))
-        # the -beta state is antisymmetric, the +beta state symmetric
-        assert (spec.eigenvectors[0] * spec.eigenvectors[1] * [-1, 1] > 0).all()
+        spec = eigendecompose(build_hamming(3), CouplingValues(mu0=0.0, beta=beta))
+        assert np.allclose(spec.eigenvalues, beta * np.array([-3, -1, -1, -1, 1, 1, 1, 3]))
+        assert np.allclose(np.abs(spec.eigenvectors[:, -1]), 1 / math.sqrt(8))
 
     def test_random_symmetric_reconstruction(self):
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(64, 64))
-        h = (a + a.T) / 2
-        spec = eigendecompose(lambda: h)
+        sym = build_model(6)
+        values = CouplingValues(1.0, *rng.normal(size=5))
+        h = sym.evaluate(values)
+        spec = eigendecompose(sym, values)
         scale = np.abs(h).max()
         assert np.abs(h @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max() <= 1e-10 * scale
         assert np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(64)).max() <= 1e-10
@@ -198,12 +235,8 @@ class TestEigendecompose:
         assert np.abs(rebuilt - h).max() <= 1e-9 * scale
         assert (np.diff(spec.eigenvalues) >= 0).all()
 
-    def test_rejects_asymmetry(self):
-        with pytest.raises(ValueError):
-            eigendecompose(lambda: np.array([[0.0, 1.0], [0.5, 0.0]]))
-
     def test_failed_checks_raise(self, monkeypatch):
-        h = np.diag([1.0, 2.0, 3.0])
+        sym, values = build_hamming(2), CouplingValues(mu0=1.0)
         solve = dynamics._solve
         for shift, scale in ((1e-6, 1.0), (0.0, 1.0 + 1e-6)):
             def perturbed(m, norm, s=shift, c=scale):
@@ -213,141 +246,118 @@ class TestEigendecompose:
             monkeypatch.setattr(dynamics, "_solve", perturbed)
             for _ in solver_paths():
                 with pytest.raises(RuntimeError, match="decomposition failed checks"):
-                    eigendecompose(lambda: h.copy())
+                    eigendecompose(sym, values)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        dim=st.integers(1, 300),
-        kind=st.sampled_from(["normal", "integer", "sparse"]),
-        seed=st.integers(0, 2**32 - 1),
+        build=st.sampled_from([build_model, build_hamming]),
+        n=st.integers(2, 8),
+        couplings=st.tuples(*[COUPLINGS] * 6),
     )
-    @example(dim=256, kind="normal", seed=1)
-    @example(dim=257, kind="integer", seed=2)
-    @example(dim=300, kind="sparse", seed=3)
-    def test_bitwise_equal_to_whole_matrix_reference(self, dim, kind, seed):
-        # integer and sparse entries give degenerate spectra
-        rng = np.random.default_rng(seed)
-        if kind == "normal":
-            a = rng.normal(size=(dim, dim))
-        elif kind == "integer":
-            a = rng.integers(-2, 3, size=(dim, dim)).astype(float)
-        else:
-            a = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0], size=(dim, dim))
-        assert_matches_reference((a + a.T) / 2)
+    @example(build=build_model, n=9, couplings=(1.0, 0.1, 0.5, 0.5, 0.5, 0.0))
+    @example(build=build_hamming, n=9, couplings=(0.0, 0.0, 0.0, 0.0, 0.0, 1e-300))
+    @example(build=build_model, n=4, couplings=(1e300, 1e300, 1e300, 1e300, 1e300, 0.0))
+    def test_bitwise_equal_to_whole_matrix_reference(self, build, n, couplings):
+        # zero couplings give degenerate spectra, extreme ones dsyevd's scaling
+        assert_matches_reference(built(build, n), CouplingValues(*couplings))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("dim", [3, 300])
-    def test_non_finite_entries_raise_before_symmetry(self, value, dim):
-        h = np.zeros((dim, dim))
-        h[dim - 1, dim - 2] = value  # also an asymmetric entry
+    def test_non_finite_entries_raise_before_symmetry(self, monkeypatch, value, dim):
+        # `dim` is the row of the entry, in the first or the second row
+        # block at N = 9; it is written below the diagonal alone, so the
+        # check must come before anything reads H as symmetric.  The
+        # couplings are finite: only an overflow makes an infinite H
+        evaluate = SymbolicHamiltonian.evaluate
+
+        def spoiled(self, values):
+            h = evaluate(self, values)
+            h[dim, dim - 1] = value
+            return h
+
+        monkeypatch.setattr(SymbolicHamiltonian, "evaluate", spoiled)
+        sym = build_model(9)
         for _ in solver_paths():
             with pytest.raises(RuntimeError, match="matrix has non-finite entries"):
-                eigendecompose(lambda: h)
-        assert_matches_reference(h)
-
-    @pytest.mark.parametrize("row, col", [(290, 299), (299, 290), (10, 290), (290, 10)])
-    def test_asymmetry_in_any_tile_raises(self, row, col):
-        # dim 300: the tile pair (1, 1) is the last, partial one
-        rng = np.random.default_rng(37)
-        a = rng.normal(size=(300, 300))
-        h = a + a.T
-        scale = np.abs(h).max()
-        h[row, col] += 2e-10 * scale
-        for _ in solver_paths():
-            with pytest.raises(ValueError, match="not symmetric"):
-                eigendecompose(lambda: h)
-        assert_matches_reference(h)
-        h[row, col] -= 1.5e-10 * scale  # within tol * scale again
-        assert_matches_reference(h)
+                eigendecompose(sym, BASELINE)
+        assert_matches_reference(sym, BASELINE)
 
     @pytest.mark.parametrize("where", ["eigenvalues", "vectors", "vectors_inf"])
     def test_non_finite_eigensolver_output_raises(self, monkeypatch, where):
-        h = np.diag(np.arange(300.0))
-        eigenvalues, vectors = np.arange(300.0), np.eye(300)
+        sym = build_model(9)
+        eigenvalues, vectors = np.linalg.eigh(sym.evaluate(BASELINE))
         if where == "eigenvalues":
-            eigenvalues[299] = math.nan
+            eigenvalues[511] = math.nan
         else:
-            vectors[299, 299] = math.nan if where == "vectors" else -math.inf
+            vectors[511, 511] = math.nan if where == "vectors" else -math.inf
         patch_solver(monkeypatch, eigenvalues, vectors)
         for _ in solver_paths():
             with pytest.raises(RuntimeError, match="eigensolver returned non-finite values"):
-                eigendecompose(lambda: h.copy())
-        assert_matches_reference(h)
+                eigendecompose(sym, BASELINE)
+        assert_matches_reference(sym, BASELINE)
 
     @pytest.mark.parametrize("column", [0, 299])
     @pytest.mark.parametrize("shift, scale", [(1e-6, 1.0), (0.0, 1.0 + 1e-6)])
     def test_failed_checks_raise_in_every_block(self, monkeypatch, column, shift, scale):
         # a shifted eigenvalue fails the residual, a scaled vector both
-        # checks; column 299 sits in the last, partial block
-        rng = np.random.default_rng(41)
-        a = rng.normal(size=(300, 300))
-        h = (a + a.T) / 2
-        eigenvalues, vectors = np.linalg.eigh(h)
+        # checks; at N = 9 column 299 sits in the second slab of 256
+        sym = build_model(9)
+        eigenvalues, vectors = np.linalg.eigh(sym.evaluate(BASELINE))
         eigenvalues[column] += shift
         vectors[:, column] *= scale
         patch_solver(monkeypatch, eigenvalues, vectors)
         for _ in solver_paths():
             with pytest.raises(RuntimeError, match="decomposition failed checks"):
-                eigendecompose(lambda: h.copy())
-        assert_matches_reference(h)
+                eigendecompose(sym, BASELINE)
+        assert_matches_reference(sym, BASELINE)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflowing_residual_is_nan_and_raises(self, monkeypatch):
-        # h V overflows to inf and V diag(e) too: their difference is NaN
-        h = np.diag([1e300, 1e300])
-        patch_solver(monkeypatch, [1e300, 1e300], [[1e10, 0.0], [0.0, 1e10]])
+        # H = diag(1e300 * 2J3): where 2J3 = +-2, H V overflows to inf and
+        # V diag(e) too, so their difference is NaN
+        sym, values = build_hamming(2), CouplingValues(mu0=1e300)
+        diagonal = sym.evaluate(values).diagonal()
+        patch_solver(monkeypatch, diagonal, np.eye(4) * 1e10)
         for _ in solver_paths():
             with pytest.raises(RuntimeError, match="residual nan"):
-                eigendecompose(lambda: h.copy())
-        assert_matches_reference(h)
+                eigendecompose(sym, values)
+        assert_matches_reference(sym, values)
 
     @pytest.mark.parametrize("a, b", [(255, 256), (10, 250)], ids=["near_pair", "far_pair"])
     def test_pair_rotated_off_orthogonality_raises(self, monkeypatch, a, b):
-        # dim 300 spans two row blocks, so the check runs on the eigen-gap
-        # band.  A near-degenerate pair across the blocks' border, rotated
-        # by 1e-8, keeps its residuals and must be inside the band; a far
-        # pair fails the residual, which takes the whole triangle.
-        dim = 300
-        spectrum = np.linspace(-100.0, 100.0, dim)
-        spectrum[256] = spectrum[255] + 1e-12
-        q, _ = np.linalg.qr(np.random.default_rng(47).normal(size=(dim, dim)))
-        h = (q * spectrum) @ q.T
-        h = (h + h.T) / 2
-        eigenvalues, vectors = np.linalg.eigh(h)
-        vectors[:, b] += 1e-8 * vectors[:, a]
-        deltas = []
-        band = dynamics._gap_band
-
-        def recorded(*args):
-            deltas.append(band(*args))
-            return deltas[-1]
-
-        monkeypatch.setattr(dynamics, "_gap_band", recorded)
+        # N = 9 spans two row blocks, so the check runs on the eigen-gap
+        # band.  Eigenvalues 255 and 256, across the blocks' border, are
+        # 0.064 apart: a rotation by 1e-9 keeps the pair's residual
+        # within tol * 9, so the pair must be inside the band.  A
+        # far pair fails the residual, which takes the whole triangle.
+        sym = build_model(9)
+        eigenvalues, vectors = np.linalg.eigh(sym.evaluate(BASELINE))
+        vectors[:, b] += 1e-9 * vectors[:, a]
+        deltas = record_bands(monkeypatch)
         patch_solver(monkeypatch, eigenvalues, vectors)
         with pytest.raises(RuntimeError, match="orthonormality 1.0"):
-            reference_eigendecompose(h)
-        assert_matches_reference(h)
-        if b == 256:  # a band of a few units of a 200-wide spectrum
-            assert len(deltas) == 2 and max(deltas) < 10.0
+            reference_eigendecompose(sym.evaluate(BASELINE))
+        assert_matches_reference(sym, BASELINE)
+        if b == 256:  # a band of about one unit of a 21-wide spectrum
+            assert len(deltas) == 2 and eigenvalues[b] - eigenvalues[a] < min(deltas)
+            assert max(deltas) < 10.0
         else:
             assert deltas == []
 
-    @pytest.mark.parametrize("where", ["residual", "norm", "asymmetry", "spread"])
+    @pytest.mark.parametrize("where", ["residual", "norm", "spread"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_bound_takes_the_whole_triangle(self, where, value):
         eigenvalues = np.linspace(0.0, 1.0, 4)
         r_squares, v_squares = np.full(4, 1e-30), np.ones(4)
-        spread, skew = 1.0, 0.0
-        assert dynamics._gap_band(eigenvalues, r_squares, v_squares, spread, 4, skew) < 1e-3
+        spread = 1.0
+        assert dynamics._gap_band(eigenvalues, r_squares, v_squares, spread, 4) < 1e-3
         if where == "residual":
             r_squares[2] = value
         elif where == "norm":
             v_squares[2] = value
-        elif where == "asymmetry":
-            skew = value
         else:
             spread = value
-        assert dynamics._gap_band(eigenvalues, r_squares, v_squares, spread, 4, skew) == math.inf
+        assert dynamics._gap_band(eigenvalues, r_squares, v_squares, spread, 4) == math.inf
 
     @pytest.mark.parametrize(
         "build, values",
@@ -356,65 +366,48 @@ class TestEigendecompose:
             (build_hamming, CouplingValues(mu0=1.0, beta=0.5)),
         ],
     )
-    def test_products_path_equals_dense_path_with_one_build(self, build, values):
-        # dim 512: the sector products and the gap band both run
+    def test_products_path_equals_dense_path_with_one_build(self, monkeypatch, build, values):
+        # dim 512: the sector products and the gap band both run, and H is
+        # evaluated once, for the solve; the dense reference checks with H
         sym = build(9)
+        expected = reference_eigendecompose(sym.evaluate(values))
         calls = []
+        evaluate = SymbolicHamiltonian.evaluate
 
-        def counted():
-            calls.append(1)
-            return sym.evaluate(values)
+        def counted(self, values):
+            calls.append(values)
+            return evaluate(self, values)
 
-        dense = eigendecompose(counted)
-        assert len(calls) == 2
-        found = eigendecompose(counted, products=functools.partial(sym.products, values))
-        assert len(calls) == 3
-        assert found.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
-        assert found.eigenvectors.tobytes() == dense.eigenvectors.tobytes()
+        monkeypatch.setattr(SymbolicHamiltonian, "evaluate", counted)
+        found = eigendecompose(sym, values)
+        assert calls == [values]
+        assert found.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+        assert found.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
 
     def test_products_path_raises_on_a_rotated_pair(self, monkeypatch):
-        # eigenvalues 255 and 256, in two row blocks, are 0.064 apart: a
-        # rotation by 1e-9 leaves a residual of 6.4e-11, within tol * 9
-        sym = build_model(9)
-        values = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)
+        # the Hamming spectrum is degenerate: eigenvalues 191 and 192, on
+        # either side of a 64-row block of the band, are equal, so a
+        # rotation by 1e-9 keeps the residual at rounding level
+        sym, values = build_hamming(9), CouplingValues(mu0=1.0, beta=0.5)
         h = sym.evaluate(values)
         eigenvalues, vectors = np.linalg.eigh(h)
-        vectors[:, 256] += 1e-9 * vectors[:, 255]
+        assert eigenvalues[192] - eigenvalues[191] < 1e-12
+        vectors[:, 192] += 1e-9 * vectors[:, 191]
         patch_solver(monkeypatch, eigenvalues, vectors)
         with pytest.raises(RuntimeError) as expected:
             reference_eigendecompose(h)
         with pytest.raises(RuntimeError) as found:
-            eigendecompose(
-                lambda: sym.evaluate(values), products=functools.partial(sym.products, values)
-            )
-        # the residuals differ in rounding between the two products
-        assert str(found.value).split(", ")[1] == str(expected.value).split(", ")[1]
+            eigendecompose(sym, values)
+        assert failure(found.value) == failure(expected.value)
         assert "orthonormality 1.0" in str(found.value)
         assert float(str(found.value).split("residual ")[1].split(",")[0]) < 1e-10
 
     def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(16, 16))
-        h = a + a.T
-        first = eigendecompose(lambda: h)
-        second = eigendecompose(lambda: h)
-        assert (first.eigenvectors == second.eigenvectors).all()
-
-    def test_builder_array_held_elsewhere_is_copied_not_overwritten(self):
-        # the same object at both calls, and a view of an array kept here;
-        # within tolerance of symmetric, so the solve also symmetrizes
-        rng = np.random.default_rng(43)
-        a = rng.normal(size=(300, 300))
-        h = a + a.T
-        h[299, 0] += 1e-12
-        kept = h.copy()
-        expected = reference_eigendecompose(kept)
-        for build in (lambda: h, lambda: h[:]):
-            for _ in solver_paths():
-                found = eigendecompose(build)
-                assert h.tobytes() == kept.tobytes()
-                assert found.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
-                assert found.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+        sym = build_model(5)
+        first = eigendecompose(sym, BASELINE)
+        second = eigendecompose(sym, BASELINE)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
     def test_in_place_solver_found_with_scipy_openblas(self):
         # a numpy on scipy-openblas (ILP64) must not fall back to eigh unseen
@@ -425,28 +418,43 @@ class TestEigendecompose:
             assert dynamics._lapack() is not None
 
     def test_a_missing_routine_falls_back_to_eigh(self, monkeypatch):
-        h = np.array([[2.0, 1.0], [1.0, -1.0]])
         monkeypatch.setitem(dynamics._ROUTINES, "dnosuch", "")
         dynamics._lapack.cache_clear()
         try:
             assert dynamics._lapack() is None
-            assert_matches_reference(h)
+            assert_matches_reference(build_hamming(2), CouplingValues(mu0=2.0, beta=1.0))
         finally:
             dynamics._lapack.cache_clear()  # looked up again, unpatched, at the next call
 
     def test_dense_peak_bytes_follows_the_solver_path(self, monkeypatch):
-        # from dim 1024 up the solve's peak is the larger; at 512 the checks'
+        # from dim 1024 up the solve's peak is the larger; at 512 the
+        # checks' 1.25 + 4 * 256 / 512 matrices
         vectors = 64 * 8 * 1024
+        fixed = 2048 * 8
         if dynamics._lapack() is not None:
-            assert dynamics.dense_peak_bytes(1024) == 2.5 * 8 * 1024**2 + vectors
-            assert dynamics.dense_peak_bytes(512) == 3 * 8 * 512**2 + vectors // 2
+            assert dynamics.dense_peak_bytes(1024) == 2.5 * 8 * 1024**2 + vectors + fixed
+            assert dynamics.dense_peak_bytes(512) == 3.25 * 8 * 512**2 + vectors // 2 + fixed
         monkeypatch.setattr(dynamics, "_lapack", lambda: None)
-        assert dynamics.dense_peak_bytes(1024) == 5 * 8 * 1024**2 + vectors
+        assert dynamics.dense_peak_bytes(1024) == 5 * 8 * 1024**2 + vectors + fixed
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_traced_peak_within_the_estimate(self, n):
+        # after a first call has cached the workspace sizes
+        sym = build_model(n)
+        for _ in solver_paths():
+            eigendecompose(sym, BASELINE)
+            tracemalloc.start()
+            try:
+                eigendecompose(sym, BASELINE)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= dynamics.dense_peak_bytes(sym.dim)
 
     def test_memory_growth_stays_within_one_matrix_of_the_estimate(self, tmp_path):
         # N = 10, dim 1024.  In place the solve peaks with the packed
         # reflectors, Z and dstedc's workspace: the growth reads 24.3 MiB,
-        # against a bound of 3.5625 matrices, 28.5 MiB.  Through
+        # against a bound of 3.56 matrices, 28.5 MiB.  Through
         # np.linalg.eigh it reads 44 MB.
         dim = 1024
         code = (
@@ -455,7 +463,7 @@ class TestEigendecompose:
             "sym = build_model(10)\n"
             "values = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "eigendecompose(lambda: sym.evaluate(values))\n"
+            "eigendecompose(sym, values)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
         )
         env = dict(os.environ)
@@ -478,7 +486,7 @@ class TestEigendecompose:
         # no sign convention is imposed: every profile term is V_fa V_ia or
         # a square, and negating a column is exact
         values = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5, beta=0.5)
-        spec = eigendecompose(lambda: build(n).evaluate(values))
+        spec = eigendecompose(build(n), values)
         signs = np.random.default_rng(n).choice([-1.0, 1.0], size=spec.dim)
         flipped = SpectralDecomposition(spec.eigenvalues, spec.eigenvectors * signs)
         initial = spec.dim // 3
@@ -487,6 +495,27 @@ class TestEigendecompose:
             want, got = profile(spec, initial), profile(flipped, initial)
             assert got.horizon == want.horizon
             assert got.p_avg.tobytes() == want.p_avg.tobytes()
+
+
+class TestRowBounds:
+    @pytest.mark.parametrize("build", [build_model, build_hamming])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_pair_list_bounds_cover_the_dense_ones(self, build, n):
+        sym = built(build, n)
+        eps = np.finfo(float).eps
+        c = 1.0 + 2 * (sym.dim + 2) * eps  # `_gap_band`'s rounding factor
+        for values in (
+            BASELINE,
+            CouplingValues(mu0=-2.0, eps=-0.3, gamma=0.0, delta=1e-300, eta=-0.0, beta=-0.7),
+            CouplingValues(mu0=0.0, eps=1e3, gamma=0.1, delta=0.0, beta=0.5),
+        ):
+            h = sym.evaluate(values)
+            spread, terms = dynamics._row_bounds(sym, values, h.diagonal())
+            dense_spread, dense_terms = dense_row_bounds(h)
+            assert np.linalg.eigvalsh(np.abs(h)).max() <= spread * c
+            # the same nonnegative terms, summed in another order
+            assert abs(spread - dense_spread) <= (sym.dim + 2) * eps * dense_spread
+            assert terms >= dense_terms
 
 
 def random_symmetric(dim, seed=0, scale=1.0):
@@ -506,7 +535,6 @@ def assert_solve_is_eigh(h):
 needs_lapack = pytest.mark.skipif(
     dynamics._lapack() is None, reason="numpy carries no scipy-openblas LAPACK"
 )
-BASELINE = CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5)
 
 
 class TestSolve:
@@ -528,9 +556,14 @@ class TestSolve:
     @pytest.mark.parametrize("dim", [1, 2, 50])
     def test_scaled_matrices_bitwise_equal_to_eigh(self, scale, dim):
         # max|h| outside [2^-485, 2^485] takes dsyevd's scaling, except at dim 1
-        h = random_symmetric(dim, seed=dim, scale=scale)
-        assert_solve_is_eigh(h)
-        assert_matches_reference(h)
+        assert_solve_is_eigh(random_symmetric(dim, seed=dim, scale=scale))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e150, 1e-160, 1e-300])
+    @pytest.mark.parametrize("build, n", [(build_model, 2), (build_hamming, 9)])
+    def test_scaled_couplings_match_reference(self, scale, build, n):
+        # max|H| outside [2^-485, 2^485] takes dsyevd's scaling
+        values = CouplingValues(*(scale * c for c in (1.0, 0.1, 0.3, 0.5, 0.7, 0.9)))
+        assert_matches_reference(build(n), values)
 
     @needs_lapack
     def test_unconverged_dstedc_raises(self, monkeypatch):
@@ -542,27 +575,24 @@ class TestSolve:
 
         monkeypatch.setattr(dynamics, "_call", failing)
         with pytest.raises(RuntimeError, match="eigensolver did not converge: dstedc info 3"):
-            eigendecompose(lambda: random_symmetric(40))
+            eigendecompose(build_model(5), BASELINE)
 
     @needs_lapack
     def test_traced_peaks_at_dim_512(self):
         # while dstedc runs the solve holds the packed reflectors, Z and
         # dstedc's workspace; H, allocated while tracing, must be gone by then
-        dim = 512
-        h = random_symmetric(dim)
+        sym = build_model(9)
+        dim = sym.dim
+        h = sym.evaluate(BASELINE)
         norm = float(np.abs(h).max())
         dynamics._solve([h.copy()], norm)  # the workspace sizes, cached
         tracemalloc.start()
         try:
             dynamics._solve([h.copy()], norm)
             _, solve_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            eigendecompose(lambda: h.copy())
-            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert solve_peak <= 2.5 * 8 * dim * dim + 64 * 8 * dim
-        assert peak <= dynamics.dense_peak_bytes(dim)
 
 
 class TestTransitionProbability:
@@ -625,7 +655,7 @@ class TestTimeAveragedProfile:
         rng = np.random.default_rng(17)
         sym = build_model(4)
         values = CouplingValues(1.0, *rng.uniform(0, 1, 4))
-        spec = eigendecompose(lambda: sym.evaluate(values))
+        spec = eigendecompose(sym, values)
         initial = int(rng.integers(0, 16))
         closed = time_averaged_profile(spec, initial, 9.0).p_avg
         quad = trapezoid_profile(spec.eigenvalues, spec.eigenvectors, initial, 9.0)
@@ -655,7 +685,7 @@ class TestTimeAveragedProfile:
         dim = 300
         assert dim > _KERNEL_BLOCK and dim % _KERNEL_BLOCK != 0
         a = rng.normal(size=(dim, dim))
-        spec = eigendecompose(lambda: (a + a.T) / 2)
+        spec = reference_eigendecompose((a + a.T) / 2)
         for initial, horizon in ((0, 3.0), (123, 40.0), (dim - 1, 1e4)):
             blocked = time_averaged_profile(spec, initial, horizon).p_avg
             reference = unblocked_profile(spec.eigenvalues, spec.eigenvectors, initial, horizon)
@@ -699,9 +729,7 @@ class TestTimeAveragedProfile:
     )
     def test_model_words_match_direct_kernel(self, n, words):
         sym = build_model(n)
-        spec = eigendecompose(
-            lambda: sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
-        )
+        spec = eigendecompose(sym, CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
         for word in words:
             assert_probe_matches_direct_kernel(
                 spec, sym.basis.index_of_word(word), (10.0, 320.0, 40960.0, 1e8)
@@ -734,7 +762,7 @@ class TestTimeAveragedProfile:
 
 class TestInfiniteTimeAverage:
     def test_zero_hamiltonian_freezes(self):
-        spec = eigendecompose(lambda: np.zeros((4, 4)))
+        spec = reference_eigendecompose(np.zeros((4, 4)))
         profile = infinite_time_average(spec, 2)
         expected = np.zeros(4)
         expected[2] = 1.0
@@ -752,7 +780,7 @@ class TestInfiniteTimeAverage:
     def test_nondegenerate_spectrum_keeps_diagonal_terms(self):
         rng = np.random.default_rng(23)
         a = rng.normal(size=(12, 12))
-        spec = eigendecompose(lambda: a + a.T)
+        spec = reference_eigendecompose(a + a.T)
         gaps = np.diff(spec.eigenvalues)
         assert gaps.min() > 1e-6  # generic draw: spectrum is simple
         manual = ((spec.eigenvectors * spec.eigenvectors[4]) ** 2).sum(axis=1)
@@ -778,7 +806,7 @@ class TestInfiniteTimeAverage:
 
     def test_degenerate_cluster_keeps_cross_terms(self):
         sym = build_hamming(3)
-        spec = eigendecompose(lambda: sym.evaluate(CouplingValues(mu0=0.0, beta=0.5)))
+        spec = eigendecompose(sym, CouplingValues(mu0=0.0, beta=0.5))
         limit = infinite_time_average(spec, 0)
         long_avg = time_averaged_profile(spec, 0, 1e7)
         assert np.abs(limit.p_avg - long_avg.p_avg).max() <= 1e-4
@@ -786,7 +814,7 @@ class TestInfiniteTimeAverage:
 
 class TestFindStableT:
     def test_diagonal_returns_start(self):
-        spec = eigendecompose(lambda: np.diag([1.0, -1.0, 3.0]))
+        spec = reference_eigendecompose(np.diag([1.0, -1.0, 3.0]))
         assert find_stable_T(spec, 1).horizon == 10.0
 
     def test_profile_near_infinite_limit(self):
@@ -840,9 +868,7 @@ class TestFindStableT:
     )
     def test_model_words_match_exhaustive_search(self, n, words):
         sym = build_model(n)
-        spec = eigendecompose(
-            lambda: sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
-        )
+        spec = eigendecompose(sym, CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
         for word in words:
             assert_screens_within_bound(spec, sym.basis.index_of_word(word))
             assert_search_matches_oracle(spec, sym.basis.index_of_word(word))
@@ -857,7 +883,7 @@ class TestFindStableT:
         # integer entries give (near-)degenerate spectra and long searches
         rng = np.random.default_rng(seed)
         a = rng.integers(-2, 3, size=(dim, dim)) if integer_entries else rng.normal(size=(dim, dim))
-        spec = eigendecompose(lambda: (a + a.T) / 2)
+        spec = reference_eigendecompose((a + a.T) / 2)
         initial = int(rng.integers(0, dim))
         assert_search_matches_oracle(spec, initial)
 

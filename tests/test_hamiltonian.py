@@ -493,7 +493,24 @@ def structures():
     return built
 
 
+_EXTREME_COUPLING = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1e300, -1e300])
+
+
 class TestEvaluateBitwise:
+    @settings(max_examples=150, deadline=2000)
+    @given(
+        model=st.sampled_from(["crystal", "hamming"]),
+        n=st.integers(min_value=2, max_value=8),
+        couplings=st.tuples(*[_EXTREME_COUPLING] * 6),
+    )
+    @example(model="crystal", n=8, couplings=(-1e300, -0.0, 1e-300, -0.5, 1e300, 0.0))
+    def test_evaluate_is_exactly_symmetric(self, model, n, couplings):
+        # each stored pair and its mirror get the same value: H is symmetric
+        # by construction, bit for bit, for signed zeros, subnormal-range
+        # and huge couplings and a negative mu0
+        h = built(model, n).evaluate(CouplingValues(*couplings))
+        assert h.tobytes() == h.T.copy().tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(
         model=st.sampled_from(["crystal", "hamming"]),

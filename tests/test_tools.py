@@ -29,9 +29,7 @@ def test_measure_profile_reports_one_json_line():
     assert report["wall_s"] > 0 and report["maxrss_mb"] > 0
     assert report["estimate_mb"] == round(dense_peak_bytes(16) / 2**20, 1)
     sym = build_model(4)
-    spec = eigendecompose(
-        lambda: sym.evaluate(CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
-    )
+    spec = eigendecompose(sym, CouplingValues(mu0=1.0, eps=0.1, gamma=0.5, delta=0.5, eta=0.5))
     assert report["resolved_T"] == find_stable_T(spec, 0).horizon
     pairs = (sym.rows, sym.cols, sym.family)
     assert report["structure_bytes"] == sum(array.nbytes for array in pairs)
