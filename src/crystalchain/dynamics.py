@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,16 +158,15 @@ def dense_peak_bytes(dim: int) -> int:
     reflectors (half of H), Z and dstedc's workspace: 2.5 dim^2.  The
     np.linalg.eigh fallback holds five: H, eigh's copy of it, the output
     vectors and dsyevd's 2 dim^2 workspace.  The checks hold no H: the
-    vectors, the sector blocks of `SymbolicHamiltonian.products` (under
-    dim^2 / 4) and four slabs of dim x min(_KERNEL_BLOCK, dim): the rows
-    of V in sector order, the product, the residual's V diag(e), and
-    either the last slab's rows, which `_residuals` holds while the next
-    are gathered, or a temporary of numpy's (a sector's product, an
-    iterator's buffer), each at most a slab.  From dim 1024 (N = 10) up
-    that is less than the in-place solve; below, the checks set the peak.
+    vectors, the sector blocks of `_residuals` (under dim^2 / 4) and three
+    slabs of dim x min(_KERNEL_BLOCK, dim): the rows of V in sector order,
+    the product, and the residual's V diag(e) or a temporary of numpy's (a
+    sector's product, an iterator's buffer), each at most a slab.  From
+    dim 1024 (N = 10) up that is less than the in-place solve; below, the
+    checks set the peak.
     """
     solve = 5 * dim * dim // 2 if _lapack() is not None else 5 * dim * dim
-    checks = dim * dim + dim * dim // 4 + 4 * min(_KERNEL_BLOCK, dim) * dim
+    checks = dim * dim + dim * dim // 4 + 3 * min(_KERNEL_BLOCK, dim) * dim
     return np.dtype(float).itemsize * (max(solve, checks) + 64 * dim + 2048)
 
 
@@ -257,19 +257,88 @@ def _solve(held: list[np.ndarray], norm: float) -> tuple[np.ndarray, np.ndarray]
     return eigenvalues, z
 
 
-def _residuals(items, eigenvalues: np.ndarray):
-    """max |r| for r = H V - V diag(e), as computed from the `products`
-    items (rows, cols, (H V)[rows][:, cols], V[rows][:, cols]), each
-    product overwritten by its r, and the computed sums over rows of r^2
-    and of V^2 per column.  A NaN in r stays NaN in max |r|."""
+def _sector_layout(
+    n: int, two_j3: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, bounds, offsets): the sector layout `_residuals` multiplies by,
+    for the pairs (rows, cols), each row in the sector just below its col's.
+
+    Sector k holds the states with 2J3 = 2k - n: positions
+    bounds[k]:bounds[k + 1] of `order`, the states stably sorted by 2J3.
+    offsets[j] is the entry of pair j in one flat buffer of the blocks
+    B_k = H[S_k, S_k+1] (s_k x s_k+1, row-major, in k order), so the
+    offsets are int32 unless that buffer has 2^31 entries or more.  The
+    pair-sized temporaries are kept few and narrow: `_residuals` runs
+    after the solve, far beneath its peak.
+    """
+    dim = len(two_j3)
+    sector = (two_j3 + n) // 2
+    order = np.argsort(sector, kind="stable")
+    sizes = np.bincount(sector, minlength=n + 1)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1] * sizes[1:])))
+    index = np.int32 if starts[-1] <= np.iinfo(np.int32).max else np.int64
+    local = np.empty(dim, dtype=np.int64)  # each state's position within its sector
+    local[order] = np.arange(dim) - bounds[sector[order]]
+    # B_k's entry (i in S_k, j in S_k+1) sits at first[i] + local[j]
+    first = (starts[sector] + local * np.append(sizes[1:], 0)[sector]).astype(index)
+    local = local.astype(index)
+    offsets = first[rows]
+    offsets += local[cols]
+    return order.astype(np.int32), bounds.astype(np.int32), offsets
+
+
+def _sector_product(blocks, bounds, diagonal, w, out):
+    """H W into `out` for one slab W of V's rows, all in sector order: W
+    scaled by H's diagonal (`diagonal`, a column), then B_k W_k+1 added to
+    the rows of sector k and B_k^T W_k (the mirrored half) to those of
+    sector k + 1, each product one BLAS call."""
+    p = np.multiply(w, diagonal, out=out)
+    for k, block in enumerate(blocks):
+        lo, mid, hi = bounds[k : k + 3]
+        p[lo:mid] += block @ w[mid:hi]
+        p[mid:hi] += block.T @ w[lo:mid]
+    return p
+
+
+def _residuals(sym: SymbolicHamiltonian, values: CouplingValues, eigenvalues, vectors):
+    """max |r| for r = H V - V diag(e), H = sym.evaluate(values), without
+    H, and the computed sums over rows of r^2 and of V^2 per column.  A
+    NaN in r stays NaN in max |r|.
+
+    One scatter of the stored half fills every block B_k = H[S_k, S_k+1]
+    of `_sector_layout`.  Then each slab of _KERNEL_BLOCK columns gathers
+    V's rows into sector order once as W, and `_sector_product` writes
+    H W, then r, into one reused buffer.  W is released before the next
+    slab is gathered, so besides the blocks (under dim^2 / 4) the loop
+    holds three slabs: W, that buffer and V diag(e) or a sector's product.
+    """
+    order, bounds, offsets = _sector_layout(sym.basis.n, sym.basis.labels[0], sym.rows, sym.cols)
+    couplings = np.array([getattr(values, field) for _, field in sym.families])
+    bounds = bounds.tolist()
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    ends = list(itertools.accumulate(s * t for s, t in zip(sizes, sizes[1:])))
+    flat = np.zeros(ends[-1])
+    flat[offsets] = couplings[sym.family]
+    blocks = [
+        flat[lo:hi].reshape(s, t) for lo, hi, s, t in zip([0, *ends], ends, sizes, sizes[1:])
+    ]
+    diagonal = values.mu0 * sym.basis.labels[0][order, None].astype(float)  # in sector order
+    dim, count = vectors.shape
+    width = min(_KERNEL_BLOCK, count)
+    out = np.empty(dim * width)
     residual = np.float64(0.0)
-    r_squares, v_squares = np.zeros(len(eigenvalues)), np.zeros(len(eigenvalues))
+    r_squares, v_squares = np.zeros(count), np.zeros(count)
     with np.errstate(over="ignore"):  # an inf widens the band to everything
-        for _, cols, r, v in items:
+        for start in range(0, count, width):
+            cols = slice(start, start + width)
+            v = vectors[order, cols]
+            r = _sector_product(blocks, bounds, diagonal, v, out[: v.size].reshape(v.shape))
             r -= v * eigenvalues[cols]
             r_squares[cols] += np.einsum("ij,ij->j", r, r)
             v_squares[cols] += np.einsum("ij,ij->j", v, v)
             residual = np.maximum(residual, np.abs(r, out=r).max())
+            del v  # before the next slab is gathered
     return float(residual), r_squares, v_squares
 
 
@@ -390,10 +459,10 @@ def eigendecompose(sym: SymbolicHamiltonian, values: CouplingValues) -> Spectral
     """Diagonalize H = sym.evaluate(values), with checked residuals.
 
     H is evaluated once, exactly symmetric, and `_solve` runs in place on
-    that array, so H is gone when the checks run: they take H V from the
-    pair list, through `sym.products(values, V)`, in slabs of at most
-    _KERNEL_BLOCK columns, with no dim x dim temporary.  So the peak is
-    the solve's or the checks', whichever is larger (`dense_peak_bytes`).
+    that array, so H is gone when the checks run: `_residuals` takes H V
+    from the pair list's sector blocks, in slabs of at most _KERNEL_BLOCK
+    columns, with no dim x dim temporary.  So the peak is the solve's or
+    the checks', whichever is larger (`dense_peak_bytes`).
 
     Non-finite entries (e.g. couplings large enough to overflow) raise
     RuntimeError before the solve.  With tol = DEFAULT_DECOMP_TOL, a
@@ -427,7 +496,7 @@ def eigendecompose(sym: SymbolicHamiltonian, values: CouplingValues) -> Spectral
         and np.isfinite(column_min).all()
     ):
         raise RuntimeError("eigensolver returned non-finite values")
-    residual, r_squares, v_squares = _residuals(sym.products(values, vectors), eigenvalues)
+    residual, r_squares, v_squares = _residuals(sym, values, eigenvalues, vectors)
     delta = math.inf
     if residual <= DEFAULT_DECOMP_TOL * scale and (np.diff(eigenvalues) >= 0).all():
         delta = _gap_band(eigenvalues, r_squares, v_squares, spread, terms)

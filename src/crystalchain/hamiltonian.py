@@ -34,9 +34,9 @@ so only the chain holding the spin flip J- is built, as only the R -> Y
 Hamming flips are, and the structure stores that lowering half alone:
 `evaluate` and `dump` write each pair and its transpose.  Every stored
 pair lowers 2J3 by exactly 2 (verified), so ordered by 2J3, H is block
-tridiagonal with multiples of the identity on the diagonal; `products`
-derives that sector layout from the pair list on each call and
-multiplies by each block and its transpose.
+tridiagonal with multiples of the identity on the diagonal, a layout
+that `dynamics` derives from the pair list to multiply by H's blocks
+when it checks a decomposition, without H.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .crystal import BasisMap, enumerate_basis
-from .dynamics import _KERNEL_BLOCK
 
 
 @dataclass(frozen=True)
@@ -123,50 +122,6 @@ class SymbolicHamiltonian:
         h = np.diag(diag)
         h[self.rows, self.cols] = h[self.cols, self.rows] = np.array(couplings)[self.family] + 0.0
         return h
-
-    def products(self, values: CouplingValues, vectors: np.ndarray):
-        """Yield (rows, cols, (H @ vectors)[rows][:, cols], vectors[rows][:, cols])
-        over slabs of _KERNEL_BLOCK columns, for H = self.evaluate(values),
-        without H: the products `eigendecompose` checks its residuals by,
-        once the solve has consumed H.
-
-        Each call first derives the sector layout from the pair list
-        (`_sector_layout`).  `rows` lists the states sorted by 2J3, sector
-        by sector, and `cols` is the slab.  One scatter of the stored half
-        fills every block B_k = H[S_k, S_k+1]; each slab gathers the rows of
-        `vectors` into sector order once as W, scales it by H's diagonal,
-        then adds B_k W_k+1 to the rows of sector k and B_k^T W_k (the
-        mirrored half) to those of sector k + 1, each product one BLAS
-        call.  The yielded product is a buffer the next slab reuses, which
-        the caller may overwrite.  Besides the sum_k s_k s_k+1 block values
-        (under dim^2 / 4), memory is O(dim * _KERNEL_BLOCK).
-        """
-        order, bounds, offsets = _sector_layout(
-            self.basis.n, self.basis.labels[0], self.rows, self.cols
-        )
-        couplings = np.array([getattr(values, field) for _, field in self.families])
-        bounds = bounds.tolist()
-        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        ends = list(itertools.accumulate(s * t for s, t in zip(sizes, sizes[1:])))
-        flat = np.zeros(ends[-1])
-        flat[offsets] = couplings[self.family]
-        blocks = [
-            flat[lo:hi].reshape(s, t)
-            for lo, hi, s, t in zip([0, *ends], ends, sizes, sizes[1:])
-        ]
-        diagonal = values.mu0 * self.basis.labels[0][order, None].astype(float)  # in sector order
-        dim, count = vectors.shape
-        width = min(_KERNEL_BLOCK, count)
-        out = np.empty(dim * width)
-        for start in range(0, count, width):
-            cols = slice(start, start + width)
-            w = vectors[order, cols]
-            p = np.multiply(w, diagonal, out=out[: w.size].reshape(w.shape))
-            for k, block in enumerate(blocks):
-                lo, mid, hi = bounds[k : k + 3]
-                p[lo:mid] += block @ w[mid:hi]
-                p[mid:hi] += block.T @ w[lo:mid]
-            yield order, cols, p, w
 
     def dump(self) -> str:
         """One line per entry: `row col SYMBOL multiplicity`, 1-based.
@@ -362,37 +317,6 @@ def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.nd
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     return walks.apply(chain)
-
-
-def _sector_layout(
-    n: int, two_j3: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, bounds, offsets): the sector layout `products` multiplies by,
-    for the pairs (rows, cols), each row in the sector just below its col's.
-
-    Sector k holds the states with 2J3 = 2k - n: positions
-    bounds[k]:bounds[k + 1] of `order`, the states stably sorted by 2J3.
-    offsets[j] is the entry of pair j in one flat buffer of the blocks
-    B_k = H[S_k, S_k+1] (s_k x s_k+1, row-major, in k order), so the
-    offsets are int32 unless that buffer has 2^31 entries or more.  The
-    pair-sized temporaries are kept few and narrow: `products` runs after
-    the solve, far beneath its peak.
-    """
-    dim = len(two_j3)
-    sector = (two_j3 + n) // 2
-    order = np.argsort(sector, kind="stable")
-    sizes = np.bincount(sector, minlength=n + 1)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    starts = np.concatenate(([0], np.cumsum(sizes[:-1] * sizes[1:])))
-    index = np.int32 if starts[-1] <= np.iinfo(np.int32).max else np.int64
-    local = np.empty(dim, dtype=np.int64)  # each state's position within its sector
-    local[order] = np.arange(dim) - bounds[sector[order]]
-    # B_k's entry (i in S_k, j in S_k+1) sits at first[i] + local[j]
-    first = (starts[sector] + local * np.append(sizes[1:], 0)[sector]).astype(index)
-    local = local.astype(index)
-    offsets = first[rows]
-    offsets += local[cols]
-    return order.astype(np.int32), bounds.astype(np.int32), offsets
 
 
 def _assemble(

@@ -435,6 +435,14 @@ def dense_row_bounds(h):
     return float(np.abs(h).sum(axis=1).max()), int(np.count_nonzero(h, axis=1).max())
 
 
+def dense_residuals(h, eigenvalues, vectors):
+    """(max |r|, sums over rows of r^2 per column, sums over rows of V^2
+    per column) for r = h V - V diag(e), from the dense h: the outputs of
+    `dynamics._residuals`, which takes H V from the sector blocks."""
+    r = h @ vectors - vectors * eigenvalues
+    return float(np.abs(r).max()), (r * r).sum(axis=0), (vectors * vectors).sum(axis=0)
+
+
 def reference_eigendecompose(h):
     """Checked eigendecomposition of any dense matrix h, with whole-matrix
     checks: finiteness by np.isfinite, symmetry by np.abs(h - h.T).max(),

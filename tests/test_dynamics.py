@@ -25,9 +25,17 @@ from crystalchain import (
 )
 from crystalchain import dynamics
 from crystalchain.cli import FIGURE_PRESETS
-from crystalchain.dynamics import _KERNEL_BLOCK, _NEAR_GAP, SpectralDecomposition
+from crystalchain.dynamics import (
+    _KERNEL_BLOCK,
+    _NEAR_GAP,
+    SpectralDecomposition,
+    _residuals,
+    _sector_layout,
+    _sector_product,
+)
 from crystalchain.hamiltonian import SymbolicHamiltonian
 from oracles import (
+    dense_residuals,
     dense_row_bounds,
     direct_profile,
     direct_return_probability,
@@ -428,12 +436,12 @@ class TestEigendecompose:
 
     def test_dense_peak_bytes_follows_the_solver_path(self, monkeypatch):
         # from dim 1024 up the solve's peak is the larger; at 512 the
-        # checks' 1.25 + 4 * 256 / 512 matrices
+        # checks' 1.25 + 3 * 256 / 512 matrices
         vectors = 64 * 8 * 1024
         fixed = 2048 * 8
         if dynamics._lapack() is not None:
             assert dynamics.dense_peak_bytes(1024) == 2.5 * 8 * 1024**2 + vectors + fixed
-            assert dynamics.dense_peak_bytes(512) == 3.25 * 8 * 512**2 + vectors // 2 + fixed
+            assert dynamics.dense_peak_bytes(512) == 2.75 * 8 * 512**2 + vectors // 2 + fixed
         monkeypatch.setattr(dynamics, "_lapack", lambda: None)
         assert dynamics.dense_peak_bytes(1024) == 5 * 8 * 1024**2 + vectors + fixed
 
@@ -516,6 +524,145 @@ class TestRowBounds:
             # the same nonnegative terms, summed in another order
             assert abs(spread - dense_spread) <= (sym.dim + 2) * eps * dense_spread
             assert terms >= dense_terms
+
+
+def sector_products(sym, h, x):
+    """Yield (rows, cols, (h @ x)[rows][:, cols], x[rows][:, cols]) over
+    slabs of _KERNEL_BLOCK columns, each product from `_sector_product` on
+    blocks and a diagonal read from the dense h in `_sector_layout`'s
+    order: the slab loop of `_residuals`, with H taken from h."""
+    order, bounds, _ = _sector_layout(sym.basis.n, sym.basis.labels[0], sym.rows, sym.cols)
+    sectors = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [h[np.ix_(low, high)] for low, high in zip(sectors, sectors[1:])]
+    diagonal = h.diagonal()[order, None]
+    for start in range(0, x.shape[1], _KERNEL_BLOCK):
+        cols = slice(start, start + _KERNEL_BLOCK)
+        w = x[order, cols]
+        product = _sector_product(blocks, bounds.tolist(), diagonal, w, np.empty_like(w))
+        yield order, cols, product, w
+
+
+class TestSectorProducts:
+    @pytest.mark.parametrize("build", [build_model, build_hamming])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_sector_layout_indexes_the_blocks(self, build, n):
+        # every pair's offset addresses its entry of B_k = H[S_k, S_k+1]
+        sym = build(n)
+        order, bounds, offsets = _sector_layout(n, sym.basis.labels[0], sym.rows, sym.cols)
+        assert order.dtype == bounds.dtype == offsets.dtype == np.int32
+        two_j3 = sym.basis.labels[0][order]
+        assert (np.diff(two_j3) >= 0).all()
+        assert two_j3[bounds[:-1]].tolist() == list(range(-n, n + 1, 2))
+        sizes = np.diff(bounds)
+        ends = np.cumsum(sizes[:-1] * sizes[1:])
+        flat = np.zeros(ends[-1], dtype=np.int64)
+        np.add.at(flat, offsets, 1)
+        assert (flat[offsets] == 1).all()  # each pair once
+        pattern = np.zeros((sym.dim, sym.dim), dtype=np.int64)
+        pattern[sym.rows, sym.cols] = 1
+        pattern[sym.cols, sym.rows] = 1
+        # the blocks and their transposes hold every entry of both halves
+        assert pattern.sum() == 2 * flat.sum()
+        for k, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
+            block = pattern[np.ix_(order[bounds[k] : bounds[k + 1]], order[bounds[k + 1] : bounds[k + 2]])]
+            assert (flat[lo:hi] == block.ravel()).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        build=st.sampled_from([build_model, build_hamming]),
+        n=st.integers(min_value=2, max_value=8),
+        couplings=st.tuples(*[st.floats(-3.0, 3.0, allow_nan=False)] * 6),
+        width=st.integers(min_value=1, max_value=2 * _KERNEL_BLOCK + 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(build=build_model, n=4, couplings=(0.0, -0.0, -1.5, 0.5, -0.0, 0.0), width=3, seed=0)
+    @example(
+        build=build_hamming, n=8, couplings=(-2.0, 0.0, 0.0, 0.0, 0.0, -0.0), width=513, seed=1
+    )
+    @example(build=build_model, n=8, couplings=(-0.0, 0.1, -0.5, 0.5, 0.5, 0.0), width=256, seed=2)
+    def test_products_equal_evaluate_times_matrix(self, build, n, couplings, width, seed):
+        # each computed entry is within gamma_(dim+3) (|H| |X|) of the exact
+        # product, whatever the summation order, so the two differ by at
+        # most twice that
+        sym = built(build, n)
+        values = CouplingValues(*couplings)
+        h = sym.evaluate(values)
+        x = np.random.default_rng(seed).normal(size=(sym.dim, width))
+        found = np.zeros((sym.dim, width))
+        covered = np.zeros((sym.dim, width), dtype=np.int64)
+        for rows, cols, block, v in sector_products(sym, h, x):
+            assert (v == x[rows, cols]).all()
+            found[rows, cols] = block
+            covered[rows, cols] += 1
+        assert (covered == 1).all()
+        bound = 2 * (sym.dim + 3) * np.finfo(float).eps * (np.abs(h) @ np.abs(x))
+        assert (np.abs(found - h @ x) <= bound).all()
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_residuals_hold_three_slabs(self, n):
+        # besides the block values: W, H W and V diag(e), each a slab of
+        # _KERNEL_BLOCK columns, and dense_peak_bytes' 64 dim + 2048 for
+        # the layout and small objects.  A slab's W still held while the
+        # next slab is multiplied (as the generator's caller once held it)
+        # goes past this at N = 9 and 10.
+        sym = built(build_model, n)
+        vectors = np.random.default_rng(n).normal(size=(sym.dim, sym.dim))
+        eigenvalues = np.zeros(sym.dim)
+        _residuals(sym, BASELINE, eigenvalues, vectors)
+        tracemalloc.start()
+        try:
+            _residuals(sym, BASELINE, eigenvalues, vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sizes = np.diff(_sector_layout(n, sym.basis.labels[0], sym.rows, sym.cols)[1])
+        blocks = int((sizes[:-1] * sizes[1:]).sum())
+        assert peak <= 8 * (3 * _KERNEL_BLOCK * sym.dim + blocks + 64 * sym.dim + 2048)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        build=st.sampled_from([build_model, build_hamming]),
+        n=st.integers(min_value=2, max_value=8),
+        couplings=st.tuples(*[st.floats(-3.0, 3.0, allow_nan=False)] * 6),
+        width=st.integers(min_value=1, max_value=2 * _KERNEL_BLOCK + 1),
+        seed=st.integers(0, 2**32 - 1),
+        nan=st.booleans(),
+    )
+    @example(build=build_model, n=8, couplings=(1.0, 0.1, 0.5, 0.5, 0.5, 0.0), width=513, seed=0,
+             nan=True)
+    @example(build=build_hamming, n=2, couplings=(-0.0, 0.0, 0.0, 0.0, 0.0, 0.5), width=1, seed=1,
+             nan=False)
+    def test_residuals_match_the_dense_oracle(self, build, n, couplings, width, seed, nan):
+        # an entry of r is within gamma_(dim+3) (|H| |V| + |V| |e|) of the
+        # exact one, in either summation order, so the two r differ by at
+        # most twice that, error; a sum of squares differs by its terms'
+        # share of error plus each sum's rounding, gamma_(dim+1) of it
+        sym = built(build, n)
+        values = CouplingValues(*couplings)
+        h = sym.evaluate(values)
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(sym.dim, width))
+        eigenvalues = rng.normal(scale=3.0, size=width)
+        if nan:
+            vectors[rng.integers(sym.dim), rng.integers(width)] = np.nan
+        residual, r_squares, v_squares = _residuals(sym, values, eigenvalues, vectors)
+        expected, r_expected, v_expected = dense_residuals(h, eigenvalues, vectors)
+        finite = ~np.isnan(vectors).any(axis=0)
+        for sums in (r_squares, r_expected, v_squares, v_expected):
+            assert (np.isnan(sums) == ~finite).all()
+        assert math.isnan(residual) == math.isnan(expected) == nan
+        eps = np.finfo(float).eps
+        v, e = vectors[:, finite], eigenvalues[finite]
+        r = h @ v - v * e
+        error = 2 * (sym.dim + 3) * eps * (np.abs(h) @ np.abs(v) + np.abs(v * e))
+        if not nan:
+            assert abs(residual - expected) <= error.max()
+        rounding = (sym.dim + 2) * eps
+        r_bound = (error * (2 * np.abs(r) + error)).sum(axis=0)
+        r_bound += rounding * (r_squares[finite] + r_expected[finite])
+        assert (np.abs(r_squares[finite] - r_expected[finite]) <= r_bound).all()
+        v_bound = rounding * (v_squares[finite] + v_expected[finite])
+        assert (np.abs(v_squares[finite] - v_expected[finite]) <= v_bound).all()
 
 
 def random_symmetric(dim, seed=0, scale=1.0):

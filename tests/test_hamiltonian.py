@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from crystalchain import CouplingValues, build_hamming, build_model, enumerate_basis
 from crystalchain import hamiltonian
-from crystalchain.dynamics import _KERNEL_BLOCK
 from crystalchain.hamiltonian import (
     _J_MINUS,
     _MODEL_FAMILIES,
@@ -18,7 +17,6 @@ from crystalchain.hamiltonian import (
     _a_ik,
     _apply_chain,
     _model_terms,
-    _sector_layout,
 )
 from golden import (
     THREE_SITE_DELTA_PAIRS,
@@ -215,30 +213,6 @@ class TestModelStructure:
         assert (np.diff(keys) > 0).all()
         for code in range(len(sym.families)):
             assert (np.diff(keys[sym.family == code]) > 0).all()
-
-    @pytest.mark.parametrize("build", [build_model, build_hamming])
-    @pytest.mark.parametrize("n", [2, 5, 9])
-    def test_sector_layout_indexes_the_blocks(self, build, n):
-        # every pair's offset addresses its entry of B_k = H[S_k, S_k+1]
-        sym = build(n)
-        order, bounds, offsets = _sector_layout(n, sym.basis.labels[0], sym.rows, sym.cols)
-        assert order.dtype == bounds.dtype == offsets.dtype == np.int32
-        two_j3 = sym.basis.labels[0][order]
-        assert (np.diff(two_j3) >= 0).all()
-        assert two_j3[bounds[:-1]].tolist() == list(range(-n, n + 1, 2))
-        sizes = np.diff(bounds)
-        ends = np.cumsum(sizes[:-1] * sizes[1:])
-        flat = np.zeros(ends[-1], dtype=np.int64)
-        np.add.at(flat, offsets, 1)
-        assert (flat[offsets] == 1).all()  # each pair once
-        pattern = np.zeros((sym.dim, sym.dim), dtype=np.int64)
-        pattern[sym.rows, sym.cols] = 1
-        pattern[sym.cols, sym.rows] = 1
-        # the blocks and their transposes hold every entry of both halves
-        assert pattern.sum() == 2 * flat.sum()
-        for k, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
-            block = pattern[np.ix_(order[bounds[k] : bounds[k + 1]], order[bounds[k + 1] : bounds[k + 2]])]
-            assert (flat[lo:hi] == block.ravel()).all()
 
     def test_build_allocates_no_dense_integer_matrix(self):
         dim = 2**10
@@ -536,37 +510,6 @@ class TestEvaluateBitwise:
 @functools.cache
 def built(model, n):
     return (build_model if model == "crystal" else build_hamming)(n)
-
-
-class TestSectorProducts:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        model=st.sampled_from(["crystal", "hamming"]),
-        n=st.integers(min_value=2, max_value=8),
-        couplings=st.tuples(*[_COUPLING] * 6),
-        width=st.integers(min_value=1, max_value=2 * _KERNEL_BLOCK + 1),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(model="crystal", n=4, couplings=(0.0, -0.0, -1.5, 0.5, -0.0, 0.0), width=3, seed=0)
-    @example(model="hamming", n=8, couplings=(-2.0, 0.0, 0.0, 0.0, 0.0, -0.0), width=513, seed=1)
-    @example(model="crystal", n=8, couplings=(-0.0, 0.1, -0.5, 0.5, 0.5, 0.0), width=256, seed=2)
-    def test_products_equal_evaluate_times_matrix(self, model, n, couplings, width, seed):
-        # each computed entry is within gamma_(dim+3) (|H| |X|) of the exact
-        # product, whatever the summation order, so the two differ by at
-        # most twice that
-        sym = built(model, n)
-        values = CouplingValues(*couplings)
-        h = sym.evaluate(values)
-        x = np.random.default_rng(seed).normal(size=(sym.dim, width))
-        found = np.zeros((sym.dim, width))
-        covered = np.zeros((sym.dim, width), dtype=np.int64)
-        for rows, cols, block, v in sym.products(values, x):
-            assert (v == x[rows, cols]).all()
-            found[rows, cols] = block
-            covered[rows, cols] += 1
-        assert (covered == 1).all()
-        bound = 2 * (sym.dim + 3) * np.finfo(float).eps * (np.abs(h) @ np.abs(x))
-        assert (np.abs(found - h @ x) <= bound).all()
 
 
 def reachable(sym, state):
