@@ -603,8 +603,7 @@ class TestSectorProducts:
         # besides the block values: W, H W and V diag(e), each a slab of
         # _KERNEL_BLOCK columns, and dense_peak_bytes' 64 dim + 2048 for
         # the layout and small objects.  A slab's W still held while the
-        # next slab is multiplied (as the generator's caller once held it)
-        # goes past this at N = 9 and 10.
+        # next slab is multiplied goes past this at N = 9 and 10.
         sym = built(build_model, n)
         vectors = np.random.default_rng(n).normal(size=(sym.dim, sym.dim))
         eigenvalues = np.zeros(sym.dim)
