@@ -244,7 +244,8 @@ def _solve(held: list[np.ndarray], norm: float) -> tuple[np.ndarray, np.ndarray]
     )
     del work, iwork
     if info:
-        raise RuntimeError(f"eigensolver did not converge: dstedc info {info}")
+        # np.linalg.eigh's message for dsyevd's info > 0, which this is
+        raise RuntimeError("eigensolver did not converge: Eigenvalues did not converge")
     reflectors = np.empty((n, n))
     _call("dtpttr", b"L", n, packed, reflectors, n)
     del packed
