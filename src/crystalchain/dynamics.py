@@ -158,15 +158,15 @@ def dense_peak_bytes(dim: int) -> int:
     reflectors (half of H), Z and dstedc's workspace: 2.5 dim^2.  The
     np.linalg.eigh fallback holds five: H, eigh's copy of it, the output
     vectors and dsyevd's 2 dim^2 workspace.  The checks hold no H: the
-    vectors, the sector blocks of `_residuals` (under dim^2 / 4) and three
-    slabs of dim x min(_KERNEL_BLOCK, dim): the rows of V in sector order,
-    the product, and the residual's V diag(e) or a temporary of numpy's (a
-    sector's product, an iterator's buffer), each at most a slab.  From
-    dim 1024 (N = 10) up that is less than the in-place solve; below, the
-    checks set the peak.
+    vectors, the sector blocks of `_residuals` (under dim^2 / 4), two
+    slabs of dim x min(_KERNEL_BLOCK, dim), the rows of V in sector order
+    (scaled in place to V diag(e)) and the product, and one sector's
+    product, at most half a slab as no sector holds more than half the
+    states.  From dim 1024 (N = 10) up that is less than the in-place
+    solve; at dim 512 the two are equal; below, the checks set the peak.
     """
     solve = 5 * dim * dim // 2 if _lapack() is not None else 5 * dim * dim
-    checks = dim * dim + dim * dim // 4 + 3 * min(_KERNEL_BLOCK, dim) * dim
+    checks = dim * dim + dim * dim // 4 + 5 * min(_KERNEL_BLOCK, dim) * dim // 2
     return np.dtype(float).itemsize * (max(solve, checks) + 64 * dim + 2048)
 
 
@@ -310,9 +310,11 @@ def _residuals(sym: SymbolicHamiltonian, values: CouplingValues, eigenvalues, ve
     One scatter of the stored half fills every block B_k = H[S_k, S_k+1]
     of `_sector_layout`.  Then each slab of _KERNEL_BLOCK columns gathers
     V's rows into sector order once as W, and `_sector_product` writes
-    H W, then r, into one reused buffer.  W is released before the next
-    slab is gathered, so besides the blocks (under dim^2 / 4) the loop
-    holds three slabs: W, that buffer and V diag(e) or a sector's product.
+    H W, then r, into one reused buffer; W is scaled in place to
+    V diag(e) after its column sums of squares are taken.  W is released
+    before the next slab is gathered, so besides the blocks (under
+    dim^2 / 4) the loop holds two slabs, W and that buffer, and one
+    sector's product.
     """
     order, bounds, offsets = _sector_layout(sym.basis.n, sym.basis.labels[0], sym.rows, sym.cols)
     couplings = np.array([getattr(values, field) for _, field in sym.families])
@@ -335,9 +337,10 @@ def _residuals(sym: SymbolicHamiltonian, values: CouplingValues, eigenvalues, ve
             cols = slice(start, start + width)
             v = vectors[order, cols]
             r = _sector_product(blocks, bounds, diagonal, v, out[: v.size].reshape(v.shape))
-            r -= v * eigenvalues[cols]
-            r_squares[cols] += np.einsum("ij,ij->j", r, r)
             v_squares[cols] += np.einsum("ij,ij->j", v, v)
+            v *= eigenvalues[cols]
+            r -= v
+            r_squares[cols] += np.einsum("ij,ij->j", r, r)
             residual = np.maximum(residual, np.abs(r, out=r).max())
             del v  # before the next slab is gathered
     return float(residual), r_squares, v_squares

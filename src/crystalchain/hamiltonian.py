@@ -18,12 +18,12 @@ its ops: the "variation of the labels" that sets a flip's intensity.
 Every product is written in the order that keeps each intermediate state
 admissible whenever the end state is (lower J3 before shrinking the irrep,
 enlarge the irrep before lowering J3), so a chain keeps exactly the states
-whose labels + m are admissible.  m is even, so every parity holds, and
-the rest is a few boolean tests of the initial state read from features
-computed once per build: the N-1 step bits of the prefix-spin walk
-1, 2J^2, ..., 2J^N, a floor under each run of lowered rows, and
-|2J3| <= 2J^N.  Every survivor's walk key moves by one constant, so its
-final row is a table lookup at key + shift.
+whose labels + m are admissible.  Each state has a walk key: the N-1 step
+bits of its prefix-spin walk 1, 2J^2, ..., 2J^N, and 2J3.  Two boolean
+tests of the initial state, its step bits where m bends the walk and
+|2J3 + m_0| <= N, let the key move by one constant per chain; a row
+table, built once per build, then reads the final row at key + shift,
+or -1 where labels + m is not admissible.
 
 The baseline builder instead couples words at Hamming distance one with a
 single coupling.
@@ -42,10 +42,9 @@ when it checks a decomposition, without H.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -194,68 +193,13 @@ def _walk_keys(labels: np.ndarray) -> np.ndarray:
     return bits * (n + 1) + (labels[0] + n) // 2
 
 
-class _Chain(NamedTuple):
-    """What one chain does to every state it does not annihilate.
-
-    A state survives when its walk step bits under `mask` equal `rising`,
-    its rows lo:hi are all at least `least` for each (lo, hi, least) in
-    `floors`, and |2J3 + a| <= 2J^N + b when `spin` is (a, b).
-    """
-
-    mask: int
-    rising: int
-    floors: tuple[tuple[int, int, int], ...]
-    spin: Optional[tuple[int, int]]
-    shift: int  # added to the walk key
-    moved: tuple[int, ...]  # added to each label row
-
-
-def _plan_chain(n: int, ops: tuple[_Op, ...]) -> Optional[_Chain]:
-    """The survivor tests and key shift of a chain; None if it annihilates every state.
-
-    Only the net shift m, the sum of the ops, is read.  A state survives
-    when its labels + m are admissible; m is even, so every parity holds,
-    and the rest are tests of the initial state:
-      - walk step s runs from prefix spin s to s+1 (spin 0 is the fixed 1,
-        with m = 0); a step whose m changes by +2 must fall, by -2 must
-        rise, and by 4 or more nothing survives;
-      - each maximal run of rows lowered by c > 0 must be at least c;
-      - |2J3 + m_0| <= 2J^N + m_top, which holds anyway when m_top >= |m_0|.
-    A flipped step moves its key bit by half the change, and 2J3 moves by
-    m_0, so every survivor's walk key moves by the same shift.
-    """
-    moved = [0] * n
-    for lo, hi, delta in ops:
-        for row in range(lo, hi):
-            moved[row] += delta
-    walk = [0, *moved[1:]]  # the shift of each prefix spin 1, 2J^2, ..., 2J^N
-    changes = [b - a for a, b in zip(walk, walk[1:])]
-    if any(abs(change) > 2 for change in changes):
-        return None
-    floors, lo = [], 1
-    for change, run in itertools.groupby(moved[1:]):
-        hi = lo + len(list(run))
-        if change < 0:
-            floors.append((lo, hi, -change))
-        lo = hi
-    return _Chain(
-        mask=sum(1 << step for step, change in enumerate(changes) if change),
-        rising=sum(1 << step for step, change in enumerate(changes) if change < 0),
-        floors=tuple(floors),
-        spin=None if moved[-1] >= abs(moved[0]) else (moved[0], moved[-1]),
-        shift=moved[0] // 2
-        + (n + 1) * sum(change // 2 * (1 << step) for step, change in enumerate(changes)),
-        moved=tuple(moved),
-    )
-
-
 class _Walks:
     """Per-state features of the basis, computed once per build.
 
     `labels` is the label array, `keys` the walk keys, `bits` the walk's
     N-1 step bits (1 where it rises) and `row_table` the basis index of
-    every walk key (-1 for keys of no basis state).  The floor and spin
-    tests, which many chains share, are evaluated once.
+    every walk key, -1 for a key of no basis state: the lookup that
+    decides whether a chain's end state is admissible.
     """
 
     def __init__(self, labels: np.ndarray):
@@ -265,58 +209,45 @@ class _Walks:
         self.bits = self.keys // (n + 1)
         self.row_table = np.full((1 << (n - 1)) * (n + 1), -1, dtype=np.int64)
         self.row_table[self.keys] = np.arange(dim)
-        self._floors: dict[tuple[int, int, int], np.ndarray] = {}
-        self._spins: dict[tuple[int, int], np.ndarray] = {}
-
-    def _floor(self, lo: int, hi: int, least: int) -> np.ndarray:
-        keep = self._floors.get((lo, hi, least))
-        if keep is None:
-            keep = self._floors[lo, hi, least] = self.labels[lo:hi].min(axis=0) >= least
-        return keep
-
-    def _spin(self, a: int, b: int) -> np.ndarray:
-        keep = self._spins.get((a, b))
-        if keep is None:
-            keep = self._spins[a, b] = np.abs(self.labels[0] + a) <= self.labels[-1] + b
-        return keep
-
-    def apply(self, chain: _Chain) -> tuple[np.ndarray, np.ndarray]:
-        """(final row, initial col) of every state `chain` does not annihilate."""
-        tests = [self._floor(*floor) for floor in chain.floors]
-        if chain.spin is not None:
-            tests.append(self._spin(*chain.spin))
-        if chain.mask:  # nearly every chain tests its own steps: not kept
-            tests.append((self.bits & chain.mask) == chain.rising)
-        if tests:
-            cols = np.logical_and.reduce(tests).nonzero()[0]
-        else:
-            cols = np.arange(self.labels.shape[1])
-        keys = self.keys[cols] + chain.shift
-        # numpy would wrap a negative key; viewed unsigned it lies past the table
-        inside = keys.view(np.uint64).max(initial=0) < len(self.row_table)
-        rows = self.row_table[keys] if inside else None
-        if rows is None or rows.min(initial=0) < 0:
-            missing = (keys < 0) | (keys >= len(self.row_table))
-            missing[~missing] = self.row_table[keys[~missing]] < 0
-            state = self.labels[:, cols[np.argmax(missing)]] + np.array(chain.moved)
-            raise ValueError(f"labels not in basis: {state.tolist()}")
-        return rows, cols
 
 
 def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(final row, initial col) of every state whose labels plus the chain's
-    net shift are admissible.
+    net shift m, the sum of its ops, are admissible.
 
     For a chain of `_model_terms` these are the states that survive its ops
     one at a time, as the per-state ladder operators apply them: each
     product is written so that no intermediate result is inadmissible
-    unless the end state is.
+    unless the end state is.  Walk step s runs from prefix spin s to s+1
+    (spin 0 is the fixed 1, with m = 0).  A step whose m changes by +2
+    must fall and one by -2 must rise; by 4 or more nothing survives.  A
+    state whose steps pass and with |2J3 + m_0| <= N moves its key by one
+    shift, without a carry: each flipped step moves its bit by half the
+    change, and 2J3 moves by m_0.  key + shift is then the walk key of
+    labels + m, and the row table holds a basis row there exactly when
+    labels + m is admissible.
     """
-    chain = _plan_chain(walks.n, ops)
-    if chain is None:
+    n = walks.n
+    moved = [0] * n
+    for lo, hi, delta in ops:
+        for row in range(lo, hi):
+            moved[row] += delta
+    walk = [0, *moved[1:]]  # the shift of each prefix spin 1, 2J^2, ..., 2J^N
+    changes = [b - a for a, b in zip(walk, walk[1:])]
+    if any(abs(change) > 2 for change in changes):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    return walks.apply(chain)
+    mask = sum(1 << step for step, change in enumerate(changes) if change)
+    rising = sum(1 << step for step, change in enumerate(changes) if change < 0)
+    shift = moved[0] // 2 + (n + 1) * sum(
+        change // 2 * (1 << step) for step, change in enumerate(changes)
+    )
+    keep = np.abs(walks.labels[0] + moved[0]) <= n
+    keep &= (walks.bits & mask) == rising
+    cols = keep.nonzero()[0]
+    rows = walks.row_table[walks.keys[cols] + shift]
+    admissible = rows >= 0
+    return rows[admissible], cols[admissible]
 
 
 def _assemble(

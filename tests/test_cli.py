@@ -486,11 +486,11 @@ class TestMemoryPreflight:
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2**20)
         out = tmp_path / "run"
         argv = ["profile", "--n", "9", "--initial", "RRRRYYYYY", "--out", str(out)]
-        # float64 matrices of 2 MiB: at dim 512 the checks' 2.75 outweigh
-        # the in-place solve's 2.5; 5 through the eigh fallback; each plus
-        # 64 dim and 16 KiB
+        # float64 matrices of 2 MiB: at dim 512 the checks' 2.5 equal the
+        # in-place solve's; 5 through the eigh fallback; each plus 64 dim
+        # and 16 KiB
         small = 64 * 8 * 2**9 + 2048 * 8
-        in_place = (5.5, 6) if dynamics._lapack() is not None else (10, 10)
+        in_place = (5, 5) if dynamics._lapack() is not None else (10, 10)
         for handle, (need, shown) in ((dynamics._lapack, in_place), (lambda: None, (10, 10))):
             monkeypatch.setattr(dynamics, "_lapack", handle)
             assert dense_peak_bytes(2**9) == need * 2**20 + small

@@ -437,12 +437,14 @@ class TestEigendecompose:
 
     def test_dense_peak_bytes_follows_the_solver_path(self, monkeypatch):
         # from dim 1024 up the solve's peak is the larger; at 512 the
-        # checks' 1.25 + 3 * 256 / 512 matrices
+        # checks' 1.25 + 2.5 * 256 / 512 matrices equal it; at 256 the
+        # checks' 1.25 + 2.5 set the peak
         vectors = 64 * 8 * 1024
         fixed = 2048 * 8
         if dynamics._lapack() is not None:
             assert dynamics.dense_peak_bytes(1024) == 2.5 * 8 * 1024**2 + vectors + fixed
-            assert dynamics.dense_peak_bytes(512) == 2.75 * 8 * 512**2 + vectors // 2 + fixed
+            assert dynamics.dense_peak_bytes(512) == 2.5 * 8 * 512**2 + vectors // 2 + fixed
+            assert dynamics.dense_peak_bytes(256) == 3.75 * 8 * 256**2 + vectors // 4 + fixed
         monkeypatch.setattr(dynamics, "_lapack", lambda: None)
         assert dynamics.dense_peak_bytes(1024) == 5 * 8 * 1024**2 + vectors + fixed
 
@@ -601,10 +603,12 @@ class TestSectorProducts:
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_residuals_hold_three_slabs(self, n):
-        # besides the block values: W, H W and V diag(e), each a slab of
-        # _KERNEL_BLOCK columns, and dense_peak_bytes' 64 dim + 2048 for
-        # the layout and small objects.  A slab's W still held while the
-        # next slab is multiplied goes past this at N = 9 and 10.
+        # besides the block values: W (scaled in place to V diag(e)) and
+        # H W, each a slab of _KERNEL_BLOCK columns, one sector's product,
+        # the largest sector's rows of a slab, and dense_peak_bytes' 64 dim
+        # + 2048 for the layout and small objects.  V diag(e) in a slab of
+        # its own goes past this at N = 9 and 10, as does a slab's W still
+        # held while the next slab is multiplied.
         sym = built(build_model, n)
         vectors = np.random.default_rng(n).normal(size=(sym.dim, sym.dim))
         eigenvalues = np.zeros(sym.dim)
@@ -617,7 +621,8 @@ class TestSectorProducts:
             tracemalloc.stop()
         sizes = np.diff(_sector_layout(n, sym.basis.labels[0], sym.rows, sym.cols)[1])
         blocks = int((sizes[:-1] * sizes[1:]).sum())
-        assert peak <= 8 * (3 * _KERNEL_BLOCK * sym.dim + blocks + 64 * sym.dim + 2048)
+        slabs = (2 * sym.dim + int(sizes.max())) * _KERNEL_BLOCK
+        assert peak <= 8 * (slabs + blocks + 64 * sym.dim + 2048)
 
     @settings(max_examples=100, deadline=None)
     @given(
