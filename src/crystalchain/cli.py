@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -226,13 +225,10 @@ def _check_memory(n: int, need: int, what: str) -> None:
         )
 
 
-def _build(config: RunConfig, solves: int = 1) -> SymbolicHamiltonian:
-    """The structure for ``config``, once ``solves`` dense eigendecompositions
-    at a time pass the memory pre-flight."""
-    what = "the dense eigendecomposition"
-    if solves > 1:
-        what = f"{solves} dense eigendecompositions at once"
-    _check_memory(config.n, solves * dense_peak_bytes(2**config.n), what)
+def _build(config: RunConfig) -> SymbolicHamiltonian:
+    """The structure for ``config``, once its dense eigendecomposition passes
+    the memory pre-flight."""
+    _check_memory(config.n, dense_peak_bytes(2**config.n), "the dense eigendecomposition")
     return _build_reading(config.model, config.n, config.couplings)
 
 
@@ -531,8 +527,6 @@ _SUMMARY_HEADER = ",".join(("point", "status", *COUPLING_NAMES, *_FIT_COLUMNS))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     config = _resolve_config(args)
     axes = _parse_grid(args.param or [])
     out = Path(args.out)
@@ -540,12 +534,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dict(zip([name for name, _ in axes], combo))
         for combo in itertools.product(*[values for _, values in axes])
     ] if axes else []
-    workers = min(args.workers, len(points), os.cpu_count() or 1)
-    sym = _build(config, solves=max(workers, 1))
+    sym = _build(config)
     _check_axes(axes, sym, config.model)
 
-    def run_point(item: tuple[int, dict[str, float]]) -> dict:
-        idx, point = item
+    rows = []
+    for idx, point in enumerate(points):
         point_config = dataclasses.replace(
             config, couplings=_apply_point(config.couplings, point)
         )
@@ -567,13 +560,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 zipf_a=zipf["a"], zipf_k=zipf["k"], zipf_r2=zipf["r2"],
                 sse_ratio=result.fits["sse_ratio_zipf_over_yule"],
             )
-        return row
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_point, enumerate(points)))
-    else:
-        rows = [run_point(item) for item in enumerate(points)]
+        rows.append(row)
 
     lines = [_SUMMARY_HEADER]
     for row in rows:
@@ -664,29 +651,37 @@ def build_parser() -> argparse.ArgumentParser:
         "--param", action="append", default=None, metavar="NAME=V1,V2,...",
         help="sweep axis; NAME may be 'all' to set eps=gamma=delta=eta together",
     )
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", default="sweep")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def _join_negative_values(argv: "list[str]") -> "list[str]":
-    """argv with each negative number that follows a `--flag` joined onto
-    it as `--flag=value`.  argparse takes only -1 and -.5 forms for numbers,
-    and reads -1e-3 or -inf as a flag with its value missing."""
+    """argv with each negative number that follows a `--flag`, and each +/-
+    word that follows `--initial`, joined onto it as `--flag=value`.
+    argparse takes only -1 and -.5 forms for numbers, and reads -1e-3, -inf
+    or -+- as a flag with its value missing."""
     joined: list[str] = []
     for arg in argv:
         flag = joined[-1] if joined else ""
         if arg.startswith("-") and flag.startswith("--") and len(flag) > 2 and "=" not in flag:
-            try:
-                float(arg)
-            except ValueError:
-                pass
-            else:
+            if _is_value(flag, arg):
                 joined[-1] = f"{flag}={arg}"
                 continue
         joined.append(arg)
     return joined
+
+
+def _is_value(flag: str, arg: str) -> bool:
+    """Whether the dash-leading ``arg`` is ``flag``'s value: a number, or
+    a +/- word after `--initial`."""
+    if flag == "--initial" and not arg.strip("+-"):
+        return True
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv: "list[str] | None" = None) -> int:

@@ -1,6 +1,10 @@
-"""The package's modules import only the layers below them."""
+"""The package's modules import only the layers below them, and the CLI
+imports no thread pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import crystalchain
@@ -40,3 +44,14 @@ def test_no_module_imports_a_later_layer():
         tree = ast.parse((PACKAGE / f"{layer}.py").read_text())
         later = [name for name in imported_layers(tree) if LAYERS.index(name) >= rank]
         assert later == [], f"{layer} imports {later}"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # a sweep runs its points in one loop; BLAS already uses every core
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    probe = "import sys, crystalchain.cli; assert 'concurrent.futures' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
