@@ -21,9 +21,10 @@ enlarge the irrep before lowering J3), so a chain keeps exactly the states
 whose labels + m are admissible.  Each state has a walk key: the N-1 step
 bits of its prefix-spin walk 1, 2J^2, ..., 2J^N, and 2J3.  Two boolean
 tests of the initial state, its step bits where m bends the walk and
-|2J3 + m_0| <= N, let the key move by one constant per chain; a row
-table, built once per build, then reads the final row at key + shift,
-or -1 where labels + m is not admissible.
+|2J3 + m_0| <= N, let the key move by one constant per chain.  One pass
+makes both tests for all chains and all states at once, and a row table
+then reads each final row at key + shift, or -1 where labels + m is not
+admissible.
 
 The baseline builder instead couples words at Hamming distance one with a
 single coupling.
@@ -107,19 +108,22 @@ class SymbolicHamiltonian:
     def dim(self) -> int:
         return len(self.basis)
 
+    def pair_couplings(self, values: CouplingValues) -> np.ndarray:
+        """The coupling of each stored pair: its family's field of `values`."""
+        return np.array([getattr(values, field) for _, field in self.families])[self.family]
+
     def evaluate(self, values: CouplingValues) -> np.ndarray:
         """Dense symmetric matrix mu0*diag(2J3) + sum of coupling * both halves."""
-        couplings = [getattr(values, field) for _, field in self.families]
         with np.errstate(over="ignore"):  # an inf is the caller's to refuse
             diag = values.mu0 * self.basis.labels[0].astype(float)
         # H equals the dense sum mu0*diag(2J3) + sum_v v*C_v bit for bit.  In
         # that sum each entry gains v*0.0 per coupling it lacks; a positive v
         # turns a -0.0 diagonal entry (as mu0 < 0 gives at 2J3 = 0) into
         # +0.0, and a coupling of -0.0 leaves its pairs at +0.0.
-        if any(v > 0 for v in couplings):
+        if any(getattr(values, field) > 0 for _, field in self.families):
             diag += 0.0
         h = np.diag(diag)
-        h[self.rows, self.cols] = h[self.cols, self.rows] = np.array(couplings)[self.family] + 0.0
+        h[self.rows, self.cols] = h[self.cols, self.rows] = self.pair_couplings(values) + 0.0
         return h
 
     def dump(self) -> str:
@@ -193,41 +197,18 @@ def _walk_keys(labels: np.ndarray) -> np.ndarray:
     return bits * (n + 1) + (labels[0] + n) // 2
 
 
-class _Walks:
-    """Per-state features of the basis, computed once per build.
+def _chain_step(n: int, ops: tuple[_Op, ...]) -> tuple[int, int, int, int]:
+    """(m_0, step mask, rising bits, key shift) of a chain whose net label
+    shift m is the sum of its ops.
 
-    `labels` is the label array, `keys` the walk keys, `bits` the walk's
-    N-1 step bits (1 where it rises) and `row_table` the basis index of
-    every walk key, -1 for a key of no basis state: the lookup that
-    decides whether a chain's end state is admissible.
-    """
-
-    def __init__(self, labels: np.ndarray):
-        n, dim = labels.shape
-        self.n, self.labels = n, labels
-        self.keys = _walk_keys(labels)
-        self.bits = self.keys // (n + 1)
-        self.row_table = np.full((1 << (n - 1)) * (n + 1), -1, dtype=np.int64)
-        self.row_table[self.keys] = np.arange(dim)
-
-
-def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(final row, initial col) of every state whose labels plus the chain's
-    net shift m, the sum of its ops, are admissible.
-
-    For a chain of `_model_terms` these are the states that survive its ops
-    one at a time, as the per-state ladder operators apply them: each
-    product is written so that no intermediate result is inadmissible
-    unless the end state is.  Walk step s runs from prefix spin s to s+1
-    (spin 0 is the fixed 1, with m = 0).  A step whose m changes by +2
-    must fall and one by -2 must rise; by 4 or more nothing survives.  A
-    state whose steps pass and with |2J3 + m_0| <= N moves its key by one
+    Walk step s runs from prefix spin s to s+1 (spin 0 is the fixed 1,
+    with m = 0).  A step whose m changes by +2 must fall and one by -2
+    must rise, so a state survives when its step bits under the mask equal
+    the rising bits; a change of 4 or more leaves none (mask 0, rising 1).
+    A surviving state with |2J3 + m_0| <= N moves its walk key by the
     shift, without a carry: each flipped step moves its bit by half the
-    change, and 2J3 moves by m_0.  key + shift is then the walk key of
-    labels + m, and the row table holds a basis row there exactly when
-    labels + m is admissible.
+    change, and 2J3 moves by m_0.
     """
-    n = walks.n
     moved = [0] * n
     for lo, hi, delta in ops:
         for row in range(lo, hi):
@@ -235,34 +216,58 @@ def _apply_chain(walks: _Walks, ops: tuple[_Op, ...]) -> tuple[np.ndarray, np.nd
     walk = [0, *moved[1:]]  # the shift of each prefix spin 1, 2J^2, ..., 2J^N
     changes = [b - a for a, b in zip(walk, walk[1:])]
     if any(abs(change) > 2 for change in changes):
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return moved[0], 0, 1, 0
     mask = sum(1 << step for step, change in enumerate(changes) if change)
     rising = sum(1 << step for step, change in enumerate(changes) if change < 0)
     shift = moved[0] // 2 + (n + 1) * sum(
         change // 2 * (1 << step) for step, change in enumerate(changes)
     )
-    keep = np.abs(walks.labels[0] + moved[0]) <= n
-    keep &= (walks.bits & mask) == rising
-    cols = keep.nonzero()[0]
-    rows = walks.row_table[walks.keys[cols] + shift]
+    return moved[0], mask, rising, shift
+
+
+def _apply_chains(
+    labels: np.ndarray, chains: list[tuple[_Op, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(final row, initial col, chain index) of every (chain, state) whose
+    labels plus the chain's net shift m are admissible, chain-major.
+
+    For a chain of `_model_terms` these are the states that survive its ops
+    one at a time, as the per-state ladder operators apply them: each
+    product is written so that no intermediate result is inadmissible
+    unless the end state is.  One test over all chains and states at once
+    keeps the states that pass `_chain_step`'s step test and
+    |2J3 + m_0| <= N; key + shift is then the walk key of labels + m, and
+    the row table, the basis index of every walk key (-1 for a key of no
+    basis state), holds a basis row there exactly when labels + m is
+    admissible.
+    """
+    n, dim = labels.shape
+    keys = _walk_keys(labels)
+    row_table = np.full((1 << (n - 1)) * (n + 1), -1, dtype=np.int64)
+    row_table[keys] = np.arange(dim)
+    steps = np.array([_chain_step(n, ops) for ops in chains], np.int64).reshape(-1, 4)
+    m0, mask, rising = steps[:, :3].T.astype(np.int16)  # the chains x states tests run in int16
+    shifts, chain_shift = np.unique(m0, return_inverse=True)  # the J3 test, per distinct m_0
+    keep = (np.abs(labels[0] + shifts[:, None]) <= n)[chain_shift]
+    bits = (keys // (n + 1)).astype(np.int16)
+    keep &= (bits & mask[:, None]) == rising[:, None]
+    chain, cols = np.divmod(np.flatnonzero(keep), dim)
+    rows = row_table[keys[cols] + steps[:, 3][chain]]
     admissible = rows >= 0
-    return rows[admissible], cols[admissible]
+    return rows[admissible], cols[admissible], chain[admissible]
 
 
 def _assemble(
-    basis: BasisMap, families: tuple[Family, ...], chains: list
+    basis: BasisMap, families: tuple[Family, ...], rows, cols, codes
 ) -> SymbolicHamiltonian:
-    """The lowering half of one tagged pair list from the (family, rows,
-    cols) chains, verified and sorted row-major.
+    """The lowering half of one tagged pair list: pair j couples (`rows[j]`,
+    `cols[j]`) through family `codes[j]` of `families`, verified and sorted
+    row-major.
 
     Every listed pair must lower 2J3 by exactly 2, so none couples a state
     to itself or is another's transpose, and no two chains may couple the
     same pair.
     """
-    rows = np.concatenate([rows for _, rows, _ in chains])
-    cols = np.concatenate([cols for _, _, cols in chains])
-    codes = np.concatenate([np.full(len(rows), families.index(f), np.int8) for f, rows, _ in chains])
     two_j3 = basis.labels[0]  # int16, so the pair-sized step is too
     if (two_j3[cols] - two_j3[rows] != 2).any():
         raise AssertionError("a listed pair does not lower 2J3 by exactly 2")
@@ -271,7 +276,6 @@ def _assemble(
         raise AssertionError("eta coefficients must vanish for three-site chains")
     dim = len(basis)
     keys = rows * dim + cols
-    del rows, cols
     sort = np.argsort(keys)
     keys = keys[sort]
     if (keys[1:] == keys[:-1]).any():
@@ -288,13 +292,14 @@ _MODEL_FAMILIES: tuple[Family, ...] = (
 def build_model(n: int) -> SymbolicHamiltonian:
     """Assemble the mutation-model Hamiltonian structure for n sites.
 
-    Every listed chain is applied to every basis state; each surviving
-    chain couples (final, initial), and its adjoint the transpose.
+    Every listed chain is applied to every basis state at once; each
+    surviving chain couples (final, initial), and its adjoint the transpose.
     """
     basis = enumerate_basis(n)
-    walks = _Walks(basis.labels)
-    chains = [((f, s), *_apply_chain(walks, ops)) for f, s, ops in _model_terms(n)]
-    return _assemble(basis, _MODEL_FAMILIES, chains)
+    terms = _model_terms(n)
+    rows, cols, chain = _apply_chains(basis.labels, [ops for _, _, ops in terms])
+    codes = np.array([_MODEL_FAMILIES.index((f, s)) for f, s, _ in terms], np.int8)
+    return _assemble(basis, _MODEL_FAMILIES, rows, cols, codes[chain])
 
 
 def build_hamming(n: int) -> SymbolicHamiltonian:
@@ -306,10 +311,7 @@ def build_hamming(n: int) -> SymbolicHamiltonian:
     exactly-plateaued variant.
     """
     basis = enumerate_basis(n)
-    bits = basis.bits
-    family = ("HAMMING", "beta")
-    flips = []
-    for mask in (1 << site for site in range(n)):
-        cols = np.flatnonzero(bits & mask)
-        flips.append((family, basis.index_by_bits[bits[cols] ^ mask], cols))
-    return _assemble(basis, (family,), flips)
+    masks = 1 << np.arange(n)
+    site, cols = np.divmod(np.flatnonzero(basis.bits & masks[:, None]), len(basis))  # every R
+    rows = basis.index_by_bits[basis.bits[cols] ^ masks[site]]
+    return _assemble(basis, (("HAMMING", "beta"),), rows, cols, np.zeros(len(rows), np.int8))

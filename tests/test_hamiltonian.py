@@ -11,10 +11,9 @@ from crystalchain import hamiltonian
 from crystalchain.hamiltonian import (
     _J_MINUS,
     _MODEL_FAMILIES,
-    _Walks,
     _a,
     _a_ik,
-    _apply_chain,
+    _apply_chains,
     _model_terms,
 )
 from golden import (
@@ -154,9 +153,9 @@ class TestModelStructure:
     def test_forward_half_transposes_to_adjoint_half(self, n):
         # the adjoint of each listed chain, walked op by op, couples exactly
         # the transposes of the chain's pairs: the ones the builder mirrors
-        walks, labels, table = reference_walk(n)
+        labels, table = reference_walk(n)
         for _, _, ops in _model_terms(n):
-            rows, cols = _apply_chain(walks, ops)
+            rows, cols, _ = _apply_chains(labels, [ops])
             back_rows, back_cols = walk_chain(labels, table, adjoint(ops))
             forward = np.lexsort((rows, cols))
             backward = np.lexsort((back_cols, back_rows))
@@ -278,13 +277,12 @@ class TestScalarOracle:
 
 
 def reference_walk(n):
-    """(walk features, label array, row table) of the n-site basis, the
-    table built from the walk keys independently of `_Walks`."""
+    """(label array, row table) of the n-site basis, the table built from
+    the walk keys independently of `_apply_chains`."""
     labels = enumerate_basis(n).labels
-    walks = _Walks(labels)
-    table = np.full(len(walks.row_table), -1, dtype=np.int64)
+    table = np.full((1 << (n - 1)) * (n + 1), -1, dtype=np.int64)
     table[hamiltonian._walk_keys(labels)] = np.arange(labels.shape[1])
-    return walks, labels, table
+    return labels, table
 
 
 def sorted_pairs(reference):
@@ -315,16 +313,28 @@ def assert_pairs_are(sym, half, adjoints, families):
     assert sym.families == families
 
 
-@st.composite
-def chains(draw):
-    """(n, ops): 0-3 ops drawn from J+-, A_i and A_ik with delta = +-2."""
-    n = draw(st.integers(min_value=2, max_value=9))
+def drawn_ops(n):
+    """0-3 ops drawn from J+-, A_i and A_ik with delta = +-2."""
     alphabet = [_J_MINUS, *adjoint((_J_MINUS,))]
     alphabet += [_a(i, n, delta) for i in range(2, n + 1) for delta in (-2, 2)]
     alphabet += [
         _a_ik(i, k, delta) for i in range(2, n) for k in range(i + 1, n + 1) for delta in (-2, 2)
     ]
-    return n, tuple(draw(st.lists(st.sampled_from(alphabet), max_size=3)))
+    return st.lists(st.sampled_from(alphabet), max_size=3).map(tuple)
+
+
+@st.composite
+def chains(draw):
+    """(n, ops): one chain of `drawn_ops` at 2..9 sites."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    return n, draw(drawn_ops(n))
+
+
+@st.composite
+def chain_lists(draw):
+    """(n, chains): 1-5 chains of `drawn_ops` at one n."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    return n, draw(st.lists(drawn_ops(n), min_size=1, max_size=5))
 
 
 _WALKS = {n: reference_walk(n) for n in range(2, 10)}
@@ -334,10 +344,10 @@ class TestWalkFeatures:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_builder_equals_reference_walk(self, n):
         # the reference walks every listed chain and its adjoint op by op
-        walks, labels, table = reference_walk(n)
+        labels, table = reference_walk(n)
         half, adjoints = [], []
         for family, field, ops in _model_terms(n):
-            rows, cols = _apply_chain(walks, ops)
+            rows, cols, _ = _apply_chains(labels, [ops])
             want_rows, want_cols = walk_chain(labels, table, ops)
             assert rows.tobytes() == want_rows.tobytes(), ops
             assert cols.tobytes() == want_cols.tobytes(), ops
@@ -354,15 +364,30 @@ class TestWalkFeatures:
         """A drawn chain keeps the states whose labels plus its net shift are
         admissible, and sends each to the reference table's row there."""
         n, ops = chain
-        walks, labels, table = _WALKS[n]
+        labels, table = _WALKS[n]
         moved = np.zeros((n, 1), dtype=labels.dtype)
         for lo, hi, delta in ops:
             moved[lo:hi] += delta
         want_cols = admissible_columns(labels + moved).nonzero()[0]
         want_rows = table[hamiltonian._walk_keys(labels[:, want_cols] + moved)]
-        rows, cols = _apply_chain(walks, ops)
+        rows, cols, _ = _apply_chains(labels, [ops])
         assert cols.tobytes() == want_cols.tobytes()
         assert rows.tobytes() == want_rows.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_list=chain_lists())
+    @example(chain_list=(4, [(_J_MINUS,), (_a(2, 4, -2), _a(2, 4, -2)), (_J_MINUS, _J_MINUS), ()]))
+    def test_drawn_chains_together_equal_each_alone(self, chain_list):
+        """Chains applied in one call give each chain, in chain-major order,
+        exactly the pairs it gives when applied alone."""
+        n, chains = chain_list
+        labels, _ = _WALKS[n]
+        rows, cols, chain = _apply_chains(labels, chains)
+        assert (np.diff(chain) >= 0).all()
+        for index, ops in enumerate(chains):
+            want_rows, want_cols, _ = _apply_chains(labels, [ops])
+            assert rows[chain == index].tobytes() == want_rows.tobytes(), ops
+            assert cols[chain == index].tobytes() == want_cols.tobytes(), ops
 
 
 class TestHammingStructure:
