@@ -43,6 +43,7 @@ from .crystal import MAX_CHAIN_LENGTH, BasisMap, check_chain_length, enumerate_b
 from .dynamics import (
     PhaseOverflowError,
     TransitionProfile,
+    check_horizon,
     dense_peak_bytes,
     eigendecompose,
     find_stable_T,
@@ -131,10 +132,7 @@ def _parse_horizon(value: "str | float") -> "str | float":
                 f"horizon must be a positive number, 'auto' or 'infinite', got {value!r}"
             ) from None
     value = _number("horizon", value)
-    if not (value > 0 and math.isfinite(value) and math.isfinite(2.0 / value)):
-        raise UsageError(
-            f"explicit horizon must be positive and finite, with 2/horizon finite, got {value!r}"
-        )
+    check_horizon(value)
     return value
 
 

@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 
 DEFAULT_DECOMP_TOL = 1e-10
 PROFILE_SUM_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 # Rows (and square tiles) of the blocked passes: the horizon-average kernel,
 # the ladder screens and eigendecompose's checks hold O(_KERNEL_BLOCK * dim)
 # memory instead of O(dim^2).
@@ -30,12 +31,9 @@ _KERNEL_BLOCK = 256
 # Square tiles of the in-place transpose of the eigenvectors, and rows of
 # the orthonormality band, whose diagonal blocks it always computes.
 _TILE = 64
-# Slack of find_stable_T's initial-row screen over rounding; see its docstring.
-_SCREEN_MARGIN = 1e-9
 # Eigenvalue pairs whose gap is at most this fraction of the spectral radius
 # about the mean take the direct kernel in `time_averaged_profile`; far pairs
-# take the sine addition formula, whose rounding error is at most
-# 27.02 eps / _NEAR_GAP (derived there): 6e-13 at 1e-2.
+# take the sine addition formula, whose rounding `_probe_error` bounds.
 _NEAR_GAP = 1e-2
 # The same fraction for `_ladder_screens`, whose rounding bound is computed
 # per horizon, so it only trades the bound's T-independent part (at most
@@ -267,8 +265,8 @@ def _sector_layout(
     Sector k holds the states with 2J3 = 2k - n: positions
     bounds[k]:bounds[k + 1] of `order`, the states stably sorted by 2J3.
     offsets[j] is the entry of pair j in one flat buffer of the blocks
-    B_k = H[S_k, S_k+1] (s_k x s_k+1, row-major, in k order), so the
-    offsets are int32 unless that buffer has 2^31 entries or more.  The
+    B_k = H[S_k, S_k+1] (s_k x s_k+1, row-major, in k order), of
+    C(2n, n + 1) entries in all: int32 offsets hold every n up to 16.  The
     pair-sized temporaries are kept few and narrow: `_residuals` runs
     after the solve, far beneath its peak.
     """
@@ -278,12 +276,10 @@ def _sector_layout(
     sizes = np.bincount(sector, minlength=n + 1)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     starts = np.concatenate(([0], np.cumsum(sizes[:-1] * sizes[1:])))
-    index = np.int32 if starts[-1] <= np.iinfo(np.int32).max else np.int64
-    local = np.empty(dim, dtype=np.int64)  # each state's position within its sector
+    local = np.empty(dim, dtype=np.int32)  # each state's position within its sector
     local[order] = np.arange(dim) - bounds[sector[order]]
     # B_k's entry (i in S_k, j in S_k+1) sits at first[i] + local[j]
-    first = (starts[sector] + local * np.append(sizes[1:], 0)[sector]).astype(index)
-    local = local.astype(index)
+    first = (starts[sector] + local * np.append(sizes[1:], 0)[sector]).astype(np.int32)
     offsets = first[rows]
     offsets += local[cols]
     return order.astype(np.int32), bounds.astype(np.int32), offsets
@@ -416,17 +412,16 @@ def _gap_band(
     caller's margin.  A NaN or inf anywhere, or tau <= 0, gives inf.
     """
     dim = len(eigenvalues)
-    eps = float(np.finfo(float).eps)
     eta = float(np.finfo(float).smallest_subnormal)
-    c = 1.0 + 2 * (dim + 2) * eps
+    c = 1.0 + 2 * (dim + 2) * _EPS
     floor = 2 * (dim + 2) * eta
     length = math.sqrt(float(v_squares.max()) + floor) * c  # 1 + nu
     rho = (
         math.sqrt(float(r_squares.max()) + floor) * c
-        + (terms + 3) * eps * (spread * c + float(np.abs(eigenvalues).max())) * length
+        + (terms + 3) * _EPS * (spread * c + float(np.abs(eigenvalues).max())) * length
         + math.sqrt(dim) * (terms + 3) * eta
     )
-    tau = DEFAULT_DECOMP_TOL - (dim * eps * length * length + dim * eta)
+    tau = DEFAULT_DECOMP_TOL - (dim * _EPS * length * length + dim * eta)
     delta = 2 * rho * length / tau if tau > 0 else math.inf
     return delta if delta < math.inf else math.inf  # NaN too
 
@@ -441,7 +436,6 @@ def _orthonormality(eigenvalues: np.ndarray, vectors: np.ndarray, delta: float) 
     block = min(_TILE, dim)
     out = np.empty((block, dim))
     diagonal = np.arange(block)
-    eps = float(np.finfo(float).eps)
     ortho = np.float64(0.0)
     for start in range(0, dim, block):
         stop = min(start + block, dim)
@@ -449,7 +443,7 @@ def _orthonormality(eigenvalues: np.ndarray, vectors: np.ndarray, delta: float) 
         if delta < math.inf:
             top = float(eigenvalues[stop - 1])
             # the margin keeps the rounded cut above the exact top + delta
-            cut = top + delta * (1.0 + 16 * eps) + 4 * eps * abs(top)
+            cut = top + delta * (1.0 + 16 * _EPS) + 4 * _EPS * abs(top)
             end = max(stop, int(np.searchsorted(eigenvalues, cut, side="right")))
         n = stop - start
         g = np.matmul(vectors[:, start:stop].T, vectors[:, start:end], out=out[:n, : end - start])
@@ -577,6 +571,19 @@ def _pair_blocks(eigenvalues: np.ndarray, gap: float):
         yield start, np.reciprocal(d, out=d), rows, others, gaps
 
 
+def check_horizon(horizon: float) -> None:
+    if not (horizon > 0 and math.isfinite(horizon) and math.isfinite(2.0 / float(horizon))):
+        raise ValueError(
+            f"explicit horizon must be positive and finite, with 2/horizon finite, got {horizon!r}"
+        )
+
+
+def _probe_error(dim: int) -> float:
+    """Bound on each entry's rounding error in `time_averaged_profile`, derived
+    there for orthonormal V (`eigendecompose` certifies V.T V = I to 1e-10)."""
+    return 27.02 * _EPS / _NEAR_GAP + (dim + 310) * _EPS / 2
+
+
 def time_averaged_profile(
     spec: SpectralDecomposition, initial: int, horizon: float
 ) -> TransitionProfile:
@@ -609,12 +616,9 @@ def time_averaged_profile(
     (6.0e-13 at 1e-2), whatever the horizon.  The near pairs and the
     diagonal (|K| <= 1, each within 10u) add at most 5 eps, and the sums,
     of at most dim + 300 terms of absolute sum <= 1, (dim + 300) u, as
-    for the direct kernel: in all 27.02 eps / _NEAR_GAP + (dim + 310) eps / 2.
+    for the direct kernel: in all `_probe_error(dim)`.
     """
-    if not (horizon > 0 and math.isfinite(horizon) and math.isfinite(2.0 / float(horizon))):
-        raise ValueError(
-            f"horizon must be positive and finite, with 2/horizon finite, got {horizon!r}"
-        )
+    check_horizon(horizon)
     v = spec.eigenvectors
     w = v[initial]
     shifted, radius = _shifted(spec.eigenvalues)
@@ -691,8 +695,7 @@ def _ladder_screens(spec: SpectralDecomposition, initial: int) -> list[tuple[flo
         s1 += float(w[start:stop] @ r[:, 0])
         s2 += float(bound_weights[start:stop, 1] @ r[:, 0] + w[start:stop] @ r[:, 1])
     screens = np.clip(diagonal + 2.0 * near + 2.0 * far / t, 0.0, 1.0)
-    eps = np.finfo(float).eps
-    bounds = eps * (3.0 * s2 + (5 * dim + 32) * s1 / t + dim + n_near + 16)
+    bounds = _EPS * (3.0 * s2 + (5 * dim + 32) * s1 / t + dim + n_near + 16)
     return list(zip(_LADDER, screens.tolist(), bounds.tolist()))
 
 
@@ -731,14 +734,12 @@ def find_stable_T(spec: SpectralDecomposition, initial: int) -> TransitionProfil
     the max norm is at least |p_i(T) - p_i(2T)|.  `_ladder_screens`
     gives the return probability p_i at every horizon of the ladder in one
     blocked pass, with a bound b(T) on its rounding error.  A pair whose
-    screened difference exceeds _REL_TOL + _SCREEN_MARGIN + b(T) + b(2T)
-    cannot pass and gets no full probe.  The margin covers the
-    full probes: each entry of one is within 27.02 eps / _NEAR_GAP +
-    (dim + 310) eps / 2 of the exact average (see `time_averaged_profile`),
-    under 9e-13 at dim 2048 and 2.5e-12 at dim 16384, far below
-    _SCREEN_MARGIN / 2.  A NaN screen or bound fails the comparison, so that pair gets
-    the full, checked probes.  The result is the exhaustive search's, bit
-    for bit.
+    screened difference exceeds _REL_TOL + b(T) + b(2T) + 2 _probe_error(dim)
+    + 4 eps gets no full probe: each entry of a probe is within
+    _probe_error(dim) of exact (4 eps cover rounding this difference and V's
+    departure from orthonormality), so its probes cannot agree.  A NaN screen
+    or bound fails the comparison and gets the full, checked probes.  The
+    result is the exhaustive search's, bit for bit, at every dim.
 
     The bound, with u = eps/2, e' = fl(e - mean(e)), G_ab = 1/(e_a - e_b),
     sums over the far pairs a < b S1 = sum w_a w_b |G_ab| and
@@ -776,12 +777,13 @@ def find_stable_T(spec: SpectralDecomposition, initial: int) -> TransitionProfil
     3 eps / _SCREEN_NEAR_GAP whatever the spectrum.
     """
     screens = iter(_ladder_screens(spec, initial))
+    margin = 2.0 * _probe_error(spec.dim) + 4.0 * _EPS
     horizon, screen, bound = next(screens)
     current = None  # full profile at `horizon` once probed
     last = ""  # the last pair tested and its difference, for the error
     for longer_horizon, longer_screen, longer_bound in screens:
         screen_diff = abs(screen - longer_screen)
-        if screen_diff > _REL_TOL + _SCREEN_MARGIN + bound + longer_bound:
+        if screen_diff > _REL_TOL + bound + longer_bound + margin:
             current = None
             diff, kind = screen_diff, "initial-row screen, a lower bound"
         else:

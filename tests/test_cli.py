@@ -313,6 +313,23 @@ class TestProfileCommand:
         assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("horizon", ["0", "-2", "1e-309", "nan"])
+    def test_bad_horizon_refused_before_any_build(self, tmp_path, monkeypatch, capsys, horizon):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a structure for a refused horizon")
+
+        monkeypatch.setattr(cli, "build_model", no_build)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 3, "initial": "RRY", "horizon": float(horizon)}))
+        message = (
+            "error: explicit horizon must be positive and finite, with 2/horizon finite, "
+            f"got {float(horizon)!r}\n"
+        )
+        for argv in (["--n", "3", "--initial", "RRY", "--horizon", horizon], ["--config", str(config)]):
+            assert main(["profile", *argv, "--out", str(tmp_path / "run")]) == 2
+            assert capsys.readouterr() == ("", message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_stable_horizon_failure_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         import crystalchain.cli as cli_module
 
@@ -521,6 +538,32 @@ class TestMemoryPreflight:
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 * 2**30)
         with pytest.raises(cli.UsageError, match="3/4 or more"):
             cli._check_memory(14, 6 * 2**30, "the dense eigendecomposition")
+
+    def test_eigh_fallback_refuses_fourteen_sites_on_this_memory(self, tmp_path, monkeypatch, capsys):
+        # on 7.8 GiB the fallback's 5 dim^2 (10 GiB at N = 14) is refused
+        # and N = 13 (2.5 GiB) passes; the in-place 5 GiB passes at N = 14.
+        # The builder raises right after the pre-flight, so nothing is solved.
+        def no_build(*args, **kwargs):
+            raise AssertionError("built past the pre-flight")
+
+        monkeypatch.setattr(cli, "build_model", no_build)
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: int(7.8 * 2**30))
+        in_place = dynamics._lapack()
+        monkeypatch.setattr(dynamics, "_lapack", lambda: None)
+        out = tmp_path / "run"
+        argv = ["profile", "--n", "14", "--initial", "RY" * 7, "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", (
+            "error: n = 14 needs about 10,248 MiB for the dense eigendecomposition, "
+            "3/4 or more of the 7,987 MiB of physical memory\n"
+        ))
+        with pytest.raises(AssertionError, match="past the pre-flight"):
+            main(["profile", "--n", "13", "--initial", "RY" * 6 + "R", "--out", str(out)])
+        if in_place is not None:
+            monkeypatch.setattr(dynamics, "_lapack", lambda: in_place)
+            with pytest.raises(AssertionError, match="past the pre-flight"):
+                main(argv)
 
     def test_numeric_dump_beyond_physical_memory_is_usage_error(
         self, tmp_path, monkeypatch, capsys

@@ -14,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystalchain import (
+    MAX_CHAIN_LENGTH,
+    MIN_CHAIN_LENGTH,
     CouplingValues,
     StableHorizonError,
     build_hamming,
@@ -29,6 +31,7 @@ from crystalchain.dynamics import (
     _KERNEL_BLOCK,
     _NEAR_GAP,
     SpectralDecomposition,
+    _probe_error,
     _residuals,
     _sector_layout,
     _sector_product,
@@ -72,10 +75,9 @@ def preset_spec(name):
 
 def probe_bound(dim):
     """Largest |time_averaged_profile - direct_profile| rounding allows: the
-    probe's 27.02 eps / _NEAR_GAP + (dim + 310) eps / 2 (derived in
-    time_averaged_profile) plus the direct kernel's own (dim + 314) eps / 2
+    probe's `_probe_error` plus the direct kernel's own (dim + 314) eps / 2
     (sin(x)/x within 14u per entry, and the same sums)."""
-    return np.finfo(float).eps * (27.02 / _NEAR_GAP + dim + 312)
+    return _probe_error(dim) + (dim + 314) * np.finfo(float).eps / 2
 
 
 def assert_probe_matches_direct_kernel(spec, initial, horizons):
@@ -558,6 +560,7 @@ class TestSectorProducts:
         assert two_j3[bounds[:-1]].tolist() == list(range(-n, n + 1, 2))
         sizes = np.diff(bounds)
         ends = np.cumsum(sizes[:-1] * sizes[1:])
+        assert ends[-1] == math.comb(2 * n, n + 1)
         flat = np.zeros(ends[-1], dtype=np.int64)
         np.add.at(flat, offsets, 1)
         assert (flat[offsets] == 1).all()  # each pair once
@@ -569,6 +572,15 @@ class TestSectorProducts:
         for k, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
             block = pattern[np.ix_(order[bounds[k] : bounds[k + 1]], order[bounds[k + 1] : bounds[k + 2]])]
             assert (flat[lo:hi] == block.ravel()).all()
+
+    def test_block_buffer_fits_int32_offsets(self):
+        # the flat buffer of `_sector_layout` holds sum_k C(N, k) C(N, k+1)
+        # = C(2N, N+1) entries (Vandermonde), so its int32 offsets hold
+        # every accepted N; the first overflow is at N = 17
+        for n in range(MIN_CHAIN_LENGTH, MAX_CHAIN_LENGTH + 1):
+            blocks = sum(math.comb(n, k) * math.comb(n, k + 1) for k in range(n))
+            assert blocks == math.comb(2 * n, n + 1)
+        assert math.comb(2 * MAX_CHAIN_LENGTH, MAX_CHAIN_LENGTH + 1) < 2**31
 
     @settings(max_examples=150, deadline=None)
     @given(
