@@ -210,7 +210,7 @@ def _physical_memory_bytes() -> int:
 def _check_memory(n: int, need: int, what: str) -> None:
     """Refuse (exit 2) a chain whose ``what`` needs 3/4 of physical memory
     or more.  The estimate counts only the dense arrays.  `profile` runs
-    measured 47 MiB above it at N = 12, 63 MiB at N = 13 and 98 MiB at
+    measured 45 MiB above it at N = 12, 63 MiB at N = 13 and 98 MiB at
     N = 14 (the interpreter, the structure and the blocked passes).  The
     rest of the quarter is not measured: it is room for the rest of the
     machine.  N = 14 (5 GiB in place) passes on 7.8 GiB, and ran there in
@@ -223,30 +223,29 @@ def _check_memory(n: int, need: int, what: str) -> None:
         )
 
 
-def _build(config: RunConfig) -> SymbolicHamiltonian:
-    """The structure for ``config``, once its dense eigendecomposition passes
-    the memory pre-flight."""
-    _check_memory(config.n, dense_peak_bytes(2**config.n), "the dense eigendecomposition")
-    return _build_reading(config.model, config.n, config.couplings)
+# The couplings the sweep axis `all` sets together.
+_ALL_AXIS = ("eps", "gamma", "delta", "eta")
 
 
-def _build_reading(model: str, n: int, couplings: CouplingValues) -> SymbolicHamiltonian:
-    """``BUILDERS[model](n)``, refused (exit 2) if it never reads a nonzero coupling."""
+def _build(
+    model: str, n: int, couplings: CouplingValues, axes: "Iterable[tuple[str, list[float]]]" = ()
+) -> SymbolicHamiltonian:
+    """``BUILDERS[model](n)``, refused (exit 2) if a nonzero coupling, then a
+    sweep axis, sets no coupling it reads: the run would ignore it."""
     sym = BUILDERS[model](n)
-    for name, value in couplings.as_dict().items():
-        if value:  # zeros pass: crystal manifests record beta = 0.0
-            _refuse_unread(f"{name} = {value!r}", (name,), sym, model)
-    return sym
-
-
-def _refuse_unread(what: str, names: Iterable[str], sym: SymbolicHamiltonian, model: str) -> None:
-    """Refuse (exit 2) ``what``, which sets the couplings ``names``, when
-    ``sym`` reads none of them: the run would ignore it."""
     read = {"mu0"} | {field for _, field in sym.families}
-    if read.isdisjoint(names):
-        raise UsageError(
-            f"{what} sets no coupling the {model} model reads ({', '.join(sorted(read))})"
-        )
+    setters = [  # zeros pass: crystal manifests record beta = 0.0
+        (f"{name} = {value!r}", (name,)) for name, value in couplings.as_dict().items() if value
+    ]
+    setters += [
+        (f"sweep parameter {name!r}", _ALL_AXIS if name == "all" else (name,)) for name, _ in axes
+    ]
+    for what, names in setters:
+        if read.isdisjoint(names):
+            raise UsageError(
+                f"{what} sets no coupling the {model} model reads ({', '.join(sorted(read))})"
+            )
+    return sym
 
 
 def _fit_bundle(ranked: RankedDistribution, basis: BasisMap, initial: int) -> dict:
@@ -270,7 +269,9 @@ def run(config: RunConfig, sym: SymbolicHamiltonian | None = None, fit: bool = F
     average at the configured horizon, rank, and add the fit bundle when
     ``fit``.  ``sym`` reuses a structure already built for ``config``'s n
     and model."""
-    sym = _build(config) if sym is None else sym
+    if sym is None:
+        _check_memory(config.n, dense_peak_bytes(2**config.n), "the dense eigendecomposition")
+        sym = _build(config.model, config.n, config.couplings)
     initial = sym.basis.index_of_word(config.initial)
     spec = eigendecompose(sym, config.couplings)
     if config.horizon == "auto":
@@ -372,7 +373,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     else:
         check_chain_length(args.n)
         _check_memory(args.n, np.dtype(float).itemsize * 4**args.n, "the dense matrix")
-        matrix = _build_reading(args.model, args.n, couplings).evaluate(couplings)
+        matrix = _build(args.model, args.n, couplings).evaluate(couplings)
         if not np.isfinite(matrix).all():
             raise RuntimeError("matrix has non-finite entries")
         chunks = (" ".join(map(repr, row.tolist())) + "\n" for row in matrix)
@@ -472,10 +473,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# The couplings the sweep axis `all` sets together.
-_ALL_AXIS = ("eps", "gamma", "delta", "eta")
-
-
 def _parse_grid(params: list[str]) -> list[tuple[str, list[float]]]:
     axes: list[tuple[str, list[float]]] = []
     seen = set()
@@ -501,15 +498,6 @@ def _parse_grid(params: list[str]) -> list[tuple[str, list[float]]]:
     return axes
 
 
-def _check_axes(axes: list[tuple[str, list[float]]], sym: SymbolicHamiltonian, model: str) -> None:
-    """Refuse an axis that sets no coupling the model reads: every point of it
-    would be the same run."""
-    for name, _ in axes:
-        _refuse_unread(
-            f"sweep parameter {name!r}", _ALL_AXIS if name == "all" else (name,), sym, model
-        )
-
-
 def _apply_point(couplings: CouplingValues, point: dict[str, float]) -> CouplingValues:
     updates = {}
     for name, value in point.items():
@@ -532,46 +520,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dict(zip([name for name, _ in axes], combo))
         for combo in itertools.product(*[values for _, values in axes])
     ] if axes else []
-    sym = _build(config)
-    _check_axes(axes, sym, config.model)
+    _check_memory(config.n, dense_peak_bytes(2**config.n), "the dense eigendecomposition")
+    sym = _build(config.model, config.n, config.couplings, axes)
 
-    rows = []
+    statuses, lines = [], [_SUMMARY_HEADER]
     for idx, point in enumerate(points):
-        point_config = dataclasses.replace(
-            config, couplings=_apply_point(config.couplings, point)
-        )
-        row: dict = {"point": idx, "status": "ok", **point_config.couplings.as_dict()}
+        couplings = _apply_point(config.couplings, point)
+        fit_cells = [""] * len(_FIT_COLUMNS)
         try:
-            result = run(point_config, sym, fit=True)
+            result = run(dataclasses.replace(config, couplings=couplings), sym, fit=True)
         except (RuntimeError, PhaseOverflowError):
             # StableHorizonError, a failed numeric check, or a horizon whose
             # phases overflow on this point's spectrum
-            row["status"] = "dynamics_error"
+            status = "dynamics_error"
         except FitError:
-            row["status"] = "fit_error"
+            status = "fit_error"
         else:
+            status = "ok"
             _write_run(out / f"point_{idx:03d}", result)
             yule, _, zipf = result.fits["fits"]
-            row.update(
-                resolved_T=_finite_horizon(result),
-                yule_a=yule["a"], yule_k=yule["k"], yule_b=yule["b"], yule_r2=yule["r2"],
-                zipf_a=zipf["a"], zipf_k=zipf["k"], zipf_r2=zipf["r2"],
-                sse_ratio=result.fits["sse_ratio_zipf_over_yule"],
-            )
-        rows.append(row)
-
-    lines = [_SUMMARY_HEADER]
-    for row in rows:
-        cells = [str(row["point"]), row["status"]]
-        cells += [repr(float(row[name])) for name in COUPLING_NAMES]
-        for field in _FIT_COLUMNS:
-            value = row.get(field)
-            cells.append("" if value is None else repr(float(value)))
-        lines.append(",".join(cells))
+            fit_cells = ["" if value is None else repr(float(value)) for value in (
+                _finite_horizon(result), yule["a"], yule["k"], yule["b"], yule["r2"],
+                zipf["a"], zipf["k"], zipf["r2"], result.fits["sse_ratio_zipf_over_yule"],
+            )]
+        statuses.append(status)
+        coupling_cells = [repr(float(value)) for value in couplings.as_dict().values()]
+        lines.append(",".join([str(idx), status, *coupling_cells, *fit_cells]))
     _write(out / "summary.csv", "\n".join(lines) + "\n")
     print(f"sweep of {len(points)} point(s) written to {out}")
-    if points and all(row["status"] != "ok" for row in rows):
-        return EXIT_DYNAMICS if any(r["status"] == "dynamics_error" for r in rows) else EXIT_FIT
+    if points and "ok" not in statuses:
+        return EXIT_DYNAMICS if "dynamics_error" in statuses else EXIT_FIT
     return EXIT_OK
 
 

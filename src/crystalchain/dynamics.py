@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -258,16 +257,16 @@ def _solve(held: list[np.ndarray], norm: float) -> tuple[np.ndarray, np.ndarray]
 
 def _sector_layout(
     n: int, two_j3: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, bounds, offsets): the sector layout `_residuals` multiplies by,
-    for the pairs (rows, cols), each row in the sector just below its col's.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(order, bounds, starts, offsets) for `_residuals`: the sector layout
+    of the pairs (rows, cols), each row in the sector just below its col's.
 
     Sector k holds the states with 2J3 = 2k - n: positions
     bounds[k]:bounds[k + 1] of `order`, the states stably sorted by 2J3.
     offsets[j] is the entry of pair j in one flat buffer of the blocks
-    B_k = H[S_k, S_k+1] (s_k x s_k+1, row-major, in k order), of
-    C(2n, n + 1) entries in all: int32 offsets hold every n up to 16.  The
-    pair-sized temporaries are kept few and narrow: `_residuals` runs
+    B_k = H[S_k, S_k+1] (s_k x s_k+1, row-major), B_k at starts[k], of
+    starts[-1] = C(2n, n + 1) entries: int32 offsets hold every n to 16.
+    The pair-sized temporaries are kept few and narrow: `_residuals` runs
     after the solve, far beneath its peak.
     """
     dim = len(two_j3)
@@ -282,7 +281,7 @@ def _sector_layout(
     first = (starts[sector] + local * np.append(sizes[1:], 0)[sector]).astype(np.int32)
     offsets = first[rows]
     offsets += local[cols]
-    return order.astype(np.int32), bounds.astype(np.int32), offsets
+    return order.astype(np.int32), bounds.astype(np.int32), starts, offsets
 
 
 def _sector_product(blocks, bounds, diagonal, w, out):
@@ -312,14 +311,14 @@ def _residuals(sym: SymbolicHamiltonian, values: CouplingValues, eigenvalues, ve
     dim^2 / 4) the loop holds two slabs, W and that buffer, and one
     sector's product.
     """
-    order, bounds, offsets = _sector_layout(sym.basis.n, sym.basis.labels[0], sym.rows, sym.cols)
-    bounds = bounds.tolist()
+    layout = _sector_layout(sym.basis.n, sym.basis.labels[0], sym.rows, sym.cols)
+    order, bounds, starts, offsets = layout
+    bounds, starts = bounds.tolist(), starts.tolist()
     sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    ends = list(itertools.accumulate(s * t for s, t in zip(sizes, sizes[1:])))
-    flat = np.zeros(ends[-1])
+    flat = np.zeros(starts[-1])
     flat[offsets] = sym.pair_couplings(values)
     blocks = [
-        flat[lo:hi].reshape(s, t) for lo, hi, s, t in zip([0, *ends], ends, sizes, sizes[1:])
+        flat[lo:hi].reshape(s, t) for lo, hi, s, t in zip(starts, starts[1:], sizes, sizes[1:])
     ]
     diagonal = values.mu0 * sym.basis.labels[0][order, None].astype(float)  # in sector order
     dim, count = vectors.shape

@@ -478,7 +478,15 @@ class TestProfileCommand:
              "--param", "beta=0.1,0.2", "--horizon", "160"],
             "eps = 0.2 sets no coupling the hamming model reads (beta, mu0)",
         ),
-    ], ids=["hamming-eps", "crystal-beta", "hamming-sweep-base-eps"])
+        (
+            # both unread: the base coupling is refused first
+            ["sweep", "--n", "3", "--initial", "RRY", "--model", "hamming", "--eps", "0.2",
+             "--param", "gamma=0.1"],
+            "eps = 0.2 sets no coupling the hamming model reads (beta, mu0)",
+        ),
+    ], ids=[
+        "hamming-eps", "crystal-beta", "hamming-sweep-base-eps", "hamming-sweep-base-before-axis",
+    ])
     def test_coupling_the_model_never_reads_is_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"
         assert main([*argv, "--out", str(out)]) == 2
@@ -982,6 +990,81 @@ class TestSweepCommand:
             "--horizon", "160", "--out", str(out),
         ]) == 3
         assert read_csv_column(out / "summary.csv", "status") == ["dynamics_error"] * 2
+
+    @pytest.mark.parametrize("grid, statuses", [
+        ("mu0=1e308,1", ["dynamics_error", "fit_error"]),
+        ("mu0=1,1e308", ["fit_error", "dynamics_error"]),
+    ])
+    def test_points_failing_dynamics_and_fit_is_exit_3(self, tmp_path, capsys, grid, statuses):
+        # at n = 2, mu0 = 1e308 fails the dynamics and mu0 = 1 the fit
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--n", "2", "--initial", "RY", "--param", grid, "--horizon", "10",
+            "--out", str(out),
+        ]) == 3
+        assert read_csv_column(out / "summary.csv", "status") == statuses
+
+    @pytest.mark.parametrize("argv, points, statuses", [
+        (
+            ["--n", "3", "--initial", "RRY", "--eps", "0.1", "--param", "gamma=0.3,0.5",
+             "--horizon", "160"],
+            [{"mu0": 1.0, "eps": 0.1, "gamma": 0.3}, {"mu0": 1.0, "eps": 0.1, "gamma": 0.5}],
+            ["ok", "ok"],
+        ),
+        (
+            ["--n", "3", "--initial", "RRY", "--eps", "0.1", "--param", "gamma=0.3,0.5",
+             "--horizon", "infinite"],
+            [{"mu0": 1.0, "eps": 0.1, "gamma": 0.3}, {"mu0": 1.0, "eps": 0.1, "gamma": 0.5}],
+            ["ok", "ok"],
+        ),
+        (
+            ["--n", "3", "--initial", "RRY", "--eps", "0.1", "--param", "mu0=1e308,1",
+             "--horizon", "160"],
+            [{"mu0": 1e308, "eps": 0.1}, {"mu0": 1.0, "eps": 0.1}],
+            ["dynamics_error", "ok"],
+        ),
+        (
+            ["--n", "2", "--initial", "RY", "--param", "eps=0.2", "--horizon", "10"],
+            [{"mu0": 1.0, "eps": 0.2}],
+            ["fit_error"],
+        ),
+    ], ids=["horizon-160", "infinite", "dynamics-error", "fit-error"])
+    def test_summary_rows_hold_each_point_and_its_fits(
+        self, tmp_path, capsys, argv, points, statuses
+    ):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *argv, "--out", str(out)]) == (0 if "ok" in statuses else 4)
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        assert header == (
+            "point,status,mu0,eps,gamma,delta,eta,beta,resolved_T,"
+            "yule_a,yule_k,yule_b,yule_r2,zipf_a,zipf_k,zipf_r2,sse_ratio"
+        )
+        assert len(rows) == len(points)
+        for idx, (row, point, status) in enumerate(zip(rows, points, statuses)):
+            cells = row.split(",")
+            assert cells[:2] == [str(idx), status]
+            coupling_cells, fit_cells = cells[2:8], cells[8:]
+            assert coupling_cells == [
+                repr(float(point.get(name, 0.0))) for name in cli.COUPLING_NAMES
+            ]
+            run_dir = out / f"point_{idx:03d}"
+            if status != "ok":
+                assert fit_cells == [""] * 9
+                assert not run_dir.exists()
+                continue
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["couplings"] == {
+                name: point.get(name, 0.0) for name in cli.COUPLING_NAMES
+            }
+            fits = json.loads((run_dir / "fits.json").read_text())
+            yule, _, zipf = fits["fits"]
+            assert (yule["model"], zipf["model"]) == ("yule", "zipf")
+            assert (manifest["resolved_T"] is None) == ("infinite" in argv)
+            expected = [
+                manifest["resolved_T"], yule["a"], yule["k"], yule["b"], yule["r2"],
+                zipf["a"], zipf["k"], zipf["r2"], fits["sse_ratio_zipf_over_yule"],
+            ]
+            assert fit_cells == ["" if value is None else repr(float(value)) for value in expected]
 
     def test_one_build_and_one_decomposition_per_point(self, tmp_path, capsys, monkeypatch):
         calls = {"build": 0, "eigendecompose": 0}

@@ -536,7 +536,7 @@ def sector_products(sym, h, x):
     slabs of _KERNEL_BLOCK columns, each product from `_sector_product` on
     blocks and a diagonal read from the dense h in `_sector_layout`'s
     order: the slab loop of `_residuals`, with H taken from h."""
-    order, bounds, _ = _sector_layout(sym.basis.n, sym.basis.labels[0], sym.rows, sym.cols)
+    order, bounds, _, _ = _sector_layout(sym.basis.n, sym.basis.labels[0], sym.rows, sym.cols)
     sectors = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     blocks = [h[np.ix_(low, high)] for low, high in zip(sectors, sectors[1:])]
     diagonal = h.diagonal()[order, None]
@@ -553,7 +553,7 @@ class TestSectorProducts:
     def test_sector_layout_indexes_the_blocks(self, build, n):
         # every pair's offset addresses its entry of B_k = H[S_k, S_k+1]
         sym = build(n)
-        order, bounds, offsets = _sector_layout(n, sym.basis.labels[0], sym.rows, sym.cols)
+        order, bounds, starts, offsets = _sector_layout(n, sym.basis.labels[0], sym.rows, sym.cols)
         assert order.dtype == bounds.dtype == offsets.dtype == np.int32
         two_j3 = sym.basis.labels[0][order]
         assert (np.diff(two_j3) >= 0).all()
@@ -561,6 +561,7 @@ class TestSectorProducts:
         sizes = np.diff(bounds)
         ends = np.cumsum(sizes[:-1] * sizes[1:])
         assert ends[-1] == math.comb(2 * n, n + 1)
+        assert starts.tolist() == [0, *ends.tolist()]
         flat = np.zeros(ends[-1], dtype=np.int64)
         np.add.at(flat, offsets, 1)
         assert (flat[offsets] == 1).all()  # each pair once

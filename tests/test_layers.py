@@ -1,7 +1,8 @@
-"""The package's modules import only the layers below them, and the CLI
-imports no thread pool."""
+"""The package's modules import only the layers below them, define no
+module-level name that nothing uses, and the CLI imports no thread pool."""
 
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -44,6 +45,46 @@ def test_no_module_imports_a_later_layer():
         tree = ast.parse((PACKAGE / f"{layer}.py").read_text())
         later = [name for name in imported_layers(tree) if LAYERS.index(name) >= rank]
         assert later == [], f"{layer} imports {later}"
+
+
+def used_names(tree):
+    """How often each name is loaded, imported, or read as an attribute."""
+    used = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def module_definitions(tree):
+    """(name, node) for each function, class and name assigned at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_every_module_level_name_is_used():
+    # a helper orphaned by a refactor fails here: each definition must be
+    # used somewhere in the package outside its own body
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    used = sum(map(used_names, trees.values()), collections.Counter())
+    dead = [
+        f"{module}: {name}"
+        for module, tree in sorted(trees.items())
+        for name, node in module_definitions(tree)
+        if name != "__all__" and used[name] - used_names(node)[name] <= 0
+    ]
+    assert dead == []
 
 
 def test_cli_import_loads_no_thread_pool():
