@@ -148,12 +148,11 @@ def _couplings(args: argparse.Namespace, base: dict) -> CouplingValues:
     return CouplingValues.from_dict({k: _number(f"coupling {k}", v) for k, v in data.items()})
 
 
-# The top-level keys `_write_run` writes to manifest.json: the only ones a
-# --config file may hold.
-_MANIFEST_KEYS = frozenset((
-    "n", "initial", "model", "couplings", "horizon", "resolved_T", "include_self",
-    "fits", "version", "timestamp",
-))
+# The top-level keys `_write_run` writes to manifest.json, the run config's
+# fields and what the run adds: the only ones a --config file may hold.
+_MANIFEST_KEYS = frozenset(field.name for field in dataclasses.fields(RunConfig)) | {
+    "resolved_T", "fits", "version", "timestamp",
+}
 
 
 def _resolve_config(args: argparse.Namespace, base: "dict | None" = None) -> RunConfig:

@@ -34,10 +34,9 @@ _TILE = 64
 # about the mean take the direct kernel in `time_averaged_profile`; far pairs
 # take the sine addition formula, whose rounding `_probe_error` bounds.
 _NEAR_GAP = 1e-2
-# The same fraction for `_ladder_screens`, whose rounding bound is computed
-# per horizon, so it only trades the bound's T-independent part (at most
-# 3 eps / _SCREEN_NEAR_GAP) against direct kernel evaluations: one per near
-# pair and horizon.
+# The same fraction for `_ladder_screens`: it trades the 1/_SCREEN_NEAR_GAP
+# terms of `_screen_error`'s bound against direct kernel evaluations, one per
+# near pair and horizon.
 _SCREEN_NEAR_GAP = 1e-4
 # find_stable_T's policy: horizons 10, 20, 40, ... up to the first one past
 # _T_CAP (28 of them), each twice the last; a pair passes when its profiles
@@ -583,6 +582,50 @@ def _probe_error(dim: int) -> float:
     return 27.02 * _EPS / _NEAR_GAP + (dim + 310) * _EPS / 2
 
 
+def _screen_error(dim: int, radius: float, horizons: np.ndarray) -> np.ndarray:
+    """Bound b(T) on the rounding error of `_ladder_screens` at each of the
+    `horizons`, for orthonormal V and a spectrum of radius `radius` about
+    its mean.  A bound that overflows or is NaN lets the search skip nothing.
+
+    With u = eps/2, w = V[initial]**2, e' = fl(e - mean(e)), d = e_a - e_b,
+    G_ab = 1/d and sin and cos within 4 ulp, a far pair a < b adds
+    (2/T) G_ab w_a w_b sin(theta_a - theta_b), theta = fl(e' T), for the
+    exact 2 w_a w_b sin(d T) / (d T).  Over the far pairs let
+    S1 = sum w_a w_b |G_ab| and S2 = sum w_a w_b (|e'_a| + |e'_b|) |G_ab|:
+
+    - the phases, each within 2.01 u |e'_a| T (the shift and the product
+      round once each): through the sine T cancels, below 3 eps S2;
+    - G (2.01 u), and sin, cos and the products with w (4 (4 + 1) u of
+      w_a w_b): 22.01 eps S1 / T;
+    - the GEMM and the sums over rows and blocks, two products of at most
+      2 dim + 4 terms of absolute sum <= S1, times 2/T: at most
+      2.02 (2 dim + 4) eps S1 / T.
+
+    In all, below 3 eps S2 + (5 dim + 32) eps S1 / T.  The near pairs and
+    the diagonal have |K| <= 1 and weights summing to at most
+    (sum_a w_a)^2 = 1; each kernel value is good to 10 u, and their sums
+    run over dim + n_near + blocks terms (n_near near pairs a < b), so with
+    the three final additions they err by less than (dim + n_near + 16) eps.
+    Clipping to [0, 1] moves no screen further from the exact value.
+
+    A far pair has |d| > gap = max(_SCREEN_NEAR_GAP radius, 1/DBL_MAX), so
+    |G_ab| < 1/gap and |e'_a| + |e'_b| <= 2 radius < 2 |d| / _SCREEN_NEAR_GAP;
+    as sum_{a<b} w_a w_b <= 1/2, S1 <= 1/(2 gap) and S2 <= 1/_SCREEN_NEAR_GAP.
+    With n_near <= dim (dim - 1) / 2, the constants' slack covering the
+    rounding of gap and V's departure from orthonormality,
+
+        b(T) = eps (3 / _SCREEN_NEAR_GAP + (5 dim + 32) / (2 gap T)
+                    + dim + dim (dim - 1) / 2 + 16).
+
+    At the baseline couplings b(10) is 1.7e-10 at N = 10, 5.4e-10 at N = 11
+    and 2.0e-9 at N = 12.
+    """
+    gap = max(_SCREEN_NEAR_GAP * radius, 1.0 / np.finfo(float).max)
+    with np.errstate(over="ignore"):
+        far = (5 * dim + 32) / (2.0 * gap * horizons)
+    return _EPS * (3.0 / _SCREEN_NEAR_GAP + far + dim + dim * (dim - 1) / 2 + 16)
+
+
 def time_averaged_profile(
     spec: SpectralDecomposition, initial: int, horizon: float
 ) -> TransitionProfile:
@@ -642,25 +685,23 @@ def time_averaged_profile(
     return _as_profile(initial, horizon, p_avg)
 
 
-def _ladder_screens(spec: SpectralDecomposition, initial: int) -> list[tuple[float, float, float]]:
-    """(T, p_initial(T), bound) at every horizon of _LADDER.
+def _ladder_screens(spec: SpectralDecomposition, initial: int) -> list[float]:
+    """p_initial(T) at every horizon T of _LADDER, within `_screen_error`.
 
     p_initial = sum_ab w_a w_b K_ab(T), w = V[initial]**2, is the return
     probability `time_averaged_profile` gives the initial state, clipped
-    to [0, 1]; `bound` caps its rounding error (derived in `find_stable_T`).
-    The sine addition formula splits it into a T-independent matrix and
-    two transcendentals per eigenvalue and horizon.  With e shifted by its
-    mean, s = sin(e T), c = cos(e T) and G_ab = 1/(e_a - e_b):
+    to [0, 1].  The sine addition formula splits it into a T-independent
+    matrix and two transcendentals per eigenvalue and horizon.  With e
+    shifted by its mean, s = sin(e T), c = cos(e T) and G_ab = 1/(e_a - e_b):
 
         p_initial(T) = sum_a w_a^2 + 2 sum_{near a<b} w_a w_b K_ab(T)
                        + (2/T) sum_{far a<b} G_ab [(ws)_a (wc)_b - (wc)_a (ws)_b]
 
     Near pairs (see `_pair_blocks`), here with a gap of at most
     _SCREEN_NEAR_GAP times the spectral radius about the mean, take the
-    direct sin(x)/x kernel.  Each
-    block of G multiplies the stacked [w*c | w*s] columns of the whole
-    ladder in one GEMM, so G, the near pairs and the bound's sums are built
-    once per search; memory is O((_KERNEL_BLOCK + 28) * dim).
+    direct sin(x)/x kernel.  Each block of G multiplies the stacked
+    [w*c | w*s] columns of the whole ladder in one GEMM, so G and the near
+    pairs are built once per search; memory is O((_KERNEL_BLOCK + 28) * dim).
     """
     t = np.array(_LADDER)
     size = len(_LADDER)
@@ -668,15 +709,12 @@ def _ladder_screens(spec: SpectralDecomposition, initial: int) -> list[tuple[flo
     w = spec.eigenvectors[initial] ** 2
     shifted, radius = _shifted(spec.eigenvalues)
     diagonal = float(w @ w)
-    bound_weights = np.stack((w, w * np.abs(shifted)), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN screens get full probes
         phase = np.multiply.outer(shifted, t)
         cols = np.concatenate((np.cos(phase), np.sin(phase)), axis=1)
     cols *= w[:, None]
     far = np.zeros(size)
     near = np.zeros(size)
-    s1 = s2 = 0.0  # S1 and S2 of the bound derived in find_stable_T
-    n_near = 0
     for start, g, rows, others, gaps in _pair_blocks(spec.eigenvalues, _SCREEN_NEAR_GAP * radius):
         stop = start + len(g)
         if len(rows):
@@ -684,18 +722,12 @@ def _ladder_screens(spec: SpectralDecomposition, initial: int) -> list[tuple[flo
             for lo in range(0, len(rows), dim):  # dim x size entries at a time
                 x = np.multiply.outer(gaps[lo : lo + dim], t)
                 near += pair_weights[lo : lo + dim] @ _sinc(x)
-            n_near += len(rows)
         y = g @ cols[start:]
         y[:, :size] *= cols[start:stop, size:]
         y[:, size:] *= cols[start:stop, :size]
         far += y[:, :size].sum(axis=0)
         far -= y[:, size:].sum(axis=0)
-        r = np.abs(g, out=g) @ bound_weights[start:]
-        s1 += float(w[start:stop] @ r[:, 0])
-        s2 += float(bound_weights[start:stop, 1] @ r[:, 0] + w[start:stop] @ r[:, 1])
-    screens = np.clip(diagonal + 2.0 * near + 2.0 * far / t, 0.0, 1.0)
-    bounds = _EPS * (3.0 * s2 + (5 * dim + 32) * s1 / t + dim + n_near + 16)
-    return list(zip(_LADDER, screens.tolist(), bounds.tolist()))
+    return np.clip(diagonal + 2.0 * near + 2.0 * far / t, 0.0, 1.0).tolist()
 
 
 def infinite_time_average(spec: SpectralDecomposition, initial: int) -> TransitionProfile:
@@ -732,50 +764,17 @@ def find_stable_T(spec: SpectralDecomposition, initial: int) -> TransitionProfil
     Each pair (T, 2T) is screened first on the initial state alone:
     the max norm is at least |p_i(T) - p_i(2T)|.  `_ladder_screens`
     gives the return probability p_i at every horizon of the ladder in one
-    blocked pass, with a bound b(T) on its rounding error.  A pair whose
-    screened difference exceeds _REL_TOL + b(T) + b(2T) + 2 _probe_error(dim)
-    + 4 eps gets no full probe: each entry of a probe is within
-    _probe_error(dim) of exact (4 eps cover rounding this difference and V's
-    departure from orthonormality), so its probes cannot agree.  A NaN screen
-    or bound fails the comparison and gets the full, checked probes.  The
-    result is the exhaustive search's, bit for bit, at every dim.
-
-    The bound, with u = eps/2, e' = fl(e - mean(e)), G_ab = 1/(e_a - e_b),
-    sums over the far pairs a < b S1 = sum w_a w_b |G_ab| and
-    S2 = sum w_a w_b (|e'_a| + |e'_b|) |G_ab|, and sin and cos taken to be
-    within 4 ulp.  Each far pair contributes
-    (2/T) G_ab w_a w_b sin(theta_a - theta_b), theta = fl(e' T), against the
-    exact 2 w_a w_b sin(d T) / (d T), d = e_a - e_b:
-
-    - the phases: the shift and the product each round once, so
-      |theta_a - (e_a - mean) T| <= 2.01 u |e'_a| T; through the sine this
-      costs 2.01 eps w_a w_b (|e'_a| + |e'_b|) |G_ab|, T cancels, and the
-      sum is below 3 eps S2;
-    - G itself: fl(1/fl(e_a - e_b)) has relative error 2.01 u, so
-      2.01 eps w_a w_b |G_ab| / T;
-    - sin, cos and the products with w: (ws)_a (wc)_b - (wc)_a (ws)_b is
-      w_a w_b sin(theta_a - theta_b) within 4 (4 + 1) u w_a w_b, so
-      20 eps w_a w_b |G_ab| / T;
-    - the GEMM and the sums over rows and blocks: each of the two products
-      accumulates at most dim + block + blocks + 3 <= 2 dim + 4 terms of
-      absolute sum <= S1, so with the factor 2/T at most
-      2.02 (2 dim + 4) eps S1 / T.
-
-    Together the 1/T terms stay below (5 dim + 32) eps S1 / T.  A near pair
-    and the diagonal have |K| <= 1, and sum_{near a<b} 2 w_a w_b +
-    sum_a w_a^2 <= (sum_a w_a)^2 = 1.  Each kernel value is good to
-    (4 + 6) u, and its sums run over dim + n_near + blocks terms, where
-    n_near counts the near pairs a < b; with the three final additions this
-    stays below (dim + n_near + 16) eps.  So
-
-        b(T) = eps (3 S2 + (5 dim + 32) S1 / T + dim + n_near + 16),
-
-    and clipping to [0, 1] moves no screen further from the exact value.
-    At N = 11 and 12 b(T) stays below 3e-11.  Far pairs have
-    |e'_a| + |e'_b| <= 2 |e_a - e_b| / _SCREEN_NEAR_GAP, so 3 eps S2 <=
-    3 eps / _SCREEN_NEAR_GAP whatever the spectrum.
+    blocked pass, each within `_screen_error`'s b(T) of exact.  A pair
+    whose screened difference exceeds _REL_TOL + b(T) + b(2T)
+    + 2 _probe_error(dim) + 4 eps gets no full probe: each entry of a probe
+    is within _probe_error(dim) of exact (4 eps cover rounding this
+    difference and V's departure from orthonormality), so its probes
+    cannot agree.  A NaN screen, or a NaN or infinite bound, fails the
+    comparison and gets the full, checked probes.  The result is the
+    exhaustive search's, bit for bit, at every dim.
     """
-    screens = iter(_ladder_screens(spec, initial))
+    bounds = _screen_error(spec.dim, _shifted(spec.eigenvalues)[1], np.array(_LADDER))
+    screens = iter(zip(_LADDER, _ladder_screens(spec, initial), bounds.tolist()))
     margin = 2.0 * _probe_error(spec.dim) + 4.0 * _EPS
     horizon, screen, bound = next(screens)
     current = None  # full profile at `horizon` once probed

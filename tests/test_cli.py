@@ -230,6 +230,7 @@ class TestProfileCommand:
         ]) == 0
         assert {p.name for p in out.iterdir()} == {"profile.csv", "ranked.csv", "manifest.json"}
         manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == cli._MANIFEST_KEYS  # what a --config file may hold
         assert manifest["n"] == 3
         assert manifest["initial"] == "RRY"
         assert manifest["model"] == "hamming"
@@ -454,6 +455,19 @@ class TestProfileCommand:
         assert self.run_config(tmp_path, **{typo: value}) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(typo) in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"initial": "RRY"}, "chain length is required (--n or config)"),
+        ({"n": 3, "initial": "RRY", "model": "ising"},
+         "model must be 'crystal' or 'hamming', got 'ising'"),
+        ({"n": 3, "initial": "RRY", "couplings": [1.0]}, "config 'couplings' must be a JSON object"),
+    ], ids=["no-n", "unknown-model", "couplings-not-object"])
+    def test_config_refusal_names_its_fault(self, tmp_path, capsys, data, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert main(["profile", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
     def test_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
@@ -937,6 +951,18 @@ class TestSweepCommand:
             "--param", "mu0=0,1", "--horizon", "160", "--out", str(out),
         ]) == 0
         assert read_csv_column(out / "summary.csv", "status") == ["ok", "ok"]
+
+    @pytest.mark.parametrize("params, message", [
+        (["gamma=0.1", "gamma=0.2"], "duplicate sweep parameter 'gamma'"),
+        (["gamma=x"], "bad values in sweep parameter 'gamma=x'"),
+        (["gamma=,"], "sweep parameter 'gamma=,' lists no values"),
+    ], ids=["duplicate", "non-numeric", "empty"])
+    def test_bad_parameter_list_is_usage_error(self, tmp_path, capsys, params, message):
+        out = tmp_path / "s"
+        axes = [arg for param in params for arg in ("--param", param)]
+        assert main(["sweep", "--n", "3", "--initial", "RRY", *axes, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_parameter_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", "--n", "3", "--initial", "RRY", "--param", "zeta=1",

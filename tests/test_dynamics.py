@@ -180,11 +180,13 @@ def assert_search_matches_oracle(spec, initial):
 
 
 def assert_screens_within_bound(spec, initial):
-    """Every batched ladder screen is within its own bound of the direct,
-    one-horizon-at-a-time return probability."""
-    ladder = dynamics._ladder_screens(spec, initial)
-    assert [horizon for horizon, _, _ in ladder] == list(dynamics._LADDER)
-    for horizon, screen, bound in ladder:
+    """Every batched ladder screen is within `_screen_error`'s closed-form
+    bound of the direct, one-horizon-at-a-time return probability."""
+    screens = dynamics._ladder_screens(spec, initial)
+    _, radius = dynamics._shifted(spec.eigenvalues)
+    bounds = dynamics._screen_error(spec.dim, radius, np.array(dynamics._LADDER))
+    assert len(screens) == len(bounds) == len(dynamics._LADDER)
+    for horizon, screen, bound in zip(dynamics._LADDER, screens, bounds):
         assert abs(screen - direct_return_probability(spec, initial, horizon)) <= bound
 
 
@@ -194,8 +196,10 @@ def nan_screens(monkeypatch, entries=None):
     screens = dynamics._ladder_screens
 
     def patched(*args):
-        for k, (horizon, screen, bound) in enumerate(screens(*args)):
-            yield horizon, math.nan if entries is None or k in entries else screen, bound
+        return [
+            math.nan if entries is None or k in entries else screen
+            for k, screen in enumerate(screens(*args))
+        ]
 
     monkeypatch.setattr(dynamics, "_ladder_screens", patched)
 
@@ -977,6 +981,42 @@ class TestInfiniteTimeAverage:
         limit = infinite_time_average(spec, 0)
         long_avg = time_averaged_profile(spec, 0, 1e7)
         assert np.abs(limit.p_avg - long_avg.p_avg).max() <= 1e-4
+
+
+AVERAGES = {
+    "finite": lambda spec: time_averaged_profile(spec, 0, 10.0),
+    "infinite": lambda spec: infinite_time_average(spec, 0),
+}
+
+
+class TestProfileChecks:
+    """The averages refuse, with RuntimeError, a profile no orthonormal V
+    gives; crafted decompositions reach each refusal."""
+
+    @pytest.mark.parametrize("average", sorted(AVERAGES))
+    def test_non_finite_entry_raises(self, average):
+        vectors = np.eye(3)
+        vectors[1, 2] = np.nan
+        with pytest.raises(RuntimeError, match=r"^averaged profile has non-finite entries$"):
+            AVERAGES[average](SpectralDecomposition(np.arange(3.0), vectors))
+
+    @pytest.mark.parametrize("average", sorted(AVERAGES))
+    def test_sum_off_one_raises(self, average):
+        # V = I/2 puts 1/16 on the initial state and 0 elsewhere (a larger
+        # V would be clipped to 1 there)
+        with pytest.raises(RuntimeError, match=r"^averaged profile sums to 0\.0625, not 1$"):
+            AVERAGES[average](SpectralDecomposition(np.arange(3.0), np.eye(3) / 2))
+
+    def test_negative_entry_raises(self):
+        # V = 1000 Q, Q orthogonal, with every eigenvalue 0 (K = 1): off the
+        # initial state the exact profile is 1e12 (Q Q^T)_f0^2, about 0, and
+        # rounding leaves entries near +-1e-5, several of them negative
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(16, 16)))
+        spec = SpectralDecomposition(np.zeros(16), 1000.0 * q)
+        with pytest.raises(
+            RuntimeError, match=r"^negative probability -\d\.\d{3}e-\d+ in averaged profile$"
+        ):
+            time_averaged_profile(spec, 0, 10.0)
 
 
 class TestFindStableT:

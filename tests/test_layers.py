@@ -13,6 +13,7 @@ import crystalchain
 # Lowest first; `__init__` re-exports them all and is no layer.
 LAYERS = ("crystal", "hamiltonian", "dynamics", "analysis", "cli")
 PACKAGE = Path(crystalchain.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def imported_layers(tree):
@@ -73,18 +74,31 @@ def module_definitions(tree):
                         yield name.id, node
 
 
-def test_every_module_level_name_is_used():
-    # a helper orphaned by a refactor fails here: each definition must be
-    # used somewhere in the package outside its own body
-    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
-    used = sum(map(used_names, trees.values()), collections.Counter())
-    dead = [
+def dead_names(defining, using):
+    """The module-level names of the `defining` trees (by file name) that
+    no tree in `using` uses outside the name's own body."""
+    used = sum(map(used_names, using.values()), collections.Counter())
+    return [
         f"{module}: {name}"
-        for module, tree in sorted(trees.items())
+        for module, tree in sorted(defining.items())
         for name, node in module_definitions(tree)
         if name != "__all__" and used[name] - used_names(node)[name] <= 0
     ]
-    assert dead == []
+
+
+def parsed(paths):
+    return {path.name: ast.parse(path.read_text()) for path in paths}
+
+
+def test_every_module_level_name_is_used():
+    # a helper orphaned by a refactor fails here: each definition in the
+    # package must be used somewhere in it, and each one of the test
+    # helper modules somewhere under tests/, outside its own body
+    package = parsed(PACKAGE.glob("*.py"))
+    tests = parsed(TESTS.glob("*.py"))
+    helpers = {name: tests[name] for name in ("oracles.py", "golden.py")}
+    assert dead_names(package, package) == []
+    assert dead_names(helpers, tests) == []
 
 
 def test_cli_import_loads_no_thread_pool():
